@@ -332,9 +332,10 @@ def _sized_periods(p: DriveParams, predictions: tuple[float, ...], config: ScanC
     return int(math.ceil(n_periods - 1e-9)), False
 
 
-def _estimate_cell(p: DriveParams, config: ScanConfig) -> tuple[FrequencyEstimate, bool]:
-    """Run one exact trace sized from the analytic predictions and extract."""
-    predictions = _cell_predictions(p)
+def _estimate_cell(
+    p: DriveParams, predictions: tuple[float, float, float], config: ScanConfig
+) -> tuple[FrequencyEstimate, bool]:
+    """Run one exact trace sized from the cell's ``_cell_predictions`` and extract."""
     n_periods, capped = _sized_periods(p, predictions[:2], config)
     ts = propagate_exact(p, QubitState.up(), n_periods * p.period, steps_per_period=config.steps_per_period)
     return extract_frequency(ts, drive_period=p.period), capped
@@ -407,8 +408,9 @@ def scan_resonance_map(
             cell_flags: list[str] = []
             try:
                 p = DriveParams(delta=1.0, **params)
-                omega_rwa[i, j], omega_tm[i, j], slow_lhs[i, j] = _cell_predictions(p)
-                est, capped = _estimate_cell(p, config)
+                predictions = _cell_predictions(p)
+                omega_rwa[i, j], omega_tm[i, j], slow_lhs[i, j] = predictions
+                est, capped = _estimate_cell(p, predictions, config)
                 omega_est[i, j] = est.omega_est
                 amplitude[i, j] = est.amplitude
                 confidence[i, j] = est.confidence
@@ -435,12 +437,6 @@ def scan_resonance_map(
         slow_lhs=slow_lhs,
         flags=tuple(flag_rows),
     )
-
-
-def _coarse_amplitude(p: DriveParams, config: ScanConfig) -> float:
-    """Peak-to-peak envelope amplitude of one sized exact run."""
-    est, _ = _estimate_cell(p, config)
-    return est.amplitude
 
 
 def measure_resonance_width(
@@ -476,7 +472,10 @@ def measure_resonance_width(
     if config is None:
         config = ScanConfig()
 
-    amps = np.array([_coarse_amplitude(replace(p, omega=w), config) for w in grid])
+    amps = np.empty(grid.size)
+    for i, w in enumerate(grid):
+        q = replace(p, omega=w)
+        amps[i] = _estimate_cell(q, _cell_predictions(q), config)[0].amplitude
     k = int(np.argmax(amps))
     if k == 0 or k == grid.size - 1:
         raise BracketError(

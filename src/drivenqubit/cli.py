@@ -85,8 +85,11 @@ def _write_text(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -200,10 +203,6 @@ def _parse_axis(spec: str, label: str) -> tuple[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _tm_applicable(p: DriveParams) -> bool:
-    return p.phi == 0.0 and p.amplitude > p.epsilon0 and p.amplitude > p.delta
-
-
 def cmd_simulate(cfg: dict[str, Any]) -> int:
     p = _drive_params(cfg)
     cycles = cfg["cycles"]
@@ -215,7 +214,7 @@ def cmd_simulate(cfg: dict[str, Any]) -> int:
     times = ts.times()
 
     strobe = None
-    if _tm_applicable(p):
+    if classify_regime(p).tm and p.phi == 0.0:
         _, t_c2 = crossing_times(p)
         n_strobe = int(math.floor((ts.t_end - t_c2) / p.period))
         if n_strobe >= 1:

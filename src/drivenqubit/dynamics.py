@@ -219,45 +219,41 @@ def hamiltonian(t: float, p: DriveParams) -> np.ndarray:
     )
 
 
-def _step_entries(eps_mid: float, delta: float, h: float) -> tuple[complex, complex]:
-    """Entries (u11, u12) of exp(-i h H) with the bias frozen at eps_mid.
+def _step_entries(eps_mid: np.ndarray, delta: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (u11, u12) of exp(-i h H) with the bias frozen at each eps_mid.
 
     For H = a sigma_x + b sigma_z (a = -delta/2, b = -eps_mid/2):
     exp(-i h H) = cos(h r) I - i sin(h r)/r (a sigma_x + b sigma_z) with
-    r = hypot(a, b); u21 = u12 and u22 = conj(u11).  r >= delta/2 > 0, so
-    the sin(h r)/r factor is never singular.
+    r = hypot(a, b); u21 = u12 and u22 = conj(u11).  Returns arrays shaped
+    like eps_mid.
     """
     a = -0.5 * delta
     b = -0.5 * eps_mid
-    r = math.hypot(a, b)
-    c = math.cos(h * r)
-    s = math.sin(h * r) / r
-    return complex(c, -s * b), complex(0.0, -s * a)
+    r = np.hypot(a, b)
+    theta = h * r
+    # sin(h r)/r -> h as r -> 0 (possible only for delta = 0 at eps_mid = 0).
+    s = np.where(r > 0.0, np.sin(theta) / np.where(r > 0.0, r, 1.0), h)
+    u11 = np.cos(theta) - 1j * (s * b)
+    u12 = (-1j * a) * s
+    return u11, u12
 
 
 def step_unitary(t: float, h: float, p: DriveParams) -> Unitary2:
     """One exponential-midpoint substep covering [t, t + h]."""
     if not (math.isfinite(h) and h > 0.0):
         raise ConfigError(f"step size must be positive, got {h!r}")
-    u11, u12 = _step_entries(float(drive_epsilon(t + 0.5 * h, p)), p.delta, h)
+    u11s, u12s = _step_entries(drive_epsilon([t + 0.5 * h], p), p.delta, h)
+    u11, u12 = complex(u11s[0]), complex(u12s[0])
     return Unitary2(u11, u12, u12, u11.conjugate())
 
 
 def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> int:
-    return max(1, math.ceil(duration / p.period * steps_per_period))
-
-
-def _chunk_entries(p: DriveParams, t_start: float, h: float, i0: int, i1: int):
-    """Vectorized (u11, u12) substep entries for substeps i0..i1-1."""
-    t_mid = t_start + h * (np.arange(i0, i1) + 0.5)
-    b = -0.5 * drive_epsilon(t_mid, p)
-    a = -0.5 * p.delta
-    r = np.hypot(a, b)
-    theta = h * r
-    s = np.sin(theta) / r
-    u11 = np.cos(theta) - 1j * (s * b)
-    u12 = (-1j * a) * s
-    return u11, u12
+    x = duration / p.period * steps_per_period
+    # Rounding can push the ratio for a whole number of periods just above
+    # an integer; its ceiling would add a substep and move every sample off
+    # the period grid, so a ratio within 4 ulps of an integer counts as it.
+    n = round(x)
+    return max(1, n if abs(x - n) <= 4.0 * math.ulp(x) else math.ceil(x))
 
 
 def evolution_operator(
@@ -276,7 +272,8 @@ def evolution_operator(
     m22 = 1.0 + 0.0j
     for i0 in range(0, n, _CHUNK):
         i1 = min(i0 + _CHUNK, n)
-        u11s, u12s = _chunk_entries(p, t_start, h, i0, i1)
+        t_mid = t_start + h * (np.arange(i0, i1) + 0.5)
+        u11s, u12s = _step_entries(drive_epsilon(t_mid, p), p.delta, h)
         for a11, a12 in zip(u11s.tolist(), u12s.tolist()):
             a22 = a11.conjugate()
             m11, m12, m21, m22 = (
@@ -306,7 +303,8 @@ def propagate_exact(
     steps_per_period : int
         Substeps per drive period, >= 16 (default 256).  The substep is
         h = t_end / ceil(t_end/T * steps_per_period), so samples are
-        uniform and the last one lands exactly on t_end.
+        uniform and the last one lands exactly on t_end; a whole number
+        of periods gives exactly periods * steps_per_period substeps.
 
     Returns
     -------
@@ -326,7 +324,8 @@ def propagate_exact(
     k = 1
     for i0 in range(0, n, _CHUNK):
         i1 = min(i0 + _CHUNK, n)
-        u11s, u12s = _chunk_entries(p, 0.0, h, i0, i1)
+        t_mid = h * (np.arange(i0, i1) + 0.5)
+        u11s, u12s = _step_entries(drive_epsilon(t_mid, p), p.delta, h)
         for a11, a12 in zip(u11s.tolist(), u12s.tolist()):
             cu, cd = a11 * cu + a12 * cd, a12 * cu + a11.conjugate() * cd
             out[k] = cu.real * cu.real + cu.imag * cu.imag
@@ -363,15 +362,8 @@ def propagate_linear_sweep(
         raise ConfigError(f"delta must be nonnegative, got {delta!r}")
     t_i = -span / v
     h = 2.0 * span / (v * steps)
-    a = -0.5 * delta
     t_mid = t_i + h * (np.arange(steps) + 0.5)
-    b = -0.5 * v * t_mid
-    r = np.hypot(a, b)
-    theta = h * r
-    # sin(h r)/r -> h as r -> 0 (possible only for delta = 0 at t = 0).
-    s = np.where(r > 0.0, np.sin(theta) / np.where(r > 0.0, r, 1.0), h)
-    u11s = np.cos(theta) - 1j * (s * b)
-    u12s = (-1j * a) * s
+    u11s, u12s = _step_entries(v * t_mid, delta, h)
     cu = complex(psi0.up_amp)
     cd = complex(psi0.down_amp)
     for a11, a12 in zip(u11s.tolist(), u12s.tolist()):

@@ -1,14 +1,11 @@
-"""Self-contained special-function kernels.
+"""Special functions for the resonance predictors, on top of ``scipy.special``.
 
-This module provides the four special-function evaluations needed by the
-resonance predictors: Bessel functions of the first kind of integer order,
-positive zeros of J0, the complex logarithm of the gamma function on the
-right half-plane, and the Stokes phase of a single avoided-crossing
-traversal.
-
-Everything here is implemented from scratch on purpose, so the physics
-modules do not silently depend on an external library's branch-cut or
-accuracy choices.  Validated ranges:
+Bessel functions J_n of integer order (``jv``), positive zeros of J0
+(``jn_zeros``), the complex log-gamma on the right half-plane
+(``loggamma``), and the Stokes phase of one avoided-crossing traversal.
+scipy supplies the kernels; this module validates input and fixes the
+domains the physics uses.  The mpmath oracles in ``tests/test_specfun.py``
+pin the branch and the accuracy independently of scipy.  Validated ranges:
 
 * ``bessel_jn``: absolute error below 1e-12 for |x| <= 50 and |n| <= 50;
   orders up to |n| = 200 are supported.
@@ -20,8 +17,9 @@ All functions are pure and hold no global state.
 
 from __future__ import annotations
 
-import cmath
 import math
+
+from scipy import special
 
 __all__ = [
     "MAX_BESSEL_ORDER",
@@ -38,101 +36,6 @@ MAX_BESSEL_ORDER = 200
 #: Largest zero index accepted by :func:`bessel_j0_zero`.
 MAX_J0_ZERO_INDEX = 20
 
-# Power series below this |x|, Miller downward recurrence at or above it.
-_SERIES_CUTOFF = 12.0
-
-# Lanczos approximation, g = 7, nine coefficients.  This is the classic
-# double-precision set; relative accuracy is a few parts in 1e13 over the
-# right half-plane, comfortably inside the 1e-10 contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _bessel_series(n: int, x: float) -> float:
-    """Ascending power series for J_n(x), n >= 0.
-
-    Terms are generated by the recurrence
-    t_{k+1} = -t_k * (x/2)^2 / ((k+1)(n+k+1)) starting from
-    t_0 = (x/2)^n / n!, and summed with compensated (Kahan) addition so
-    the alternating cancellation near the cutoff |x| ~ 12 does not eat
-    into the 1e-12 budget.
-    """
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    half = 0.5 * x
-    log_t0 = n * math.log(half) - math.lgamma(n + 1.0)
-    if log_t0 < -760.0:
-        # Leading term underflows and the total growth of later terms is
-        # bounded by e^x < e^12, so the sum is far below 1e-300.
-        return 0.0
-    term = math.exp(log_t0)
-    q = half * half
-    total = term
-    comp = 0.0
-    # Truncation is judged against the largest term seen, not the running
-    # total: deep in the exponential tail the total is orders of magnitude
-    # below the leading term and an absolute cutoff would gut its relative
-    # accuracy.
-    peak = abs(term)
-    for k in range(1, 500):
-        term *= -q / (k * (n + k))
-        peak = max(peak, abs(term))
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if abs(term) < 1e-17 * peak and k > half:
-            return total
-    raise ValueError(f"bessel series failed to converge for n={n}, x={x}")
-
-
-def _bessel_miller(n: int, x: float) -> float:
-    """Miller downward recurrence for J_n(x), n >= 0, x >= cutoff.
-
-    Runs J_{k-1} = (2k/x) J_k - J_{k+1} downward from a start order well
-    above both n and x, then fixes the overall scale through the identity
-    J_0(x) + 2 * sum_{k>=1} J_{2k}(x) = 1.  Intermediate values are
-    rescaled whenever they grow past 1e250 so the unnormalized recurrence
-    cannot overflow for large order gaps.
-    """
-    top = max(n, int(x))
-    start = top + int(math.sqrt(160.0 * top)) + 2
-    if start % 2:
-        start += 1
-    jp = 0.0  # J_{k+1}
-    jc = 1e-30  # J_k
-    even_sum = 0.0
-    result = 0.0
-    two_over_x = 2.0 / x
-    for k in range(start, 0, -1):
-        jm = k * two_over_x * jc - jp
-        jp = jc
-        jc = jm  # now J_{k-1}
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            even_sum *= 1e-250
-            result *= 1e-250
-        order = k - 1
-        if order == n:
-            result = jc
-        if order > 0 and order % 2 == 0:
-            even_sum += jc
-    norm = jc + 2.0 * even_sum  # jc holds the unnormalized J_0
-    return result / norm
-
 
 def bessel_jn(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x) for integer order.
@@ -148,20 +51,13 @@ def bessel_jn(n: int, x: float) -> float:
     -------
     float
         J_n(x).  Absolute error is below 1e-12 in the validated window
-        |x| <= 50, |n| <= 50 and stays small (series/recurrence accuracy)
-        for the rest of the supported domain.
+        |x| <= 50, |n| <= 50 and stays small for the rest of the
+        supported domain.
 
     Raises
     ------
     ValueError
         If x is NaN or infinite, n is not an integer, or |n| > 200.
-
-    Notes
-    -----
-    Negative orders and arguments are mapped to the first quadrant with
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).  Below
-    |x| = 12 the ascending series is used; above it, Miller's downward
-    recurrence normalized by J_0 + 2*sum J_{2k} = 1.
     """
     if not isinstance(n, (int,)) or isinstance(n, bool):
         raise ValueError(f"bessel order must be an integer, got {n!r}")
@@ -169,18 +65,7 @@ def bessel_jn(n: int, x: float) -> float:
         raise ValueError(f"bessel argument must be finite, got {x!r}")
     if abs(n) > MAX_BESSEL_ORDER:
         raise ValueError(f"bessel order out of validated range: |{n}| > {MAX_BESSEL_ORDER}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    if x < _SERIES_CUTOFF:
-        return sign * _bessel_series(n, x)
-    return sign * _bessel_miller(n, x)
+    return float(special.jv(n, x))
 
 
 def bessel_j0_zero(k: int) -> float:
@@ -200,47 +85,10 @@ def bessel_j0_zero(k: int) -> float:
     ------
     ValueError
         If k is outside [1, 20].
-
-    Notes
-    -----
-    The McMahon leading term (k - 1/4)*pi seeds a bracket of half-width
-    0.5 which always contains exactly one sign change; bisection shrinks
-    it to 1e-6 and a few Newton steps with J_0' = -J_1 polish the root to
-    machine precision.
     """
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_J0_ZERO_INDEX:
         raise ValueError(f"zero index must be an integer in [1, {MAX_J0_ZERO_INDEX}], got {k!r}")
-    seed = (k - 0.25) * math.pi
-    lo, hi = seed - 0.5, seed + 0.5
-    flo = bessel_jn(0, lo)
-    fhi = bessel_jn(0, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        # The McMahon seed is good to ~0.05 even for k = 1, so this
-        # cannot happen for in-range k; keep a hard failure anyway.
-        raise ValueError(f"no sign change around J0 zero #{k}")
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        fmid = bessel_jn(0, mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    root = 0.5 * (lo + hi)
-    for _ in range(8):
-        f = bessel_jn(0, root)
-        fp = -bessel_jn(1, root)
-        step = f / fp
-        root -= step
-        if abs(step) < 1e-14:
-            break
-    return root
+    return float(special.jn_zeros(0, k)[-1])
 
 
 def log_gamma_complex(z: complex) -> complex:
@@ -250,7 +98,7 @@ def log_gamma_complex(z: complex) -> complex:
     ----------
     z : complex
         Point with positive real part.  (The physics only ever evaluates
-        the line z = 1 - i*delta, so no reflection formula is provided.)
+        the line z = 1 - i*delta, so the left half-plane is rejected.)
 
     Returns
     -------
@@ -269,14 +117,7 @@ def log_gamma_complex(z: complex) -> complex:
         raise ValueError(f"log_gamma_complex requires finite z, got {z!r}")
     if z.real <= 0.0:
         raise ValueError(f"log_gamma_complex requires Re(z) > 0, got {z!r}")
-    w = z - 1.0
-    acc = complex(_LANCZOS_COEFFS[0])
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    # Re(t) > 6.5 whenever Re(z) > 0, so both logs stay on the principal
-    # branch without any unwinding.
-    return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    return complex(special.loggamma(z))
 
 
 def stokes_phase(delta_adiab: float) -> float:

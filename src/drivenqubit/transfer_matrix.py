@@ -54,7 +54,6 @@ __all__ = [
     "lz_transfer_matrix",
     "phase_matrix",
     "cycle_phases",
-    "theta_tildes",
     "full_cycle_matrix",
     "full_cycle_matrix_windowed",
     "decompose_full_cycle",
@@ -275,11 +274,6 @@ def cycle_phases(p: DriveParams, tau: float | None = None) -> CyclePhases:
     )
 
 
-def theta_tildes(p: DriveParams) -> CyclePhases:
-    """Cycle phases at the default crossing window."""
-    return cycle_phases(p)
-
-
 def _compose_cycle(chi: float, th_lz1: float, th_lz2: float, th1: float, th2: float) -> Unitary2:
     cr = LzCrossing(chi=chi, theta_lz_1=th_lz1, theta_lz_2=th_lz2, sweep_rate=1.0, delta_adiab=1.0)
     return (
@@ -293,7 +287,7 @@ def _compose_cycle(chi: float, th_lz1: float, th_lz2: float, th1: float, th2: fl
 def full_cycle_matrix(p: DriveParams) -> Unitary2:
     """One-cycle propagator G_LZ2 G_2 G_LZ1 G_1 from boundary-independent phases."""
     cr = lz_crossing(p)
-    ph = theta_tildes(p)
+    ph = cycle_phases(p)
     return _compose_cycle(
         cr.chi, cr.theta_lz_1, cr.theta_lz_2, ph.theta_tilde_1, ph.theta_tilde_2
     )
@@ -379,7 +373,7 @@ def propagate_tm(p: DriveParams, psi0: QubitState, n_cycles: int) -> TimeSeries:
     if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
         raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
     cr = lz_crossing(p)
-    ph = theta_tildes(p)
+    ph = cycle_phases(p)
     t_c1, t_c2 = crossing_times(p)
     theta1_partial = -_band_integral(p, 0.0, t_c1)
     prelude = _compose_cycle(
@@ -472,7 +466,7 @@ def tm_slow_resonance_lhs(p: DriveParams) -> SlowResonance:
     lo = math.floor(lhs)
     hi = lo + 1
     nearest = lo if abs(lhs - lo) <= abs(hi - lhs) else hi
-    ph = theta_tildes(p)
+    ph = cycle_phases(p)
     theta_fc_refined = -2.0 * math.pi + 2.0 * math.pi * lhs + 2.0 * (ph.f1 + ph.f2)
     return SlowResonance(
         lhs=lhs,

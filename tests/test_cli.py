@@ -309,6 +309,15 @@ def test_config_rejects_bad_json_and_missing_file(capsys, tmp_path):
     assert _run(capsys, ["classify", "--config", str(tmp_path / "absent.json")])[0] == 2
 
 
+def test_unwritable_out_path_is_a_config_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, ["cdt", "--omega", "5", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert "cannot write output file" in err
+    assert not target.exists()
+
+
 def test_config_type_checking(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"steps-per-period": "many"}))

@@ -170,6 +170,15 @@ def test_timeseries_grid():
     assert ts.values[0] == pytest.approx(1.0)
 
 
+def test_whole_periods_give_period_aligned_grid():
+    # 1000 * T / T * 256 rounds to just above 256000; the grid must still
+    # hold exactly 256 substeps per period.
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    ts = propagate_exact(p, QubitState.up(), 1000 * p.period, steps_per_period=256)
+    assert len(ts) == 256_001
+    assert ts.dt * 256 == pytest.approx(p.period, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

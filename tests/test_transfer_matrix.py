@@ -27,7 +27,6 @@ from drivenqubit.transfer_matrix import (
     propagate_tm,
     reconstruct_full_cycle,
     sweep_rate,
-    theta_tildes,
     tm_fast_frequency,
     tm_fast_resonance_check,
     tm_resonance_width,
@@ -136,7 +135,6 @@ def test_theta_tildes_match_gap_quadrature(p):
     assert ph.theta_tilde_2 == pytest.approx(theta2, abs=1e-9)
     assert ph.theta_tilde_1 == pytest.approx(theta1, abs=1e-9)
     assert ph.f1 >= 0.0 and ph.f2 >= 0.0
-    assert theta_tildes(p).theta_tilde_1 == ph.theta_tilde_1
 
 
 def test_gap_excess_scales_quadratically_in_delta():
