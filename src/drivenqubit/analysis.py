@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import DriveParams, QubitState, TimeSeries, evolution_operator, propagate_exact
-from .errors import BracketError, ConfigError, InsufficientDataError, RegimeError
+from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
 from .rwa import rwa_predict
 from .transfer_matrix import crossing_times, tm_slow_frequency, tm_slow_resonance_lhs
 
@@ -372,8 +372,9 @@ def scan_resonance_map(
     attaches the predictions themselves for side-by-side comparison.
     delta = 1 throughout.
 
-    Per-cell failures are recorded in that cell's flags as
-    ``error:<ExceptionName>`` with NaN observables; the scan continues.
+    Per-cell failures (package errors, ValueError, ArithmeticError) are
+    recorded in that cell's flags as ``error:<ExceptionName>`` with NaN
+    observables and the scan continues; any other exception propagates.
     Cells that hit the run-length cap are flagged "below_resolution".
     """
     if config is None:
@@ -417,7 +418,9 @@ def scan_resonance_map(
                 cell_flags.extend(est.flags)
                 if capped:
                     cell_flags.append("below_resolution")
-            except Exception as exc:  # per-cell isolation: the scan must finish
+            except (DrivenQubitError, ValueError, ArithmeticError) as exc:
+                # Per-cell isolation for numerical and regime failures only;
+                # anything else is a bug and escapes.
                 cell_flags.append(f"error:{type(exc).__name__}")
             row_flags.append(tuple(cell_flags))
         flag_rows.append(tuple(row_flags))

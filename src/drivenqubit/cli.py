@@ -254,16 +254,12 @@ def cmd_predict(cfg: dict[str, Any]) -> int:
     if cfg["format"] != "json":
         raise ConfigError("predict emits a JSON report; use --format json")
     p = _drive_params(cfg)
-    if p.amplitude <= p.epsilon0:
-        raise RegimeError(
-            f"transfer-matrix block undefined: A = {p.amplitude:g} <= eps0 = {p.epsilon0:g} (no crossings)"
-        )
-    if p.phi != 0.0:
-        raise RegimeError(f"transfer-matrix block requires phi = 0, got {p.phi:g}")
+    # The transfer-matrix block goes first: outside its regime it raises
+    # RegimeError before any other predictor can fail.
+    deco = decompose_full_cycle(full_cycle_matrix(p))
     scale = cfg["delta"]
     regime = classify_regime(p)
     rwa = rwa_predict(p)
-    deco = decompose_full_cycle(full_cycle_matrix(p))
     _, residual = tm_fast_resonance_check(p)
     slow = tm_slow_resonance_lhs(p)
     payload = {

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, QuadratureError
 
 __all__ = [
     "DriveParams",
@@ -124,12 +124,21 @@ class Unitary2:
     u22: complex
 
     def __post_init__(self) -> None:
-        for name in ("u11", "u12", "u21", "u22"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        m = self.as_matrix()
-        dev = np.abs(m.conj().T @ m - np.eye(2))
-        if not np.all(np.isfinite(dev)) or dev.max() > _UNITARY_TOL:
-            raise ConfigError(f"matrix is not unitary within {_UNITARY_TOL}: deviation {dev.max():g}")
+        a, b, c, d = complex(self.u11), complex(self.u12), complex(self.u21), complex(self.u22)
+        object.__setattr__(self, "u11", a)
+        object.__setattr__(self, "u12", b)
+        object.__setattr__(self, "u21", c)
+        object.__setattr__(self, "u22", d)
+        # The three distinct entries of |U^H U - I| (the fourth mirrors the
+        # off-diagonal one); NaN or inf fails every comparison below.
+        dev = (
+            abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
+            abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
+            abs(a.conjugate() * b + c.conjugate() * d),
+        )
+        if not (dev[0] <= _UNITARY_TOL and dev[1] <= _UNITARY_TOL and dev[2] <= _UNITARY_TOL):
+            worst = next(x for x in dev if not x <= _UNITARY_TOL)
+            raise ConfigError(f"matrix is not unitary within {_UNITARY_TOL}: deviation {worst:g}")
 
     @classmethod
     def identity(cls) -> "Unitary2":
@@ -310,6 +319,11 @@ def propagate_exact(
     -------
     TimeSeries
         P_up at t = 0, h, 2h, ..., t_end (n+1 samples).
+
+    Raises
+    ------
+    QuadratureError
+        If the final state's norm^2 drifts from 1 by more than 1e-10.
     """
     if steps_per_period < 16:
         raise ConfigError(f"steps_per_period must be >= 16, got {steps_per_period}")
@@ -332,7 +346,7 @@ def propagate_exact(
             k += 1
     norm2 = cu.real * cu.real + cu.imag * cu.imag + cd.real * cd.real + cd.imag * cd.imag
     if abs(norm2 - 1.0) > 1e-10:
-        raise ConfigError(f"norm drifted to {norm2!r}; integrator state corrupted")
+        raise QuadratureError(f"norm drifted to {norm2!r}; integrator state corrupted")
     np.clip(out, 0.0, 1.0, out=out)
     return TimeSeries(t0=0.0, dt=h, values=out)
 

@@ -29,7 +29,11 @@ class BracketError(DrivenQubitError):
 
 
 class QuadratureError(DrivenQubitError):
-    """Numerical integration did not reach the requested accuracy."""
+    """Numerical integration did not reach the requested accuracy.
+
+    Covers both quadrature (an integral whose error estimate stays too
+    large) and time stepping (a propagated state whose norm drifts).
+    """
 
 
 class InsufficientDataError(DrivenQubitError):

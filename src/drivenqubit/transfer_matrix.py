@@ -21,8 +21,16 @@ Phase conventions.  theta_tilde_1 = -integral of the band energy
 the lower branch there), theta_tilde_2 = +the same integral over region
 2 (upper branch).  Their closed forms split off f_1, f_2 >= 0, the
 integrals of 0.5*(sqrt(eps^2 + delta^2) - |eps|), which are computed by
-adaptive quadrature rather than the logarithmic estimate.  The crossing
-phases are theta_LZ1 = pi - theta_Stokes and theta_LZ2 = theta_Stokes.
+adaptive quadrature rather than the logarithmic estimate.  With phi = 0
+the bias is even about t = 0 and about t = T/2, so each is twice a
+half-period quadrature: f_1 over [0, t_c1] and f_2 over [t_c1, T/2].
+The crossing phases are theta_LZ1 = pi - theta_Stokes and
+theta_LZ2 = theta_Stokes.
+
+The boundary-independent path (full_cycle_matrix, propagate_tm and the
+slow-crossing predictors) needs only f_1 and f_2 and computes no
+windowed band integral; those belong to cycle_phases and
+full_cycle_matrix_windowed.
 
 A note on the closed-form rotation angle: expanding |g12| of the cycle
 product gives sin(zeta_FC/2) = 2 sin(chi/2) cos(chi/2) |cos(...)|; the
@@ -221,17 +229,39 @@ def _band_integral(p: DriveParams, a: float, b: float) -> float:
     return val
 
 
-def _gap_excess_integral(p: DriveParams, a: float, b: float) -> float:
-    """Integral of 0.5*(sqrt(eps^2 + delta^2) - |eps|) over [a, b]; nonnegative."""
+def _doubled_gap_excess(p: DriveParams, a: float, b: float) -> float:
+    """Twice the integral of 0.5*(sqrt(eps^2 + delta^2) - |eps|) over [a, b]; nonnegative."""
+    e0, amp, omega, delta = p.epsilon0, p.amplitude, p.omega, p.delta
 
     def integrand(t: float) -> float:
-        e = p.epsilon0 + p.amplitude * math.cos(p.omega * t)
-        return 0.5 * (math.hypot(e, p.delta) - abs(e))
+        e = e0 + amp * math.cos(omega * t)
+        return 0.5 * (math.hypot(e, delta) - abs(e))
 
-    val, err = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if err > 1e-10:
-        raise QuadratureError(f"gap-excess integral on [{a:g}, {b:g}] only reached abserr {err:g}")
-    return val
+    val, err = quad(integrand, a, b, epsabs=0.5e-13, epsrel=1e-12, limit=200)
+    if 2.0 * err > 1e-10:
+        raise QuadratureError(f"gap-excess integral on 2x[{a:g}, {b:g}] only reached abserr {2.0 * err:g}")
+    return 2.0 * val
+
+
+def _gap_corrections(p: DriveParams) -> tuple[float, float]:
+    """Gap corrections (f1, f2) over regions 1 and 2 from half-period quadratures.
+
+    Region 1 is [t_c2, t_c1 + T], symmetric about T; region 2 is
+    [t_c1, t_c2], symmetric about T/2.  Requires A > eps0 and phi = 0.
+    """
+    t_c1, _ = crossing_times(p)
+    return _doubled_gap_excess(p, 0.0, t_c1), _doubled_gap_excess(p, t_c1, 0.5 * p.period)
+
+
+def _theta_tildes(p: DriveParams, f1: float, f2: float) -> tuple[float, float]:
+    """Boundary-independent phases (theta_tilde_1, theta_tilde_2): closed forms plus f1, f2."""
+    s_over_omega = math.sqrt(p.amplitude**2 - p.epsilon0**2) / p.omega
+    gamma = math.acos(p.epsilon0 / p.amplitude)
+    theta_tilde_1 = (
+        -s_over_omega + (p.epsilon0 / p.omega) * gamma - math.pi * p.epsilon0 / p.omega - f1
+    )
+    theta_tilde_2 = s_over_omega - (p.epsilon0 / p.omega) * gamma + f2
+    return theta_tilde_1, theta_tilde_2
 
 
 def cycle_phases(p: DriveParams, tau: float | None = None) -> CyclePhases:
@@ -254,14 +284,8 @@ def cycle_phases(p: DriveParams, tau: float | None = None) -> CyclePhases:
             f"window half-width {tau:g} must lie in (0, {0.5 * min(gap_1, gap_2):g}) "
             "so the windows stay inside both between-crossing intervals"
         )
-    s_over_omega = math.sqrt(p.amplitude**2 - p.epsilon0**2) / p.omega
-    gamma = math.acos(p.epsilon0 / p.amplitude)
-    f1 = _gap_excess_integral(p, t_c2, t_c1 + period)
-    f2 = _gap_excess_integral(p, t_c1, t_c2)
-    theta_tilde_1 = (
-        -s_over_omega + (p.epsilon0 / p.omega) * gamma - math.pi * p.epsilon0 / p.omega - f1
-    )
-    theta_tilde_2 = s_over_omega - (p.epsilon0 / p.omega) * gamma + f2
+    f1, f2 = _gap_corrections(p)
+    theta_tilde_1, theta_tilde_2 = _theta_tildes(p, f1, f2)
     theta1 = -_band_integral(p, t_c2 + tau, t_c1 + period - tau)
     theta2 = _band_integral(p, t_c1 + tau, t_c2 - tau)
     return CyclePhases(
@@ -287,10 +311,8 @@ def _compose_cycle(chi: float, th_lz1: float, th_lz2: float, th1: float, th2: fl
 def full_cycle_matrix(p: DriveParams) -> Unitary2:
     """One-cycle propagator G_LZ2 G_2 G_LZ1 G_1 from boundary-independent phases."""
     cr = lz_crossing(p)
-    ph = cycle_phases(p)
-    return _compose_cycle(
-        cr.chi, cr.theta_lz_1, cr.theta_lz_2, ph.theta_tilde_1, ph.theta_tilde_2
-    )
+    th1, th2 = _theta_tildes(p, *_gap_corrections(p))
+    return _compose_cycle(cr.chi, cr.theta_lz_1, cr.theta_lz_2, th1, th2)
 
 
 def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
@@ -373,13 +395,11 @@ def propagate_tm(p: DriveParams, psi0: QubitState, n_cycles: int) -> TimeSeries:
     if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
         raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
     cr = lz_crossing(p)
-    ph = cycle_phases(p)
+    th1, th2 = _theta_tildes(p, *_gap_corrections(p))
     t_c1, t_c2 = crossing_times(p)
     theta1_partial = -_band_integral(p, 0.0, t_c1)
-    prelude = _compose_cycle(
-        cr.chi, cr.theta_lz_1, cr.theta_lz_2, theta1_partial, ph.theta_tilde_2
-    )
-    cycle = full_cycle_matrix(p)
+    prelude = _compose_cycle(cr.chi, cr.theta_lz_1, cr.theta_lz_2, theta1_partial, th2)
+    cycle = _compose_cycle(cr.chi, cr.theta_lz_1, cr.theta_lz_2, th1, th2)
     state = prelude.apply(psi0)
     values = [state.probability_up]
     for _ in range(n_cycles):
@@ -466,8 +486,8 @@ def tm_slow_resonance_lhs(p: DriveParams) -> SlowResonance:
     lo = math.floor(lhs)
     hi = lo + 1
     nearest = lo if abs(lhs - lo) <= abs(hi - lhs) else hi
-    ph = cycle_phases(p)
-    theta_fc_refined = -2.0 * math.pi + 2.0 * math.pi * lhs + 2.0 * (ph.f1 + ph.f2)
+    f1, f2 = _gap_corrections(p)
+    theta_fc_refined = -2.0 * math.pi + 2.0 * math.pi * lhs + 2.0 * (f1 + f2)
     return SlowResonance(
         lhs=lhs,
         nearest_integer=int(nearest),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from drivenqubit import analysis
 from drivenqubit.analysis import (
     FrequencyEstimate,
     ScanConfig,
@@ -192,6 +193,16 @@ def test_scan_isolates_per_cell_failures():
     assert math.isnan(res.amplitude[0, 0])
     # Predictions were computed before the failure and survive it.
     assert math.isfinite(res.omega_rwa[0, 0])
+
+
+def test_scan_lets_programming_errors_escape(monkeypatch):
+    def broken_extract(*args, **kwargs):
+        raise TypeError("bug in extraction")
+
+    monkeypatch.setattr(analysis, "extract_frequency", broken_extract)
+    cfg = ScanConfig(steps_per_period=16, min_drive_periods=2, max_drive_periods=2)
+    with pytest.raises(TypeError, match="bug in extraction"):
+        scan_resonance_map(("omega", 3.0), ("epsilon0", np.array([3.0])), ("amplitude", np.array([10.0])), cfg)
 
 
 def test_scan_flags_capped_runs():

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from drivenqubit import __version__
+from drivenqubit import __version__, dynamics
 from drivenqubit.cli import main
-from drivenqubit.dynamics import DriveParams
+from drivenqubit.dynamics import DriveParams, QubitState, propagate_exact
+from drivenqubit.errors import QuadratureError
 from drivenqubit.specfun import bessel_j0_zero, bessel_jn
 
 
@@ -141,6 +142,24 @@ def test_predict_needs_zero_phase(capsys):
 def test_predict_numerical_failure_exits_4(capsys):
     # eps0/omega = 300 asks for a photon order past the Bessel guard.
     code, _, err = _run(capsys, ["predict", "--eps0", "300", "--amp", "301", "--omega", "1", "--format", "json"])
+    assert code == 4
+    assert "numerical error" in err
+
+
+def test_norm_drift_is_a_numerical_error(monkeypatch, capsys):
+    exact_step_entries = dynamics._step_entries
+
+    def leaky_step_entries(*args):
+        u11, u12 = exact_step_entries(*args)
+        return u11 * (1.0 + 1e-6), u12 * (1.0 + 1e-6)
+
+    monkeypatch.setattr(dynamics, "_step_entries", leaky_step_entries)
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    with pytest.raises(QuadratureError, match="norm drifted"):
+        propagate_exact(p, QubitState.up(), 2.0 * p.period, steps_per_period=16)
+    code, _, err = _run(
+        capsys, ["simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "2", "--steps-per-period", "16"]
+    )
     assert code == 4
     assert "numerical error" in err
 

@@ -210,6 +210,33 @@ def test_unitary_rejects_non_unitary():
         Unitary2(1.0, 1.0, 0.0, 1.0)
 
 
+_ROTATION = (complex(0.6, 0.0), complex(0.0, 0.8), complex(0.0, 0.8), complex(0.6, 0.0))
+
+
+@pytest.mark.parametrize("entry", range(4))
+def test_unitary_check_tolerance_per_entry(entry):
+    def perturbed(eps):
+        entries = list(_ROTATION)
+        entries[entry] += eps
+        return Unitary2(*entries)
+
+    perturbed(1e-12)
+    perturbed(1e-12j)
+    with pytest.raises(ConfigError):
+        perturbed(1e-8)
+    with pytest.raises(ConfigError):
+        perturbed(1e-8j)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 0.0)])
+@pytest.mark.parametrize("entry", range(4))
+def test_unitary_rejects_non_finite_entries(entry, bad):
+    entries = list(_ROTATION)
+    entries[entry] = bad
+    with pytest.raises(ConfigError):
+        Unitary2(*entries)
+
+
 def test_timeseries_rejects_bad_values():
     with pytest.raises(ConfigError):
         TimeSeries(0.0, 0.1, np.array([0.5, 1.5]))

@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from drivenqubit import analysis, transfer_matrix
 from drivenqubit.dynamics import DriveParams, QubitState, drive_epsilon, propagate_linear_sweep
 from drivenqubit.errors import ConfigError, RegimeError
 from drivenqubit.specfun import stokes_phase
@@ -135,6 +138,72 @@ def test_theta_tildes_match_gap_quadrature(p):
     assert ph.theta_tilde_2 == pytest.approx(theta2, abs=1e-9)
     assert ph.theta_tilde_1 == pytest.approx(theta1, abs=1e-9)
     assert ph.f1 >= 0.0 and ph.f2 >= 0.0
+
+
+def _gap_excess_oracle(p, a, b):
+    """Independent oracle: integral of (sqrt(eps^2 + delta^2) - |eps|)/2 over all of [a, b]."""
+    val, err = quad(
+        lambda t: 0.5 * (math.hypot(drive_epsilon(t, p), p.delta) - abs(drive_epsilon(t, p))),
+        a, b, epsabs=1e-14, epsrel=1e-13, limit=400,
+    )
+    # quad's estimate is conservative: 1e-11 here means far below 1e-12 in fact.
+    assert err < 1e-11
+    return val
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    omega=st.floats(0.05, 20.0),
+    amplitude=st.floats(1.1, 316.0),
+    bias_fraction=st.floats(0.0, 0.95),
+)
+def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fraction):
+    p = DriveParams(delta=1.0, epsilon0=bias_fraction * amplitude, amplitude=amplitude, omega=omega)
+    ph = cycle_phases(p)
+    t_c1, t_c2 = crossing_times(p)
+    # f1, f2 come from doubled half-period quadratures; the oracle covers
+    # each whole region.
+    assert ph.f1 == pytest.approx(_gap_excess_oracle(p, t_c2, t_c1 + p.period), abs=1e-12)
+    assert ph.f2 == pytest.approx(_gap_excess_oracle(p, t_c1, t_c2), abs=1e-12)
+    assert ph.f1 >= 0.0 and ph.f2 >= 0.0
+    u = full_cycle_matrix(p)
+    assert abs(u.u22 - u.u11.conjugate()) <= 1e-12
+    assert abs(u.u21 + u.u12.conjugate()) <= 1e-12
+    assert abs(abs(u.u11) ** 2 + abs(u.u12) ** 2 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (full_cycle_matrix, 2),
+        (tm_slow_resonance_lhs, 2),
+        (tm_slow_frequency, 2),
+        (lambda p: propagate_tm(p, QubitState.up(), 3), 3),
+        (analysis._cell_predictions, 4),
+        (cycle_phases, 4),
+    ],
+    ids=[
+        "full_cycle_matrix",
+        "tm_slow_resonance_lhs",
+        "tm_slow_frequency",
+        "propagate_tm",
+        "cell_predictions",
+        "cycle_phases",
+    ],
+)
+def test_quadrature_counts(monkeypatch, call, expected):
+    # The boundary-independent path runs only the two gap-correction
+    # quadratures; propagate_tm adds its partial region-1 phase, and only
+    # cycle_phases pays for the two windowed band integrals.
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(transfer_matrix, "quad", counting_quad)
+    call(_FAST_ONE_PHOTON)
+    assert len(calls) == expected
 
 
 def test_gap_excess_scales_quadratically_in_delta():
