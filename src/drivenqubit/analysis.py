@@ -463,7 +463,7 @@ def measure_resonance_width(
         The amplitude maximum sits on a grid edge, or a half-maximum
         crossing lies outside the grid.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"resonance index must be a positive integer, got {n!r}")
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 5:
@@ -523,7 +523,7 @@ def stroboscopic_exact(
     Returns a TimeSeries of ``n_cycles + 1`` samples spaced by the drive
     period, aligned index-for-index with ``propagate_tm`` output.
     """
-    if not (isinstance(n_cycles, int) and n_cycles >= 1):
+    if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
         raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
     if not (0.0 < settle_fraction < 1.0):
         raise ConfigError(f"settle_fraction must lie in (0, 1), got {settle_fraction!r}")

@@ -14,7 +14,7 @@ error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import io
 import json
 import math
 import sys
@@ -23,7 +23,9 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import ScanConfig, classify_regime, extract_frequency, measure_resonance_width, scan_resonance_map
+from .analysis import (
+    _MAX_SCAN_CELLS, ScanConfig, classify_regime, extract_frequency, measure_resonance_width, scan_resonance_map,
+)
 from .dynamics import DriveParams, QubitState, propagate_exact
 from .errors import BracketError, ConfigError, InsufficientDataError, QuadratureError, RegimeError
 from .rwa import cdt_amplitudes, rwa_predict
@@ -93,13 +95,12 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    import io
-
+    # Fields are %.17g numbers, flag names and labels: none needs quoting.
+    # Rows go into one buffer as they are joined, so no per-row string list builds up.
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    buf.write(",".join(header) + "\n")
     for row in rows:
-        writer.writerow(row)
+        buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
 
@@ -197,6 +198,8 @@ def _parse_axis(spec: str, label: str) -> tuple[str, np.ndarray]:
         raise ConfigError(f"{label} has non-numeric fields: {spec!r}") from exc
     if num < 1:
         raise ConfigError(f"{label} point count must be >= 1, got {num}")
+    if num > _MAX_SCAN_CELLS:
+        raise ConfigError(f"{label} point count {num} exceeds the {_MAX_SCAN_CELLS}-cell scan guard")
     return _PARAM_BY_FLAG[flag_name], np.linspace(start, stop, num)
 
 
@@ -470,11 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(cls)
 
     cdt = subs.add_parser("cdt", help="tunnelling-suppression drive amplitudes for a given omega")
-    cdt.add_argument("--omega", type=float, help="drive angular frequency, units of delta")
-    cdt.add_argument("--delta", type=float, help="output unit rescale")
-    cdt.add_argument("--out", help="output path (default: stdout)")
-    cdt.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    cdt.add_argument("--config", help="flat JSON config file; flags override its keys")
+    _add_common(cdt, drive=False)
 
     width = subs.add_parser("width", help="measured HWHM of a resonance versus drive frequency")
     _add_common(width)

@@ -27,10 +27,11 @@ half-period quadrature: f_1 over [0, t_c1] and f_2 over [t_c1, T/2].
 The crossing phases are theta_LZ1 = pi - theta_Stokes and
 theta_LZ2 = theta_Stokes.
 
-The boundary-independent path (full_cycle_matrix, propagate_tm and the
-slow-crossing predictors) needs only f_1 and f_2 and computes no
-windowed band integral; those belong to cycle_phases and
-full_cycle_matrix_windowed.
+cycle_phases is the one source of theta_tilde_1, theta_tilde_2, f_1 and
+f_2: full_cycle_matrix and propagate_tm read them from it (two
+quadratures per call), and the slow-crossing condition and the
+fast-crossing frequency use only their closed parts (no quadrature).
+Windowed band integrals belong to full_cycle_matrix_windowed alone.
 
 A note on the closed-form rotation angle: expanding |g12| of the cycle
 product gives sin(zeta_FC/2) = 2 sin(chi/2) cos(chi/2) |cos(...)|; the
@@ -42,7 +43,7 @@ matrix itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.integrate import quad
 
@@ -74,10 +75,6 @@ __all__ = [
     "tm_slow_frequency",
 ]
 
-# Fraction of the shorter between-crossing interval used as the default
-# crossing-window half-width tau.
-_DEFAULT_TAU_FRACTION = 0.1
-
 # Aw/delta^2 below this value counts as the slow-crossing regime for the
 # rough resonance condition; above 1 the fast-crossing formulas apply.
 _SLOW_REGIME_MAX = 1.0
@@ -98,12 +95,9 @@ class LzCrossing:
 
 @dataclass(frozen=True)
 class CyclePhases:
-    """Between-crossing phases: windowed values (theta1, theta2) at the
-    default window, boundary-independent values (theta_tilde_1/2), and the
-    gap corrections f1, f2 >= 0."""
+    """Boundary-independent between-crossing phases (theta_tilde_1/2) and
+    the gap corrections f1, f2 >= 0 they include."""
 
-    theta1: float
-    theta2: float
     theta_tilde_1: float
     theta_tilde_2: float
     f1: float
@@ -129,13 +123,11 @@ class FullCycleDecomposition:
 @dataclass(frozen=True)
 class SlowResonance:
     """Rough slow-crossing resonance report: the condition's left-hand
-    side, its nearest integer and residual, the refined theta_FC
-    including quadrature-computed f1 + f2, and the regime flag."""
+    side, its nearest integer and residual, and the regime flag."""
 
     lhs: float
     nearest_integer: int
     residual: float
-    theta_fc_refined: float
     in_slow_regime: bool
 
 
@@ -243,96 +235,70 @@ def _doubled_gap_excess(p: DriveParams, a: float, b: float) -> float:
     return 2.0 * val
 
 
-def _gap_corrections(p: DriveParams) -> tuple[float, float]:
-    """Gap corrections (f1, f2) over regions 1 and 2 from half-period quadratures.
+def _closed_phases(p: DriveParams) -> tuple[float, float]:
+    """Closed-form parts of (theta_tilde_1, theta_tilde_2), before the gap corrections.
 
-    Region 1 is [t_c2, t_c1 + T], symmetric about T; region 2 is
-    [t_c1, t_c2], symmetric about T/2.  Requires A > eps0 and phi = 0.
+    With s = sqrt(A^2 - eps0^2) and gamma = arccos(eps0/A), region 2
+    gives s/omega - (eps0/omega)*gamma and region 1 minus that minus
+    pi*eps0/omega.  Requires A > eps0.
     """
-    t_c1, _ = crossing_times(p)
-    return _doubled_gap_excess(p, 0.0, t_c1), _doubled_gap_excess(p, t_c1, 0.5 * p.period)
-
-
-def _theta_tildes(p: DriveParams, f1: float, f2: float) -> tuple[float, float]:
-    """Boundary-independent phases (theta_tilde_1, theta_tilde_2): closed forms plus f1, f2."""
     s_over_omega = math.sqrt(p.amplitude**2 - p.epsilon0**2) / p.omega
     gamma = math.acos(p.epsilon0 / p.amplitude)
-    theta_tilde_1 = (
-        -s_over_omega + (p.epsilon0 / p.omega) * gamma - math.pi * p.epsilon0 / p.omega - f1
-    )
-    theta_tilde_2 = s_over_omega - (p.epsilon0 / p.omega) * gamma + f2
-    return theta_tilde_1, theta_tilde_2
+    closed_2 = s_over_omega - (p.epsilon0 / p.omega) * gamma
+    return -closed_2 - math.pi * p.epsilon0 / p.omega, closed_2
 
 
-def cycle_phases(p: DriveParams, tau: float | None = None) -> CyclePhases:
-    """Between-crossing phases for one cycle.
+def cycle_phases(p: DriveParams) -> CyclePhases:
+    """Boundary-independent between-crossing phases for one cycle.
 
-    The boundary-independent theta_tilde values come from the closed
-    forms plus quadrature-computed f1, f2; theta1 and theta2 are the
-    boundary-dependent phases over the regions trimmed by the crossing
-    windows of half-width tau (default: a tenth of the shorter
-    between-crossing interval).
+    theta_tilde_1 = closed_1 - f1 and theta_tilde_2 = closed_2 + f2, with
+    the gap corrections from two half-period quadratures: region 1 is
+    [t_c2, t_c1 + T], symmetric about T, so f1 is twice the integral over
+    [0, t_c1]; region 2 is [t_c1, t_c2], symmetric about T/2, so f2 is
+    twice the integral over [t_c1, T/2].  Requires A > eps0 and phi = 0.
     """
-    t_c1, t_c2 = crossing_times(p)
-    period = p.period
-    if tau is None:
-        tau = _DEFAULT_TAU_FRACTION * (t_c2 - t_c1)
-    gap_2 = t_c2 - t_c1
-    gap_1 = period - gap_2
-    if not 0.0 < tau < 0.5 * min(gap_1, gap_2):
-        raise ConfigError(
-            f"window half-width {tau:g} must lie in (0, {0.5 * min(gap_1, gap_2):g}) "
-            "so the windows stay inside both between-crossing intervals"
-        )
-    f1, f2 = _gap_corrections(p)
-    theta_tilde_1, theta_tilde_2 = _theta_tildes(p, f1, f2)
-    theta1 = -_band_integral(p, t_c2 + tau, t_c1 + period - tau)
-    theta2 = _band_integral(p, t_c1 + tau, t_c2 - tau)
-    return CyclePhases(
-        theta1=theta1,
-        theta2=theta2,
-        theta_tilde_1=theta_tilde_1,
-        theta_tilde_2=theta_tilde_2,
-        f1=f1,
-        f2=f2,
-    )
+    t_c1, _ = crossing_times(p)
+    f1 = _doubled_gap_excess(p, 0.0, t_c1)
+    f2 = _doubled_gap_excess(p, t_c1, 0.5 * p.period)
+    closed_1, closed_2 = _closed_phases(p)
+    return CyclePhases(theta_tilde_1=closed_1 - f1, theta_tilde_2=closed_2 + f2, f1=f1, f2=f2)
 
 
-def _compose_cycle(chi: float, th_lz1: float, th_lz2: float, th1: float, th2: float) -> Unitary2:
-    cr = LzCrossing(chi=chi, theta_lz_1=th_lz1, theta_lz_2=th_lz2, sweep_rate=1.0, delta_adiab=1.0)
-    return (
-        lz_transfer_matrix(cr, 2)
-        @ phase_matrix(th2)
-        @ lz_transfer_matrix(cr, 1)
-        @ phase_matrix(th1)
-    )
+def _compose_cycle(cr: LzCrossing, th1: float, th2: float) -> Unitary2:
+    return lz_transfer_matrix(cr, 2) @ phase_matrix(th2) @ lz_transfer_matrix(cr, 1) @ phase_matrix(th1)
 
 
 def full_cycle_matrix(p: DriveParams) -> Unitary2:
     """One-cycle propagator G_LZ2 G_2 G_LZ1 G_1 from boundary-independent phases."""
-    cr = lz_crossing(p)
-    th1, th2 = _theta_tildes(p, *_gap_corrections(p))
-    return _compose_cycle(cr.chi, cr.theta_lz_1, cr.theta_lz_2, th1, th2)
+    ph = cycle_phases(p)
+    return _compose_cycle(lz_crossing(p), ph.theta_tilde_1, ph.theta_tilde_2)
 
 
 def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
     """One-cycle propagator built from boundary-dependent phases at window tau.
 
-    The region phases are exact band-energy integrals over the trimmed
-    regions, and the total window phase is assigned to theta_LZ1
-    (theta_LZ1 = pi - theta_Stokes - W1 - W2, theta_LZ2 = theta_Stokes).
-    With this split every entry of the product is independent of tau up
-    to the window-asymmetry terms of order omega^2*eps0*tau^3, exactly so
-    for eps0 = 0; that near-invariance is the point of the construction.
+    The region phases are exact band-energy integrals over the regions
+    trimmed by crossing windows of half-width tau, which must lie in
+    (0, half the shorter between-crossing interval).  The total window
+    phase is assigned to theta_LZ1 (theta_LZ1 = pi - theta_Stokes - W1 -
+    W2, theta_LZ2 = theta_Stokes).  With this split every entry of the
+    product is independent of tau up to the window-asymmetry terms of
+    order omega^2*eps0*tau^3, exactly so for eps0 = 0; that
+    near-invariance is the point of the construction.
     """
-    cr = lz_crossing(p)
-    ph = cycle_phases(p, tau=tau)
     t_c1, t_c2 = crossing_times(p)
+    half_gap = 0.5 * min(t_c2 - t_c1, p.period - (t_c2 - t_c1))
+    if not 0.0 < tau < half_gap:
+        raise ConfigError(
+            f"window half-width {tau:g} must lie in (0, {half_gap:g}) "
+            "so the windows stay inside both between-crossing intervals"
+        )
+    theta1 = -_band_integral(p, t_c2 + tau, t_c1 + p.period - tau)
+    theta2 = _band_integral(p, t_c1 + tau, t_c2 - tau)
     w1 = _band_integral(p, t_c1 - tau, t_c1 + tau)
     w2 = _band_integral(p, t_c2 - tau, t_c2 + tau)
-    return _compose_cycle(
-        cr.chi, cr.theta_lz_1 - w1 - w2, cr.theta_lz_2, ph.theta1, ph.theta2
-    )
+    cr = lz_crossing(p)
+    return _compose_cycle(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), theta1, theta2)
 
 
 _DEGENERATE_TOL = 1e-12
@@ -388,18 +354,18 @@ def propagate_tm(p: DriveParams, psi0: QubitState, n_cycles: int) -> TimeSeries:
 
     The state starts at t = 0 (inside region 1, since eps(0) = eps0 + A)
     and is carried to the first boundary just after the upward crossing
-    by a prelude G_LZ2 G_2 G_LZ1 G_1p, where G_1p covers only [0, t_c1].
+    by a prelude G_LZ2 G_2 G_LZ1 G_1p, where G_1p covers only [0, t_c1]:
+    region 1 is symmetric about t = 0, so its phase is theta_tilde_1/2.
     Samples then follow each application of the full-cycle matrix:
     n_cycles + 1 values at t = t_c2 + k*period.
     """
     if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
         raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
     cr = lz_crossing(p)
-    th1, th2 = _theta_tildes(p, *_gap_corrections(p))
-    t_c1, t_c2 = crossing_times(p)
-    theta1_partial = -_band_integral(p, 0.0, t_c1)
-    prelude = _compose_cycle(cr.chi, cr.theta_lz_1, cr.theta_lz_2, theta1_partial, th2)
-    cycle = _compose_cycle(cr.chi, cr.theta_lz_1, cr.theta_lz_2, th1, th2)
+    ph = cycle_phases(p)
+    _, t_c2 = crossing_times(p)
+    prelude = _compose_cycle(cr, 0.5 * ph.theta_tilde_1, ph.theta_tilde_2)
+    cycle = _compose_cycle(cr, ph.theta_tilde_1, ph.theta_tilde_2)
     state = prelude.apply(psi0)
     values = [state.probability_up]
     for _ in range(n_cycles):
@@ -423,12 +389,9 @@ def tm_fast_frequency(p: DriveParams) -> float:
             f"A*omega/delta^2 = {p.amplitude * p.omega / p.delta**2:g} < 1: "
             "fast-crossing formula outside its regime"
         )
-    root = math.sqrt(p.amplitude**2 - p.epsilon0**2)
-    theta2_closed = root / p.omega - (p.epsilon0 / p.omega) * math.acos(p.epsilon0 / p.amplitude)
-    prefactor = (2.0 * p.omega / math.pi) * math.sqrt(
-        math.pi * p.delta**2 / (2.0 * p.omega * root)
-    )
-    return prefactor * abs(math.cos(theta2_closed - 0.25 * math.pi))
+    _, closed_2 = _closed_phases(p)
+    prefactor = (2.0 * p.omega / math.pi) * math.sqrt(math.pi * p.delta**2 / (2.0 * sweep_rate(p)))
+    return prefactor * abs(math.cos(closed_2 - 0.25 * math.pi))
 
 
 def tm_fast_resonance_check(p: DriveParams) -> tuple[int, float]:
@@ -466,33 +429,26 @@ def tm_resonance_width(p: DriveParams, zeta_fc: float, n: int) -> float:
 
 
 def tm_slow_resonance_lhs(p: DriveParams) -> SlowResonance:
-    """Rough slow-crossing resonance condition and refined theta_FC.
+    """Rough slow-crossing resonance condition from the closed phases.
 
-    lhs = eps0/omega + 2 sqrt(A^2-eps0^2)/(pi omega)
+    lhs = (closed_2 - closed_1)/pi = eps0/omega + 2 sqrt(A^2-eps0^2)/(pi omega)
           - (2 eps0/(pi omega)) arccos(eps0/A);
-    resonance when lhs is close to an integer.  The refined angle keeps
-    the otherwise-dropped f1 + f2 by quadrature:
-    theta_fc_refined = -2 pi + 2 pi lhs + 2 (f1 + f2).  The regime flag
+    resonance when lhs is close to an integer.  No quadrature runs: the
+    gap corrections f1 + f2 are dropped here.  Keeping them gives the
+    refined angle 2 (theta_tilde_2 - theta_tilde_1) - 2 pi
+    = -2 pi + 2 pi lhs + 2 (f1 + f2) from cycle_phases.  The regime flag
     marks A*omega/delta^2 <= 1; the arithmetic itself only needs A > eps0.
     """
     _require_crossings(p)
-    root = math.sqrt(p.amplitude**2 - p.epsilon0**2)
-    gamma = math.acos(p.epsilon0 / p.amplitude)
-    lhs = (
-        p.epsilon0 / p.omega
-        + 2.0 * root / (math.pi * p.omega)
-        - 2.0 * p.epsilon0 * gamma / (math.pi * p.omega)
-    )
+    closed_1, closed_2 = _closed_phases(p)
+    lhs = (closed_2 - closed_1) / math.pi
     lo = math.floor(lhs)
     hi = lo + 1
     nearest = lo if abs(lhs - lo) <= abs(hi - lhs) else hi
-    f1, f2 = _gap_corrections(p)
-    theta_fc_refined = -2.0 * math.pi + 2.0 * math.pi * lhs + 2.0 * (f1 + f2)
     return SlowResonance(
         lhs=lhs,
         nearest_integer=int(nearest),
         residual=abs(lhs - nearest),
-        theta_fc_refined=theta_fc_refined,
         in_slow_regime=p.amplitude * p.omega <= _SLOW_REGIME_MAX * p.delta**2,
     )
 

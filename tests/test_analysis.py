@@ -20,7 +20,7 @@ from drivenqubit.dynamics import DriveParams, QubitState, TimeSeries, propagate_
 from drivenqubit.errors import BracketError, ConfigError, InsufficientDataError
 from drivenqubit.rwa import rwa_predict
 from drivenqubit.specfun import bessel_jn
-from drivenqubit.transfer_matrix import crossing_times
+from drivenqubit.transfer_matrix import crossing_times, propagate_tm
 
 
 def _p(eps0, amp, omega):
@@ -319,6 +319,21 @@ def test_width_argument_validation():
         measure_resonance_width(p, 1, grid[::-1])
     with pytest.raises(ConfigError):
         measure_resonance_width(p, 1, grid - 10.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: stroboscopic_exact(p, QubitState.up(), True),
+        lambda p: measure_resonance_width(p, True, np.linspace(4.0, 6.0, 9)),
+        lambda p: propagate_tm(p, QubitState.up(), True),
+    ],
+    ids=["stroboscopic_exact", "measure_resonance_width", "propagate_tm"],
+)
+def test_bool_counts_are_rejected(call):
+    # bool is an int subclass; True must not pass as a count of 1.
+    with pytest.raises(ConfigError):
+        call(_p(5.0, 30.0, 5.0))
 
 
 # ---------------------------------------------------------------------------

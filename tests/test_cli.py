@@ -211,11 +211,14 @@ def test_scan_requires_both_axes(capsys):
         ("eps0:1:2:0", "amp:1:2:2"),
         ("eps0:a:2:2", "amp:1:2:2"),
         ("eps0:1:2:2", "eps0:3:4:2"),
+        # 1e12 points would need 8 TB: the cell guard must fire before allocation.
+        ("eps0:0:1:1000000000000", "amp:1:2:2"),
     ],
 )
 def test_scan_rejects_malformed_axes(capsys, axis1, axis2):
-    code, _, _ = _run(capsys, ["scan", "--omega", "3", "--axis1", axis1, "--axis2", axis2])
+    code, _, err = _run(capsys, ["scan", "--omega", "3", "--axis1", axis1, "--axis2", axis2])
     assert code == 2
+    assert err.startswith("config error:")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from drivenqubit import analysis, transfer_matrix
+from drivenqubit import analysis, cli, transfer_matrix
 from drivenqubit.dynamics import DriveParams, QubitState, drive_epsilon, propagate_linear_sweep
 from drivenqubit.errors import ConfigError, RegimeError
 from drivenqubit.specfun import stokes_phase
@@ -166,6 +166,9 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
     assert ph.f1 == pytest.approx(_gap_excess_oracle(p, t_c2, t_c1 + p.period), abs=1e-12)
     assert ph.f2 == pytest.approx(_gap_excess_oracle(p, t_c1, t_c2), abs=1e-12)
     assert ph.f1 >= 0.0 and ph.f2 >= 0.0
+    # Region 1 is symmetric about t = 0, so propagate_tm's prelude phase
+    # over [0, t_c1] is half of theta_tilde_1.
+    assert 0.5 * ph.theta_tilde_1 == pytest.approx(-_half_gap_integral(p, 0.0, t_c1), rel=1e-11, abs=1e-11)
     u = full_cycle_matrix(p)
     assert abs(u.u22 - u.u11.conjugate()) <= 1e-12
     assert abs(u.u21 + u.u12.conjugate()) <= 1e-12
@@ -176,11 +179,13 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
     "call, expected",
     [
         (full_cycle_matrix, 2),
-        (tm_slow_resonance_lhs, 2),
+        (tm_slow_resonance_lhs, 0),
         (tm_slow_frequency, 2),
-        (lambda p: propagate_tm(p, QubitState.up(), 3), 3),
-        (analysis._cell_predictions, 4),
-        (cycle_phases, 4),
+        (lambda p: propagate_tm(p, QubitState.up(), 3), 2),
+        (analysis._cell_predictions, 2),
+        (cycle_phases, 2),
+        (lambda p: full_cycle_matrix_windowed(p, 0.05), 4),
+        (lambda p: cli.main(["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]), 4),
     ],
     ids=[
         "full_cycle_matrix",
@@ -189,12 +194,15 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
         "propagate_tm",
         "cell_predictions",
         "cycle_phases",
+        "full_cycle_matrix_windowed",
+        "cli_predict",
     ],
 )
 def test_quadrature_counts(monkeypatch, call, expected):
-    # The boundary-independent path runs only the two gap-correction
-    # quadratures; propagate_tm adds its partial region-1 phase, and only
-    # cycle_phases pays for the two windowed band integrals.
+    # cycle_phases runs the only two gap-correction quadratures on the
+    # boundary-independent path; the slow-crossing condition needs none,
+    # and only the windowed construction pays for four band integrals.
+    # The CLI predict point is (3, 15, 3), the same as _FAST_ONE_PHOTON.
     calls = []
 
     def counting_quad(*args, **kwargs):
@@ -214,16 +222,12 @@ def test_gap_excess_scales_quadratically_in_delta():
     assert 3.0 < ratio < 4.5
 
 
-def test_inner_phases_shrink_with_window():
-    ph_small = cycle_phases(_FAST_ONE_PHOTON, tau=0.01)
-    ph_big = cycle_phases(_FAST_ONE_PHOTON, tau=0.2)
-    # windowed region phases exclude more of the cycle as tau grows
-    assert abs(ph_big.theta1) < abs(ph_small.theta1)
-    assert abs(ph_big.theta2) < abs(ph_small.theta2)
+def test_windowed_construction_rejects_bad_window():
+    # the windows must stay inside both between-crossing intervals
     with pytest.raises(ConfigError):
-        cycle_phases(_FAST_ONE_PHOTON, tau=10.0)
+        full_cycle_matrix_windowed(_FAST_ONE_PHOTON, 10.0)
     with pytest.raises(ConfigError):
-        cycle_phases(_FAST_ONE_PHOTON, tau=-0.1)
+        full_cycle_matrix_windowed(_FAST_ONE_PHOTON, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +433,18 @@ def test_slow_resonance_lhs_closed_form():
     assert res.in_slow_regime
 
 
+def _refined_theta_fc(p):
+    """Slow-crossing theta_FC keeping the gap corrections: 2 (theta_tilde_2 - theta_tilde_1) - 2 pi."""
+    ph = cycle_phases(p)
+    return 2.0 * (ph.theta_tilde_2 - ph.theta_tilde_1) - 2.0 * math.pi
+
+
 def test_slow_refined_theta_is_the_printed_formula():
     p = _SLOW
     res = tm_slow_resonance_lhs(p)
     ph = cycle_phases(p)
     by_hand = -2.0 * math.pi + 2.0 * math.pi * res.lhs + 2.0 * (ph.f1 + ph.f2)
-    assert res.theta_fc_refined == pytest.approx(by_hand, rel=1e-12)
+    assert _refined_theta_fc(p) == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_slow_refined_theta_relation_to_decomposition():
@@ -443,10 +453,10 @@ def test_slow_refined_theta_relation_to_decomposition():
     # it satisfies theta_fc + refined = -2 pi - 4 theta_stokes (mod 4 pi)
     # up to adiabatic corrections of order cos^2(chi/2) ~ 1e-7 here.
     # Either sign describes the same resonance set mod 2 pi.
-    res = tm_slow_resonance_lhs(_SLOW)
+    refined = _refined_theta_fc(_SLOW)
     deco = decompose_full_cycle(full_cycle_matrix(_SLOW))
     theta_s = stokes_phase(lz_crossing(_SLOW).delta_adiab)
-    combo = (deco.theta_fc + res.theta_fc_refined + 2.0 * math.pi + 4.0 * theta_s) % (4.0 * math.pi)
+    combo = (deco.theta_fc + refined + 2.0 * math.pi + 4.0 * theta_s) % (4.0 * math.pi)
     assert min(combo, 4.0 * math.pi - combo) < 1e-5
 
 
