@@ -201,7 +201,8 @@ def extract_frequency(
                 raise InsufficientDataError(
                     f"trace of {len(values)} samples is too short for a {width}-sample boxcar"
                 )
-            values = np.convolve(values, np.full(width, 1.0 / width), mode="valid")
+            csum = np.concatenate(([0.0], np.cumsum(values)))
+            values = (csum[width:] - csum[:-width]) / width
     if len(values) < _MIN_SAMPLES:
         raise InsufficientDataError(f"only {len(values)} samples remain after coarse-graining")
 

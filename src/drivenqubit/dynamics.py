@@ -11,9 +11,16 @@ the upper-left entry of H is -eps(t)/2.
 
 Propagation uses an exponential-midpoint rule: each substep applies the
 closed-form exponential of the traceless Hermitian 2x2 Hamiltonian frozen
-at the substep midpoint.  Every factor is exactly unitary up to rounding,
-which is what makes million-step interference runs trustworthy; the
+at the substep midpoint.  Every factor is exactly unitary up to rounding
+and has the SU(2) form [[a, b], [-conj(b), conj(a)]]; the
 time-discretization error is second order in the substep.
+
+Factors are composed as (a, b) pairs by a vectorised log-depth scan, never
+one substep at a time.  On a period-aligned grid H(t + T) = H(t) makes every
+period apply the same factors, so ``propagate_exact`` builds one period,
+takes its product U_T and reaches the period boundaries with the closed-form
+power U_T^k (Floquet composition).  Other grids, ``evolution_operator`` and
+``propagate_linear_sweep`` compose all their factors block by block.
 """
 
 from __future__ import annotations
@@ -41,8 +48,9 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 _NORM_TOL = 1e-12
 
-# Substeps are generated and consumed in slabs of this many entries so a
-# long run never materializes the whole substep table at once.
+# Factor tables and sample blocks hold at most this many entries (one block
+# of substeps, or whole periods of samples on the Floquet path), so a long
+# run never materializes its whole substep table at once.
 _CHUNK = 1 << 16
 
 
@@ -256,13 +264,122 @@ def step_unitary(t: float, h: float, p: DriveParams) -> Unitary2:
     return Unitary2(u11, u12, u12, u11.conjugate())
 
 
-def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> int:
+def _compose(a1, b1, a2, b2):
+    """(a, b) of the product X Y of X = (a1, b1) and Y = (a2, b2).
+
+    A pair (a, b) stands for [[a, b], [-conj(b), conj(a)]], the form of
+    every midpoint factor (u12 is imaginary, so u21 = u12 = -conj(u12));
+    products keep it.  Works on complex scalars and broadcasting arrays.
+    """
+    return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
+
+
+def _running_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running products W_1..W_n = F_1, F_2 F_1, ..., F_n...F_1 of factors (a, b).
+
+    Odd-even scan: the products of neighbouring pairs are scanned
+    recursively, which gives every odd index, and each even index takes
+    one more factor.  The work is O(n) vectorised operations and every
+    W_j is a product of at most 2 log2(n) rounded factors, where the
+    sequential product of j factors rounds j times.
+    """
+    n = a.size
+    if n == 1:
+        return a, b
+    qa, qb = _running_products(*_compose(a[1::2], b[1::2], a[:-1:2], b[:-1:2]))
+    wa = np.empty_like(a)
+    wb = np.empty_like(b)
+    wa[0], wb[0] = a[0], b[0]
+    wa[1::2], wb[1::2] = qa, qb
+    e = (n - 1) // 2
+    wa[2::2], wb[2::2] = _compose(a[2::2], b[2::2], qa[:e], qb[:e])
+    return wa, wb
+
+
+def _block_products(eps_of, delta: float, t_start: float, h: float, n: int):
+    """Yield (i0, wa, wb) for each block of at most _CHUNK substeps from t_start.
+
+    Substep i covers [t_start + i h, t_start + (i+1) h] with the bias
+    eps_of(t) frozen at its midpoint; (wa, wb) are the running products of
+    the block's factors, so wa[-1], wb[-1] is the whole block.
+    """
+    for i0 in range(0, n, _CHUNK):
+        t_mid = t_start + h * (np.arange(i0, min(i0 + _CHUNK, n)) + 0.5)
+        yield (i0, *_running_products(*_step_entries(eps_of(t_mid), delta, h)))
+
+
+def _product(eps_of, delta: float, t_start: float, h: float, n: int) -> tuple[complex, complex]:
+    """(a, b) of the composed midpoint propagator over n substeps from t_start."""
+    ua, ub = 1.0 + 0.0j, 0.0j
+    for _, wa, wb in _block_products(eps_of, delta, t_start, h, n):
+        ua, ub = _compose(complex(wa[-1]), complex(wb[-1]), ua, ub)
+    return ua, ub
+
+
+def _apply(a, b, u, d):
+    """State (u, d) after the SU(2) pair (a, b)."""
+    return a * u + b * d, -b.conjugate() * u + a.conjugate() * d
+
+
+def _up_probability(a, b, u, d, out: np.ndarray) -> None:
+    """out = |a u + b d|^2, the up population of (u, d) after (a, b); broadcasts."""
+    amp = a * u + b * d
+    np.square(amp.real, out=out)
+    out += np.square(amp.imag)
+
+
+def _floquet_samples(p: DriveParams, h: float, spp: int, u0: complex, d0: complex, out: np.ndarray) -> None:
+    """Fill out[i] = P_up(i h) from (u0, d0) on a period-aligned grid, h = T/spp.
+
+    Builds one period's factors and their prefixes W_j, takes U_T = W_spp
+    and powers it in closed form (see propagate_exact); rows of periods are
+    written in blocks of at most _CHUNK samples.
+    """
+    wa, wb = _running_products(*_step_entries(drive_epsilon(h * (np.arange(spp) + 0.5), p), p.delta, h))
+    ua, ub = complex(wa[-1]), complex(wb[-1])
+    norm2 = ua.real * ua.real + ua.imag * ua.imag + ub.real * ub.real + ub.imag * ub.imag
+    if abs(norm2 - 1.0) > 1e-10:
+        raise QuadratureError(f"norm drifted to {norm2!r} over one period; integrator state corrupted")
+    # Prefixes W_0 = I, W_1, ..., W_{spp-1}: the samples within a period.
+    wa = np.concatenate(([1.0 + 0.0j], wa[:-1]))
+    wb = np.concatenate(([0.0j], wb[:-1]))
+    sin_l = math.hypot(ua.imag, abs(ub))
+    lam = math.atan2(sin_l, ua.real)
+    # (U_T - cos(lambda) I) psi0 / sin(lambda); U_T = +-I when sin(lambda) = 0.
+    gu, gd = (0.0j, 0.0j) if sin_l == 0.0 else (
+        (1j * ua.imag * u0 + ub * d0) / sin_l,
+        (-ub.conjugate() * u0 - 1j * ua.imag * d0) / sin_l,
+    )
+    periods, r = divmod(out.size - 1, spp)
+    grid = out[: periods * spp].reshape(periods, spp)
+    rows = max(1, _CHUNK // spp)
+    for k0 in range(0, periods + 1, rows):
+        k = np.arange(k0, min(k0 + rows, periods + 1))
+        c, s = np.cos(k * lam), np.sin(k * lam)
+        u = (c * u0 + s * gu)[:, None]
+        d = (c * d0 + s * gd)[:, None]
+        if k[-1] == periods:
+            # The last period boundary and the partial period after it.
+            _up_probability(wa[: r + 1], wb[: r + 1], u[-1], d[-1], out[periods * spp :])
+            u, d = u[:-1], d[:-1]
+        _up_probability(wa, wb, u, d, grid[k0 : k0 + len(u)])
+
+
+def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> tuple[int, bool]:
+    """Substeps covering duration, and whether they tile the drive period.
+
+    A ratio duration/T * steps_per_period within 4 ulps of an integer is
+    taken as that integer, so h = T/steps_per_period and the grid is
+    period-aligned (True).  Rounding can push the ratio for a whole number
+    of periods just above an integer, and its ceiling would add a substep
+    and move every sample off the period grid.  Any other ratio is rounded
+    up (False).
+    """
     x = duration / p.period * steps_per_period
-    # Rounding can push the ratio for a whole number of periods just above
-    # an integer; its ceiling would add a substep and move every sample off
-    # the period grid, so a ratio within 4 ulps of an integer counts as it.
     n = round(x)
-    return max(1, n if abs(x - n) <= 4.0 * math.ulp(x) else math.ceil(x))
+    if n >= 1 and abs(x - n) <= 4.0 * math.ulp(x):
+        return n, True
+    return max(1, math.ceil(x)), False
 
 
 def evolution_operator(
@@ -273,25 +390,9 @@ def evolution_operator(
         raise ConfigError(f"steps_per_period must be >= 16, got {steps_per_period}")
     if not t_end > t_start:
         raise ConfigError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    n = _substep_count(p, t_end - t_start, steps_per_period)
-    h = (t_end - t_start) / n
-    m11 = 1.0 + 0.0j
-    m12 = 0.0j
-    m21 = 0.0j
-    m22 = 1.0 + 0.0j
-    for i0 in range(0, n, _CHUNK):
-        i1 = min(i0 + _CHUNK, n)
-        t_mid = t_start + h * (np.arange(i0, i1) + 0.5)
-        u11s, u12s = _step_entries(drive_epsilon(t_mid, p), p.delta, h)
-        for a11, a12 in zip(u11s.tolist(), u12s.tolist()):
-            a22 = a11.conjugate()
-            m11, m12, m21, m22 = (
-                a11 * m11 + a12 * m21,
-                a11 * m12 + a12 * m22,
-                a12 * m11 + a22 * m21,
-                a12 * m12 + a22 * m22,
-            )
-    return Unitary2(m11, m12, m21, m22)
+    n, _ = _substep_count(p, t_end - t_start, steps_per_period)
+    ua, ub = _product(lambda t: drive_epsilon(t, p), p.delta, t_start, (t_end - t_start) / n, n)
+    return Unitary2(ua, ub, -ub.conjugate(), ua.conjugate())
 
 
 def propagate_exact(
@@ -311,42 +412,56 @@ def propagate_exact(
         Final time, > 0.
     steps_per_period : int
         Substeps per drive period, >= 16 (default 256).  The substep is
-        h = t_end / ceil(t_end/T * steps_per_period), so samples are
-        uniform and the last one lands exactly on t_end; a whole number
-        of periods gives exactly periods * steps_per_period substeps.
+        h = t_end / n with n = t_end/T * steps_per_period, rounded up
+        unless it is an integer to within 4 ulps, so samples are uniform
+        and the last one lands exactly on t_end.
 
     Returns
     -------
     TimeSeries
         P_up at t = 0, h, 2h, ..., t_end (n+1 samples).
 
+    Notes
+    -----
+    When n is an integer the grid is period-aligned: h = T/steps_per_period
+    and H(t + T) = H(t), so every period applies the same factors.  Only
+    one period's factors F_1..F_spp are built; their running products
+    W_j (W_0 = I) come from a log-depth scan and U_T = W_spp.  U_T is in
+    SU(2) form with eigenphases +-lambda (cos lambda = Re u11, sin lambda
+    = hypot(Im u11, |u12|)), so the period-boundary states follow in
+    closed form, psi_k = U_T^k psi0 = cos(k lambda) psi0
+    + sin(k lambda) (U_T - cos lambda I) psi0 / sin lambda, exactly unitary
+    for every k, and P_up(kT + jh) = |[W_j psi_k]_up|^2.  A partial last
+    period uses the first r prefixes.  U_T is never powered by repeated
+    multiplication, whose rounding compounds over the periods.  Any other
+    t_end composes all n factors block by block with the same scan.
+
     Raises
     ------
     QuadratureError
-        If the final state's norm^2 drifts from 1 by more than 1e-10.
+        If norm^2 drifts from 1 by more than 1e-10: over one period U_T
+        on a period-aligned grid, else the final state.
     """
     if steps_per_period < 16:
         raise ConfigError(f"steps_per_period must be >= 16, got {steps_per_period}")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError(f"t_end must be positive, got {t_end!r}")
-    n = _substep_count(p, t_end, steps_per_period)
+    n, aligned = _substep_count(p, t_end, steps_per_period)
     h = t_end / n
-    cu = complex(psi0.up_amp)
-    cd = complex(psi0.down_amp)
+    u0 = complex(psi0.up_amp)
+    d0 = complex(psi0.down_amp)
     out = np.empty(n + 1)
-    out[0] = cu.real * cu.real + cu.imag * cu.imag
-    k = 1
-    for i0 in range(0, n, _CHUNK):
-        i1 = min(i0 + _CHUNK, n)
-        t_mid = h * (np.arange(i0, i1) + 0.5)
-        u11s, u12s = _step_entries(drive_epsilon(t_mid, p), p.delta, h)
-        for a11, a12 in zip(u11s.tolist(), u12s.tolist()):
-            cu, cd = a11 * cu + a12 * cd, a12 * cu + a11.conjugate() * cd
-            out[k] = cu.real * cu.real + cu.imag * cu.imag
-            k += 1
-    norm2 = cu.real * cu.real + cu.imag * cu.imag + cd.real * cd.real + cd.imag * cd.imag
-    if abs(norm2 - 1.0) > 1e-10:
-        raise QuadratureError(f"norm drifted to {norm2!r}; integrator state corrupted")
+    if aligned:
+        _floquet_samples(p, h, steps_per_period, u0, d0, out)
+    else:
+        out[0] = u0.real * u0.real + u0.imag * u0.imag
+        cu, cd = u0, d0
+        for i0, wa, wb in _block_products(lambda t: drive_epsilon(t, p), p.delta, 0.0, h, n):
+            _up_probability(wa, wb, cu, cd, out[i0 + 1 : i0 + 1 + wa.size])
+            cu, cd = _apply(complex(wa[-1]), complex(wb[-1]), cu, cd)
+        norm2 = cu.real * cu.real + cu.imag * cu.imag + cd.real * cd.real + cd.imag * cd.imag
+        if abs(norm2 - 1.0) > 1e-10:
+            raise QuadratureError(f"norm drifted to {norm2!r}; integrator state corrupted")
     np.clip(out, 0.0, 1.0, out=out)
     return TimeSeries(t0=0.0, dt=h, values=out)
 
@@ -374,12 +489,5 @@ def propagate_linear_sweep(
         raise ConfigError(f"span must be positive, got {span!r}")
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ConfigError(f"delta must be nonnegative, got {delta!r}")
-    t_i = -span / v
-    h = 2.0 * span / (v * steps)
-    t_mid = t_i + h * (np.arange(steps) + 0.5)
-    u11s, u12s = _step_entries(v * t_mid, delta, h)
-    cu = complex(psi0.up_amp)
-    cd = complex(psi0.down_amp)
-    for a11, a12 in zip(u11s.tolist(), u12s.tolist()):
-        cu, cd = a11 * cu + a12 * cd, a12 * cu + a11.conjugate() * cd
-    return QubitState(cu, cd)
+    a, b = _product(lambda t: v * t, delta, -span / v, 2.0 * span / (v * steps), steps)
+    return QubitState(*_apply(a, b, complex(psi0.up_amp), complex(psi0.down_amp)))

@@ -419,7 +419,9 @@ def tm_resonance_width(p: DriveParams, zeta_fc: float, n: int) -> float:
     Needs a sloped resonance: n >= 1 and eps0 > 0; the unbiased n = 0
     resonance has no detuning scale ("not applicable").
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ConfigError(f"photon index n must be an integer, got {n!r}")
+    if n < 1:
         raise RegimeError(f"width not applicable: need photon index n >= 1, got {n!r}")
     if p.epsilon0 <= 0.0:
         raise RegimeError("width not applicable: eps0 = 0 resonance has no detuning slope")

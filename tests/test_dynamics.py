@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drivenqubit import dynamics
 from drivenqubit.dynamics import (
     DriveParams,
     QubitState,
@@ -17,7 +20,7 @@ from drivenqubit.dynamics import (
     propagate_linear_sweep,
     step_unitary,
 )
-from drivenqubit.errors import ConfigError
+from drivenqubit.errors import ConfigError, QuadratureError
 
 
 def _random_params(rng):
@@ -177,6 +180,180 @@ def test_whole_periods_give_period_aligned_grid():
     ts = propagate_exact(p, QubitState.up(), 1000 * p.period, steps_per_period=256)
     assert len(ts) == 256_001
     assert ts.dt * 256 == pytest.approx(p.period, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# sequential oracle: the per-substep loops the propagators ran before the
+# Floquet-period composition, kept verbatim as the reference
+
+_ORACLE_CHUNK = 1 << 16
+
+
+def _oracle_propagate(p, psi0, t_end, steps_per_period):
+    n, _ = dynamics._substep_count(p, t_end, steps_per_period)
+    h = t_end / n
+    cu = complex(psi0.up_amp)
+    cd = complex(psi0.down_amp)
+    out = np.empty(n + 1)
+    out[0] = cu.real * cu.real + cu.imag * cu.imag
+    k = 1
+    for i0 in range(0, n, _ORACLE_CHUNK):
+        i1 = min(i0 + _ORACLE_CHUNK, n)
+        t_mid = h * (np.arange(i0, i1) + 0.5)
+        u11s, u12s = dynamics._step_entries(drive_epsilon(t_mid, p), p.delta, h)
+        for a11, a12 in zip(u11s.tolist(), u12s.tolist()):
+            cu, cd = a11 * cu + a12 * cd, a12 * cu + a11.conjugate() * cd
+            out[k] = cu.real * cu.real + cu.imag * cu.imag
+            k += 1
+    np.clip(out, 0.0, 1.0, out=out)
+    return h, out
+
+
+def _oracle_operator(p, t_start, t_end, steps_per_period):
+    n, _ = dynamics._substep_count(p, t_end - t_start, steps_per_period)
+    h = (t_end - t_start) / n
+    m11 = 1.0 + 0.0j
+    m12 = 0.0j
+    m21 = 0.0j
+    m22 = 1.0 + 0.0j
+    for i0 in range(0, n, _ORACLE_CHUNK):
+        i1 = min(i0 + _ORACLE_CHUNK, n)
+        t_mid = t_start + h * (np.arange(i0, i1) + 0.5)
+        u11s, u12s = dynamics._step_entries(drive_epsilon(t_mid, p), p.delta, h)
+        for a11, a12 in zip(u11s.tolist(), u12s.tolist()):
+            a22 = a11.conjugate()
+            m11, m12, m21, m22 = (
+                a11 * m11 + a12 * m21,
+                a11 * m12 + a12 * m22,
+                a12 * m11 + a22 * m21,
+                a12 * m12 + a22 * m22,
+            )
+    return np.array([[m11, m12], [m21, m22]])
+
+
+def _oracle_sweep(delta, v, span, psi0, steps):
+    t_i = -span / v
+    h = 2.0 * span / (v * steps)
+    t_mid = t_i + h * (np.arange(steps) + 0.5)
+    u11s, u12s = dynamics._step_entries(v * t_mid, delta, h)
+    cu = complex(psi0.up_amp)
+    cd = complex(psi0.down_amp)
+    for a11, a12 in zip(u11s.tolist(), u12s.tolist()):
+        cu, cd = a11 * cu + a12 * cd, a12 * cu + a11.conjugate() * cd
+    return np.array([cu, cd])
+
+
+_STATES = {"up": QubitState.up(), "down": QubitState.down(), "mixed": QubitState(0.6, 0.8j)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    epsilon0=st.floats(0.0, 10.0),
+    amplitude=st.floats(0.0, 30.0),
+    omega=st.floats(0.3, 10.0),
+    phi=st.floats(0.1, 6.0),
+    cycles=st.integers(0, 12),
+    steps_per_period=st.integers(16, 48),
+    grid=st.sampled_from(["whole", "partial", "off-grid"]),
+    fraction=st.floats(0.01, 0.99),
+    state=st.sampled_from(sorted(_STATES)),
+)
+def test_propagate_exact_matches_sequential_oracle(
+    epsilon0, amplitude, omega, phi, cycles, steps_per_period, grid, fraction, state
+):
+    p = DriveParams(delta=1.0, epsilon0=epsilon0, amplitude=amplitude, omega=omega, phi=phi)
+    spp = steps_per_period
+    if grid == "whole":
+        t_end = max(cycles, 1) * p.period
+    elif grid == "partial":
+        # An aligned grid that ends j substeps into the last period.
+        t_end = (cycles + max(1, int(fraction * spp)) / spp) * p.period
+    else:
+        # Half a substep off the grid.
+        t_end = (cycles + (int(fraction * spp) + 0.5) / spp) * p.period
+    n, aligned = dynamics._substep_count(p, t_end, spp)
+    assert aligned == (grid != "off-grid")
+    ts = propagate_exact(p, _STATES[state], t_end, steps_per_period=spp)
+    h, expected = _oracle_propagate(p, _STATES[state], t_end, spp)
+    assert len(ts) == n + 1 and ts.dt == h
+    assert np.max(np.abs(ts.values - expected)) <= 1e-10
+
+
+def test_multi_block_runs_match_sequential_oracle():
+    # Both grids span more than one block of factors or samples.
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0, phi=0.3)
+    for cycles in (4100, 4100.3):
+        ts = propagate_exact(p, QubitState(0.6, 0.8j), cycles * p.period, steps_per_period=16)
+        h, expected = _oracle_propagate(p, QubitState(0.6, 0.8j), cycles * p.period, 16)
+        assert len(ts) > dynamics._CHUNK + 1 and ts.dt == h
+        assert np.max(np.abs(ts.values - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "t_start, t_end, spp",
+    [(0.0, 1.0, 64), (0.3, 2.3, 16), (1.1, 9.7, 37), (0.0, 150.0, 512)],
+)
+def test_evolution_operator_matches_sequential_oracle(t_start, t_end, spp):
+    p = DriveParams(delta=1.0, epsilon0=2.0, amplitude=11.0, omega=2.3, phi=0.4)
+    u = evolution_operator(p, t_start * p.period, t_end * p.period, steps_per_period=spp).as_matrix()
+    expected = _oracle_operator(p, t_start * p.period, t_end * p.period, spp)
+    assert np.max(np.abs(u - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta, v, span, steps", [(1.0, 2.0, 60.0, 70_001), (0.7, 20.0, 50.0, 5000), (0.0, 5.0, 10.0, 1000)])
+def test_linear_sweep_matches_sequential_oracle(delta, v, span, steps):
+    for psi0 in _STATES.values():
+        final = propagate_linear_sweep(delta, v, span, psi0, steps=steps)
+        expected = _oracle_sweep(delta, v, span, psi0, steps)
+        assert np.max(np.abs(final.as_vector() - expected)) <= 1e-12
+
+
+def test_one_period_product_is_su2():
+    rng = np.random.RandomState(7)
+    for _ in range(20):
+        p = DriveParams(
+            delta=1.0,
+            epsilon0=float(rng.uniform(0.0, 10.0)),
+            amplitude=float(rng.uniform(0.0, 50.0)),
+            omega=float(rng.uniform(0.2, 20.0)),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        spp = int(rng.randint(16, 1025))
+        h = p.period / spp
+        a, b = dynamics._running_products(*dynamics._step_entries(drive_epsilon(h * (np.arange(spp) + 0.5), p), p.delta, h))
+        # Every running product, U_T = W_spp included, keeps the SU(2) form.
+        assert np.max(np.abs(a * a.conj() + b * b.conj() - 1.0)) <= 1e-12
+        u = Unitary2(a[-1], b[-1], -np.conj(b[-1]), np.conj(a[-1])).as_matrix()
+        assert np.max(np.abs(u - evolution_operator(p, 0.0, p.period, steps_per_period=spp).as_matrix())) <= 1e-12
+
+
+def test_long_floquet_run_keeps_its_norm():
+    # 300000 periods of 16 substeps: powering U_T by repeated multiplication
+    # drifts past the 1e-10 norm guard here; the closed-form power does not.
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    cycles = 300_000
+    ts = propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=16)
+    assert len(ts) == cycles * 16 + 1
+    from_up = ts.values[::16].copy()
+    del ts
+    from_down = propagate_exact(p, QubitState.down(), cycles * p.period, steps_per_period=16).values[::16]
+    # Row norm of U_T^k at every period boundary.
+    assert np.max(np.abs(from_up + from_down - 1.0)) <= 1e-12
+    u_t = evolution_operator(p, 0.0, p.period, steps_per_period=16).as_matrix()
+    for k in (1, 1234, cycles):
+        final = np.linalg.matrix_power(u_t, k) @ QubitState.up().as_vector()
+        assert from_up[k] == pytest.approx(abs(final[0]) ** 2, abs=1e-8)
+
+
+def test_one_period_norm_guard():
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    with pytest.MonkeyPatch.context() as mp:
+        exact = dynamics._step_entries
+        mp.setattr(dynamics, "_step_entries", lambda *args: tuple(x * (1.0 + 1e-9) for x in exact(*args)))
+        with pytest.raises(QuadratureError, match="norm drifted"):
+            propagate_exact(p, QubitState.up(), 3.0 * p.period, steps_per_period=16)
+        with pytest.raises(QuadratureError, match="norm drifted"):
+            propagate_exact(p, QubitState.up(), 3.3 * p.period, steps_per_period=16)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,16 @@ def test_tm_resonance_width_formula_and_guards():
         tm_resonance_width(p, 4.0, 1)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_tm_resonance_width_rejects_non_integer_index(n):
+    # A photon index of the wrong type is a configuration error; only the
+    # integer n = 0 (and eps0 = 0) lie outside the width's regime.
+    p = _FAST_FIVE_PHOTON
+    zeta = decompose_full_cycle(full_cycle_matrix(p)).zeta_fc
+    with pytest.raises(ConfigError, match="photon index"):
+        tm_resonance_width(p, zeta, n)
+
+
 def test_slow_resonance_lhs_closed_form():
     p = _SLOW
     res = tm_slow_resonance_lhs(p)
