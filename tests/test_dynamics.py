@@ -345,15 +345,14 @@ def test_long_floquet_run_keeps_its_norm():
         assert from_up[k] == pytest.approx(abs(final[0]) ** 2, abs=1e-8)
 
 
-def test_one_period_norm_guard():
+def test_norm_guard_on_both_grids(monkeypatch):
+    exact = dynamics._step_entries
+    monkeypatch.setattr(dynamics, "_step_entries", lambda *args: tuple(x * (1.0 + 1e-9) for x in exact(*args)))
     p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
-    with pytest.MonkeyPatch.context() as mp:
-        exact = dynamics._step_entries
-        mp.setattr(dynamics, "_step_entries", lambda *args: tuple(x * (1.0 + 1e-9) for x in exact(*args)))
+    # Aligned: the one-period product U_T is checked; off-grid: the final state.
+    for cycles in (3.0, 3.3):
         with pytest.raises(QuadratureError, match="norm drifted"):
-            propagate_exact(p, QubitState.up(), 3.0 * p.period, steps_per_period=16)
-        with pytest.raises(QuadratureError, match="norm drifted"):
-            propagate_exact(p, QubitState.up(), 3.3 * p.period, steps_per_period=16)
+            propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=16)
 
 
 # ---------------------------------------------------------------------------
