@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import DriveParams, QubitState, TimeSeries, evolution_operator, propagate_exact
+from .dynamics import DriveParams, QubitState, TimeSeries, _apply, _powers, evolution_operator, propagate_exact
 from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
 from .rwa import rwa_predict
 from .transfer_matrix import crossing_times, tm_slow_frequency, tm_slow_resonance_lhs
@@ -522,7 +522,10 @@ def stroboscopic_exact(
     Landau-Zener step short) and is not a like-for-like comparison.
 
     Returns a TimeSeries of ``n_cycles + 1`` samples spaced by the drive
-    period, aligned index-for-index with ``propagate_tm`` output.
+    period, aligned index-for-index with ``propagate_tm`` output.  The
+    state after k cycles is the closed-form power of the one-cycle
+    operator, never k repeated multiplications, so rounding does not grow
+    with k and does not limit n_cycles.
     """
     if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
         raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
@@ -533,10 +536,6 @@ def stroboscopic_exact(
     t0 = t_c2 + settle_fraction * gap
     u_pre = evolution_operator(p, 0.0, t0, steps_per_period=steps_per_period)
     u_cycle = evolution_operator(p, t0, t0 + p.period, steps_per_period=steps_per_period)
-    vec = u_pre.as_matrix() @ psi0.as_vector()
-    values = np.empty(n_cycles + 1)
-    cycle = u_cycle.as_matrix()
-    for k in range(n_cycles + 1):
-        values[k] = float(vec[0].real ** 2 + vec[0].imag ** 2)
-        vec = cycle @ vec
-    return TimeSeries(t0=t0, dt=p.period, values=np.clip(values, 0.0, 1.0))
+    u0, d0 = _apply(u_pre.u11, u_pre.u12, psi0.up_amp, psi0.down_amp)
+    u, _ = _powers(u_cycle.u11, u_cycle.u12, u0, d0, np.arange(n_cycles + 1))
+    return TimeSeries(t0=t0, dt=p.period, values=np.clip(u.real**2 + u.imag**2, 0.0, 1.0))

@@ -216,12 +216,14 @@ def cmd_simulate(cfg: dict[str, Any]) -> int:
     ts = propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=spp)
     times = ts.times()
 
-    strobe = None
-    if classify_regime(p).tm and p.phi == 0.0:
+    # The P_up_tm column appears wherever propagate_tm applies (A > eps0,
+    # phi = 0), the same test predict and scan use.
+    try:
         _, t_c2 = crossing_times(p)
         n_strobe = int(math.floor((ts.t_end - t_c2) / p.period))
-        if n_strobe >= 1:
-            strobe = propagate_tm(p, QubitState.up(), n_strobe)
+    except RegimeError:
+        n_strobe = 0
+    strobe = propagate_tm(p, QubitState.up(), n_strobe) if n_strobe >= 1 else None
 
     if cfg["format"] == "csv":
         header = ["t", "P_up"] + (["P_up_tm"] if strobe is not None else [])

@@ -21,6 +21,11 @@ period apply the same factors, so ``propagate_exact`` builds one period,
 takes its product U_T and reaches the period boundaries with the closed-form
 power U_T^k (Floquet composition).  Other grids, ``evolution_operator`` and
 ``propagate_linear_sweep`` compose all their factors block by block.
+
+One closed-form power, ``_powers``, applies a cycle k times for every
+stroboscopic path: ``propagate_exact``, ``propagate_tm`` (the transfer-matrix
+cycle) and ``stroboscopic_exact`` (the exact one-cycle operator).  No path
+powers a cycle by repeated multiplication, so rounding does not limit run length.
 """
 
 from __future__ import annotations
@@ -148,43 +153,8 @@ class Unitary2:
             worst = next(x for x in dev if not x <= _UNITARY_TOL)
             raise ConfigError(f"matrix is not unitary within {_UNITARY_TOL}: deviation {worst:g}")
 
-    @classmethod
-    def identity(cls) -> "Unitary2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Unitary2":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ConfigError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=complex)
-
-    def dagger(self) -> "Unitary2":
-        return Unitary2(
-            self.u11.conjugate(),
-            self.u21.conjugate(),
-            self.u12.conjugate(),
-            self.u22.conjugate(),
-        )
-
-    def __matmul__(self, other: "Unitary2") -> "Unitary2":
-        if not isinstance(other, Unitary2):
-            return NotImplemented
-        return Unitary2(
-            self.u11 * other.u11 + self.u12 * other.u21,
-            self.u11 * other.u12 + self.u12 * other.u22,
-            self.u21 * other.u11 + self.u22 * other.u21,
-            self.u21 * other.u12 + self.u22 * other.u22,
-        )
-
-    def apply(self, state: QubitState) -> QubitState:
-        return QubitState(
-            self.u11 * state.up_amp + self.u12 * state.down_amp,
-            self.u21 * state.up_amp + self.u22 * state.down_amp,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +230,7 @@ def step_unitary(t: float, h: float, p: DriveParams) -> Unitary2:
     if not (math.isfinite(h) and h > 0.0):
         raise ConfigError(f"step size must be positive, got {h!r}")
     u11s, u12s = _step_entries(drive_epsilon([t + 0.5 * h], p), p.delta, h)
-    u11, u12 = complex(u11s[0]), complex(u12s[0])
-    return Unitary2(u11, u12, u12, u11.conjugate())
+    return _unitary(complex(u11s[0]), complex(u12s[0]))
 
 
 def _compose(a1, b1, a2, b2):
@@ -272,6 +241,11 @@ def _compose(a1, b1, a2, b2):
     products keep it.  Works on complex scalars and broadcasting arrays.
     """
     return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
+
+
+def _unitary(a: complex, b: complex) -> Unitary2:
+    """The Unitary2 [[a, b], [-conj(b), conj(a)]] of an SU(2) pair (a, b)."""
+    return Unitary2(a, b, -b.conjugate(), a.conjugate())
 
 
 def _running_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,36 +302,51 @@ def _up_probability(a, b, u, d, out: np.ndarray) -> None:
     out += np.square(amp.imag)
 
 
-def _floquet_samples(p: DriveParams, h: float, spp: int, u0: complex, d0: complex, out: np.ndarray) -> None:
-    """Fill out[i] = P_up(i h) from (u0, d0) on a period-aligned grid, h = T/spp.
+def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States (u_k, d_k) = U^k (u0, d0) for the one-cycle SU(2) pair U = (ua, ub).
 
-    Builds one period's factors and their prefixes W_j, takes U_T = W_spp
-    and powers it in closed form (see propagate_exact); rows of periods are
-    written in blocks of at most _CHUNK samples.
+    U has eigenphases +-lambda (cos lambda = Re ua, sin lambda =
+    hypot(Im ua, |ub|)), so U^k = cos(k lambda) I + sin(k lambda)/sin(lambda)
+    (U - cos(lambda) I) for every integer k in the array: exactly unitary
+    however large k is, where repeated multiplication would round k times.
+    Every stroboscopic path powers its cycle here.
+
+    Raises QuadratureError if |ua|^2 + |ub|^2 drifts from 1 by more than
+    1e-10: the cycle itself is then not unitary.
     """
-    wa, wb = _running_products(*_step_entries(drive_epsilon(h * (np.arange(spp) + 0.5), p), p.delta, h))
-    ua, ub = complex(wa[-1]), complex(wb[-1])
     norm2 = ua.real * ua.real + ua.imag * ua.imag + ub.real * ub.real + ub.imag * ub.imag
     if abs(norm2 - 1.0) > 1e-10:
         raise QuadratureError(f"norm drifted to {norm2!r} over one period; integrator state corrupted")
-    # Prefixes W_0 = I, W_1, ..., W_{spp-1}: the samples within a period.
-    wa = np.concatenate(([1.0 + 0.0j], wa[:-1]))
-    wb = np.concatenate(([0.0j], wb[:-1]))
     sin_l = math.hypot(ua.imag, abs(ub))
     lam = math.atan2(sin_l, ua.real)
-    # (U_T - cos(lambda) I) psi0 / sin(lambda); U_T = +-I when sin(lambda) = 0.
+    # (U - cos(lambda) I) psi0 / sin(lambda); U = +-I when sin(lambda) = 0.
     gu, gd = (0.0j, 0.0j) if sin_l == 0.0 else (
         (1j * ua.imag * u0 + ub * d0) / sin_l,
         (-ub.conjugate() * u0 - 1j * ua.imag * d0) / sin_l,
     )
+    c, s = np.cos(k * lam), np.sin(k * lam)
+    return c * u0 + s * gu, c * d0 + s * gd
+
+
+def _floquet_samples(p: DriveParams, h: float, spp: int, u0: complex, d0: complex, out: np.ndarray) -> None:
+    """Fill out[i] = P_up(i h) from (u0, d0) on a period-aligned grid, h = T/spp.
+
+    Builds one period's factors and their prefixes W_j, takes U_T = W_spp
+    and powers it with _powers (see propagate_exact); rows of periods are
+    written in blocks of at most _CHUNK samples.
+    """
+    wa, wb = _running_products(*_step_entries(drive_epsilon(h * (np.arange(spp) + 0.5), p), p.delta, h))
+    ua, ub = complex(wa[-1]), complex(wb[-1])
+    # Prefixes W_0 = I, W_1, ..., W_{spp-1}: the samples within a period.
+    wa = np.concatenate(([1.0 + 0.0j], wa[:-1]))
+    wb = np.concatenate(([0.0j], wb[:-1]))
     periods, r = divmod(out.size - 1, spp)
     grid = out[: periods * spp].reshape(periods, spp)
     rows = max(1, _CHUNK // spp)
     for k0 in range(0, periods + 1, rows):
         k = np.arange(k0, min(k0 + rows, periods + 1))
-        c, s = np.cos(k * lam), np.sin(k * lam)
-        u = (c * u0 + s * gu)[:, None]
-        d = (c * d0 + s * gd)[:, None]
+        u, d = _powers(ua, ub, u0, d0, k)
+        u, d = u[:, None], d[:, None]
         if k[-1] == periods:
             # The last period boundary and the partial period after it.
             _up_probability(wa[: r + 1], wb[: r + 1], u[-1], d[-1], out[periods * spp :])
@@ -392,7 +381,7 @@ def evolution_operator(
         raise ConfigError(f"need t_end > t_start, got [{t_start}, {t_end}]")
     n, _ = _substep_count(p, t_end - t_start, steps_per_period)
     ua, ub = _product(lambda t: drive_epsilon(t, p), p.delta, t_start, (t_end - t_start) / n, n)
-    return Unitary2(ua, ub, -ub.conjugate(), ua.conjugate())
+    return _unitary(ua, ub)
 
 
 def propagate_exact(

@@ -45,9 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, drive_epsilon
+from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, _apply, _compose, _powers, _unitary
 from .errors import ConfigError, QuadratureError, RegimeError
 from .specfun import stokes_phase
 
@@ -186,6 +187,17 @@ def lz_crossing(p: DriveParams) -> LzCrossing:
     )
 
 
+def _lz_pair(crossing: LzCrossing, theta_lz: float) -> tuple[complex, complex]:
+    """SU(2) pair (cos(chi/2), sin(chi/2) e^{i theta_lz}) of one crossing."""
+    s = math.sin(0.5 * crossing.chi)
+    return complex(math.cos(0.5 * crossing.chi)), s * complex(math.cos(theta_lz), math.sin(theta_lz))
+
+
+def _phase_pair(theta: float) -> tuple[complex, complex]:
+    """SU(2) pair (e^{-i theta}, 0) of a between-crossing phase step."""
+    return complex(math.cos(theta), -math.sin(theta)), 0.0j
+
+
 def lz_transfer_matrix(crossing: LzCrossing, k: int) -> Unitary2:
     """Crossing unitary with cos(chi/2) diagonal and sin(chi/2)e^{+-i theta_LZ,k} off-diagonal."""
     if k == 1:
@@ -194,16 +206,12 @@ def lz_transfer_matrix(crossing: LzCrossing, k: int) -> Unitary2:
         theta = crossing.theta_lz_2
     else:
         raise ConfigError(f"crossing direction must be 1 or 2, got {k!r}")
-    c = math.cos(0.5 * crossing.chi)
-    s = math.sin(0.5 * crossing.chi)
-    off = s * complex(math.cos(theta), math.sin(theta))
-    return Unitary2(c, off, -off.conjugate(), c)
+    return _unitary(*_lz_pair(crossing, theta))
 
 
 def phase_matrix(theta: float) -> Unitary2:
     """Between-crossing free evolution diag(e^{-i theta}, e^{i theta})."""
-    ph = complex(math.cos(theta), -math.sin(theta))
-    return Unitary2(ph, 0.0, 0.0, ph.conjugate())
+    return _unitary(*_phase_pair(theta))
 
 
 def _band_integral(p: DriveParams, a: float, b: float) -> float:
@@ -264,14 +272,17 @@ def cycle_phases(p: DriveParams) -> CyclePhases:
     return CyclePhases(theta_tilde_1=closed_1 - f1, theta_tilde_2=closed_2 + f2, f1=f1, f2=f2)
 
 
-def _compose_cycle(cr: LzCrossing, th1: float, th2: float) -> Unitary2:
-    return lz_transfer_matrix(cr, 2) @ phase_matrix(th2) @ lz_transfer_matrix(cr, 1) @ phase_matrix(th1)
+def _compose_cycle(cr: LzCrossing, th1: float, th2: float) -> tuple[complex, complex]:
+    """SU(2) pair of G_LZ2 G_2 G_LZ1 G_1 with region phases th1, th2."""
+    g = _compose(*_lz_pair(cr, cr.theta_lz_2), *_phase_pair(th2))
+    g = _compose(*g, *_lz_pair(cr, cr.theta_lz_1))
+    return _compose(*g, *_phase_pair(th1))
 
 
 def full_cycle_matrix(p: DriveParams) -> Unitary2:
     """One-cycle propagator G_LZ2 G_2 G_LZ1 G_1 from boundary-independent phases."""
     ph = cycle_phases(p)
-    return _compose_cycle(lz_crossing(p), ph.theta_tilde_1, ph.theta_tilde_2)
+    return _unitary(*_compose_cycle(lz_crossing(p), ph.theta_tilde_1, ph.theta_tilde_2))
 
 
 def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
@@ -298,7 +309,7 @@ def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
     w1 = _band_integral(p, t_c1 - tau, t_c1 + tau)
     w2 = _band_integral(p, t_c2 - tau, t_c2 + tau)
     cr = lz_crossing(p)
-    return _compose_cycle(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), theta1, theta2)
+    return _unitary(*_compose_cycle(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), theta1, theta2))
 
 
 _DEGENERATE_TOL = 1e-12
@@ -346,7 +357,7 @@ def reconstruct_full_cycle(d: FullCycleDecomposition) -> Unitary2:
     half = 0.5 * d.theta_fc
     u11 = c * complex(math.cos(half), -math.sin(half))
     u12 = s * complex(math.cos(d.phi_fc + half), math.sin(d.phi_fc + half))
-    return Unitary2(u11, u12, -u12.conjugate(), u11.conjugate())
+    return _unitary(u11, u12)
 
 
 def propagate_tm(p: DriveParams, psi0: QubitState, n_cycles: int) -> TimeSeries:
@@ -358,21 +369,18 @@ def propagate_tm(p: DriveParams, psi0: QubitState, n_cycles: int) -> TimeSeries:
     region 1 is symmetric about t = 0, so its phase is theta_tilde_1/2.
     Samples then follow each application of the full-cycle matrix:
     n_cycles + 1 values at t = t_c2 + k*period.
+    The state after k cycles is the closed-form cycle power shared by
+    every stroboscopic path, never k repeated multiplications, so rounding
+    does not grow with k and does not limit n_cycles.
     """
     if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
         raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
     cr = lz_crossing(p)
     ph = cycle_phases(p)
     _, t_c2 = crossing_times(p)
-    prelude = _compose_cycle(cr, 0.5 * ph.theta_tilde_1, ph.theta_tilde_2)
-    cycle = _compose_cycle(cr, ph.theta_tilde_1, ph.theta_tilde_2)
-    state = prelude.apply(psi0)
-    values = [state.probability_up]
-    for _ in range(n_cycles):
-        state = cycle.apply(state)
-        values.append(state.probability_up)
-    clipped = [min(1.0, max(0.0, v)) for v in values]
-    return TimeSeries(t0=t_c2, dt=p.period, values=clipped)
+    u0, d0 = _apply(*_compose_cycle(cr, 0.5 * ph.theta_tilde_1, ph.theta_tilde_2), psi0.up_amp, psi0.down_amp)
+    u, _ = _powers(*_compose_cycle(cr, ph.theta_tilde_1, ph.theta_tilde_2), u0, d0, np.arange(n_cycles + 1))
+    return TimeSeries(t0=t_c2, dt=p.period, values=np.clip(u.real**2 + u.imag**2, 0.0, 1.0))
 
 
 def tm_fast_frequency(p: DriveParams) -> float:
@@ -394,23 +402,22 @@ def tm_fast_frequency(p: DriveParams) -> float:
     return prefactor * abs(math.cos(closed_2 - 0.25 * math.pi))
 
 
+def _nearest_integer(x: float) -> int:
+    """Integer nearest to x; a half-integer tie within 1e-12 goes to the smaller one."""
+    lo = math.floor(x)
+    return lo if (x - lo) - (lo + 1 - x) <= 1e-12 else lo + 1
+
+
 def tm_fast_resonance_check(p: DriveParams) -> tuple[int, float]:
     """Nearest integer to eps0/omega and the residual |eps0/omega - n|.
 
-    The fast-crossing resonance condition is eps0/omega = n; an exact
-    half-integer ratio ties and is broken toward the smaller n.
+    The fast-crossing resonance condition is eps0/omega = n; see
+    _nearest_integer for ties.
     """
     _require_crossings(p)
     x = p.epsilon0 / p.omega
-    lo = math.floor(x)
-    hi = lo + 1
-    d_lo = x - lo
-    d_hi = hi - x
-    if abs(d_lo - d_hi) <= 1e-12 or d_lo < d_hi:
-        n = lo
-    else:
-        n = hi
-    return int(n), abs(x - n)
+    n = _nearest_integer(x)
+    return n, abs(x - n)
 
 
 def tm_resonance_width(p: DriveParams, zeta_fc: float, n: int) -> float:
@@ -444,12 +451,10 @@ def tm_slow_resonance_lhs(p: DriveParams) -> SlowResonance:
     _require_crossings(p)
     closed_1, closed_2 = _closed_phases(p)
     lhs = (closed_2 - closed_1) / math.pi
-    lo = math.floor(lhs)
-    hi = lo + 1
-    nearest = lo if abs(lhs - lo) <= abs(hi - lhs) else hi
+    nearest = _nearest_integer(lhs)
     return SlowResonance(
         lhs=lhs,
-        nearest_integer=int(nearest),
+        nearest_integer=nearest,
         residual=abs(lhs - nearest),
         in_slow_regime=p.amplitude * p.omega <= _SLOW_REGIME_MAX * p.delta**2,
     )

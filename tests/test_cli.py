@@ -81,7 +81,25 @@ def test_simulate_strobe_column_is_sparse(capsys):
 
 
 def test_simulate_omits_strobe_when_inapplicable(capsys):
-    code, out, _ = _run(capsys, ["simulate", "--amp", "0.5", "--omega", "4", "--cycles", "2", "--steps-per-period", "64"])
+    # A < eps0: the bias never crosses zero, so propagate_tm does not apply.
+    code, out, _ = _run(
+        capsys,
+        ["simulate", "--eps0", "1", "--amp", "0.5", "--omega", "4", "--cycles", "2", "--steps-per-period", "64"],
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "t,P_up"
+
+
+def test_simulate_strobe_follows_the_crossing_check(capsys):
+    # A > eps0 with A < delta: classify says tm=false, but predict and scan
+    # (and propagate_tm itself) only need A > eps0 and phi = 0.
+    argv = ["--eps0", "0.3", "--amp", "0.8", "--omega", "1"]
+    code, out, _ = _run(capsys, ["simulate", *argv, "--cycles", "3", "--steps-per-period", "64"])
+    assert code == 0
+    assert out.splitlines()[0] == "t,P_up,P_up_tm"
+    code, out, _ = _run(capsys, ["predict", *argv, "--format", "json"])
+    assert code == 0 and json.loads(out)["tm"] is not None
+    code, out, _ = _run(capsys, ["simulate", *argv, "--phi", "0.5", "--cycles", "3", "--steps-per-period", "64"])
     assert code == 0
     assert out.splitlines()[0] == "t,P_up"
 

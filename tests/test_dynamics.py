@@ -88,7 +88,7 @@ def test_evolution_operator_composition():
     whole = evolution_operator(p, 0.0, p.period, steps_per_period=512)
     first = evolution_operator(p, 0.0, 0.5 * p.period, steps_per_period=512)
     second = evolution_operator(p, 0.5 * p.period, p.period, steps_per_period=512)
-    dev = np.max(np.abs((second @ first).as_matrix() - whole.as_matrix()))
+    dev = np.max(np.abs(second.as_matrix() @ first.as_matrix() - whole.as_matrix()))
     # Same substep grid on both sides, so agreement is roundoff-level.
     assert dev < 1e-12
 
@@ -343,6 +343,31 @@ def test_long_floquet_run_keeps_its_norm():
     for k in (1, 1234, cycles):
         final = np.linalg.matrix_power(u_t, k) @ QubitState.up().as_vector()
         assert from_up[k] == pytest.approx(abs(final[0]) ** 2, abs=1e-8)
+
+
+_GENERIC_PAIR = (complex(0.48, -0.64), complex(0.36, 0.48))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(1.0 + 0.0j, 0.0j), (-1.0 + 0.0j, 0.0j), _GENERIC_PAIR],
+    ids=["identity", "minus-identity", "generic"],
+)
+def test_closed_form_power_matches_matrix_power(pair):
+    ua, ub = pair
+    k = np.array([0, 1, 7, 1000])
+    u0, d0 = 0.6 + 0.0j, 0.8j
+    u, d = dynamics._powers(ua, ub, u0, d0, k)
+    m = dynamics._unitary(ua, ub).as_matrix()
+    for i, ki in enumerate(k):
+        expected = np.linalg.matrix_power(m, int(ki)) @ np.array([u0, d0])
+        assert np.max(np.abs(np.array([u[i], d[i]]) - expected)) <= 1e-12
+
+
+def test_closed_form_power_rejects_a_leaky_pair():
+    ua, ub = _GENERIC_PAIR
+    with pytest.raises(QuadratureError, match="norm drifted"):
+        dynamics._powers(ua * (1.0 + 1e-9), ub, 1.0 + 0.0j, 0.0j, np.arange(3))
 
 
 def test_norm_guard_on_both_grids(monkeypatch):

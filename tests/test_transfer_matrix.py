@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from drivenqubit import analysis, cli, transfer_matrix
-from drivenqubit.dynamics import DriveParams, QubitState, drive_epsilon, propagate_linear_sweep
-from drivenqubit.errors import ConfigError, RegimeError
+from drivenqubit.dynamics import DriveParams, QubitState, drive_epsilon, evolution_operator, propagate_linear_sweep
+from drivenqubit.errors import ConfigError, QuadratureError, RegimeError
 from drivenqubit.specfun import stokes_phase
 from drivenqubit.transfer_matrix import (
     crossing_times,
@@ -383,7 +383,94 @@ def test_propagate_tm_tracks_exact_plateaus():
 
 
 # ---------------------------------------------------------------------------
+# per-cycle oracles: the loops propagate_tm and stroboscopic_exact ran
+# before the closed-form power, in plain complex arithmetic
+
+def _oracle_strobe(prelude, cycle, psi0, n_cycles):
+    """P_up of the prelude-carried state after 0..n_cycles multiplications by cycle."""
+    (p11, p12), (p21, p22) = prelude.tolist()
+    (m11, m12), (m21, m22) = cycle.tolist()
+    u0, d0 = complex(psi0.up_amp), complex(psi0.down_amp)
+    u, d = p11 * u0 + p12 * d0, p21 * u0 + p22 * d0
+    values = [abs(u) ** 2]
+    for _ in range(n_cycles):
+        u, d = m11 * u + m12 * d, m21 * u + m22 * d
+        values.append(abs(u) ** 2)
+    return np.clip(values, 0.0, 1.0)
+
+
+def _tm_prelude_and_cycle(p):
+    """propagate_tm's prelude G_LZ2 G_2 G_LZ1 G_1p and cycle, as 2x2 arrays."""
+    c = lz_crossing(p)
+    ph = cycle_phases(p)
+    head = lz_transfer_matrix(c, 2).as_matrix() @ phase_matrix(ph.theta_tilde_2).as_matrix()
+    head = head @ lz_transfer_matrix(c, 1).as_matrix()
+    return head @ phase_matrix(0.5 * ph.theta_tilde_1).as_matrix(), head @ phase_matrix(ph.theta_tilde_1).as_matrix()
+
+
+def _oracle_propagate_tm(p, psi0, n_cycles):
+    return _oracle_strobe(*_tm_prelude_and_cycle(p), psi0, n_cycles)
+
+
+def _oracle_stroboscopic_exact(p, psi0, n_cycles, steps_per_period):
+    t_c1, t_c2 = crossing_times(p)
+    t0 = t_c2 + 0.5 * (p.period - (t_c2 - t_c1))
+    prelude = evolution_operator(p, 0.0, t0, steps_per_period=steps_per_period).as_matrix()
+    cycle = evolution_operator(p, t0, t0 + p.period, steps_per_period=steps_per_period).as_matrix()
+    return _oracle_strobe(prelude, cycle, psi0, n_cycles)
+
+
+_STATES = [QubitState.up(), QubitState.down(), QubitState(0.6, 0.8j)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    amplitude=st.floats(1.1, 50.0),
+    eps_fraction=st.floats(0.0, 0.95),
+    omega=st.floats(0.1, 10.0),
+    n_cycles=st.integers(1, 1000),
+    state=st.integers(0, len(_STATES) - 1),
+)
+def test_stroboscopic_paths_match_per_cycle_oracles(amplitude, eps_fraction, omega, n_cycles, state):
+    p = DriveParams(delta=1.0, epsilon0=eps_fraction * amplitude, amplitude=amplitude, omega=omega)
+    psi0 = _STATES[state]
+    tm = propagate_tm(p, psi0, n_cycles)
+    assert np.max(np.abs(tm.values - _oracle_propagate_tm(p, psi0, n_cycles))) <= 1e-10
+    exact = analysis.stroboscopic_exact(p, psi0, n_cycles, steps_per_period=64)
+    assert np.max(np.abs(exact.values - _oracle_stroboscopic_exact(p, psi0, n_cycles, 64))) <= 1e-10
+
+
+def test_propagate_tm_long_run_matches_matrix_power():
+    # 300000 cycles: the per-cycle QubitState loop drifted past the 1e-12
+    # state-norm check here; the closed-form power does not drift.
+    p = _FAST_ONE_PHOTON
+    cycles = 300_000
+    ts = propagate_tm(p, QubitState.up(), cycles)
+    assert len(ts) == cycles + 1
+    prelude, cycle = _tm_prelude_and_cycle(p)
+    start = prelude @ QubitState.up().as_vector()
+    for k in (1, 1000, cycles):
+        final = np.linalg.matrix_power(cycle, k) @ start
+        assert ts.values[k] == pytest.approx(abs(final[0]) ** 2, abs=1e-8)
+
+
+def test_leaky_cycle_pair_is_a_numerical_error(monkeypatch, capsys):
+    exact = transfer_matrix._phase_pair
+    monkeypatch.setattr(transfer_matrix, "_phase_pair", lambda theta: tuple(x * (1.0 + 1e-9) for x in exact(theta)))
+    with pytest.raises(QuadratureError, match="norm drifted"):
+        propagate_tm(_FAST_ONE_PHOTON, QubitState.up(), 3)
+    assert cli.main(["simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "3"]) == 4
+    assert "norm drifted" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # fast and slow predictors
+
+@pytest.mark.parametrize("x, n", [(2.5, 2), (2.5 + 1e-13, 2), (2.6, 3), (2.4, 2), (0.0, 0)])
+def test_nearest_integer_sends_ties_within_the_band_down(x, n):
+    assert transfer_matrix._nearest_integer(x) == n
+    assert isinstance(transfer_matrix._nearest_integer(x), int)
+
 
 def test_fast_frequency_agrees_with_exact_matrix_route():
     for p in (_FAST_ONE_PHOTON, DriveParams(delta=1.0, epsilon0=3.0, amplitude=20.0, omega=3.0)):
