@@ -22,7 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import DriveParams, QubitState, TimeSeries, _apply, _powers, evolution_operator, propagate_exact
+from .dynamics import (
+    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _apply, _frozen, _powers, evolution_operator, propagate_exact,
+)
 from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
 from .rwa import rwa_predict
 from .transfer_matrix import crossing_times, tm_slow_frequency, tm_slow_resonance_lhs
@@ -67,9 +69,6 @@ class FrequencyEstimate:
         Angular frequency of the strongest non-DC spectral peak.
     amplitude : float
         Peak-to-peak excursion of the coarse-grained P_up, in [0, 1].
-    confidence : float
-        Ratio of the peak spectral magnitude to the median magnitude of
-        the searched bins.  Large values mean a clean single line.
     flags : tuple of str
         Subset of {"suppressed", "ambiguous"}.  "suppressed" marks
         CDT-like traces (amplitude below ``SUPPRESSED_AMPLITUDE``),
@@ -79,7 +78,6 @@ class FrequencyEstimate:
 
     omega_est: float
     amplitude: float
-    confidence: float
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -113,6 +111,8 @@ class ScanConfig:
     subject to a floor of ``min_drive_periods`` and a hard cap of
     ``max_drive_periods`` drive cycles; traces that hit the cap before
     covering the requested slow periods are flagged "below_resolution".
+    A run of ``max_drive_periods`` must fit the propagator's 10^8-sample
+    limit.
     """
 
     steps_per_period: int = 128
@@ -129,6 +129,11 @@ class ScanConfig:
             raise ConfigError(f"min_drive_periods must be an integer >= 2, got {self.min_drive_periods!r}")
         if not (isinstance(self.max_drive_periods, int) and self.max_drive_periods >= self.min_drive_periods):
             raise ConfigError("max_drive_periods must be >= min_drive_periods")
+        if self.max_drive_periods * self.steps_per_period + 1 > _MAX_SAMPLES:
+            raise ConfigError(
+                f"{self.max_drive_periods} periods of {self.steps_per_period} steps exceed the "
+                f"{_MAX_SAMPLES}-sample limit"
+            )
 
 
 _SCAN_PARAMETERS = ("epsilon0", "amplitude", "omega")
@@ -155,7 +160,6 @@ class ScanResult:
     axis2: np.ndarray
     omega_est: np.ndarray
     amplitude: np.ndarray
-    confidence: np.ndarray
     omega_rwa: np.ndarray
     omega_tm: np.ndarray
     slow_lhs: np.ndarray
@@ -163,7 +167,7 @@ class ScanResult:
 
     def __post_init__(self) -> None:
         shape = (len(self.axis1), len(self.axis2))
-        for name in ("omega_est", "amplitude", "confidence", "omega_rwa", "omega_tm", "slow_lhs"):
+        for name in ("omega_est", "amplitude", "omega_rwa", "omega_tm", "slow_lhs"):
             if getattr(self, name).shape != shape:
                 raise ConfigError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
         if len(self.flags) != shape[0] or any(len(row) != shape[1] for row in self.flags):
@@ -236,15 +240,12 @@ def extract_frequency(
             shift = min(0.5, max(-0.5, 0.5 * (lm - lp) / curvature))
     omega_est = max(0.0, bin_step * (k + shift))
 
-    background = float(np.median(spectrum[usable]))
-    confidence = float(peak / background) if background > 0.0 else math.inf
-
     flags: list[str] = []
     if amplitude < SUPPRESSED_AMPLITUDE:
         flags.append("suppressed")
     if _has_competing_peak(masked, k):
         flags.append("ambiguous")
-    return FrequencyEstimate(omega_est=omega_est, amplitude=amplitude, confidence=confidence, flags=tuple(flags))
+    return FrequencyEstimate(omega_est=omega_est, amplitude=amplitude, flags=tuple(flags))
 
 
 def _has_competing_peak(mags: np.ndarray, k: int) -> bool:
@@ -269,6 +270,12 @@ def classify_regime(p: DriveParams) -> RegimeLabel:
     between.  The returned ``label`` is the most specific applicable
     region (TM over Rabi over bare RWA); regions that also apply are
     reported through the boolean fields.
+
+    ``tm`` marks the transfer matrix's validity region (A > delta and
+    A > epsilon0), not where it can be evaluated: ``predict``, ``scan`` and
+    ``simulate`` compute transfer-matrix values wherever crossings exist
+    (A > epsilon0, phi = 0), just as ``rwa_predict`` computes a value and
+    reports ``valid`` beside it.
     """
     drive_ratio = p.amplitude / p.delta
     freq_ratio = p.omega / p.delta
@@ -397,7 +404,6 @@ def scan_resonance_map(
     shape = (axis1_grid.size, axis2_grid.size)
     omega_est = np.full(shape, math.nan)
     amplitude = np.full(shape, math.nan)
-    confidence = np.full(shape, math.nan)
     omega_rwa = np.full(shape, math.nan)
     omega_tm = np.full(shape, math.nan)
     slow_lhs = np.full(shape, math.nan)
@@ -415,7 +421,6 @@ def scan_resonance_map(
                 est, capped = _estimate_cell(p, predictions, config)
                 omega_est[i, j] = est.omega_est
                 amplitude[i, j] = est.amplitude
-                confidence[i, j] = est.confidence
                 cell_flags.extend(est.flags)
                 if capped:
                     cell_flags.append("below_resolution")
@@ -435,7 +440,6 @@ def scan_resonance_map(
         axis2=axis2_grid,
         omega_est=omega_est,
         amplitude=amplitude,
-        confidence=confidence,
         omega_rwa=omega_rwa,
         omega_tm=omega_tm,
         slow_lhs=slow_lhs,
@@ -538,4 +542,4 @@ def stroboscopic_exact(
     u_cycle = evolution_operator(p, t0, t0 + p.period, steps_per_period=steps_per_period)
     u0, d0 = _apply(u_pre.u11, u_pre.u12, psi0.up_amp, psi0.down_amp)
     u, _ = _powers(u_cycle.u11, u_cycle.u12, u0, d0, np.arange(n_cycles + 1))
-    return TimeSeries(t0=t0, dt=p.period, values=np.clip(u.real**2 + u.imag**2, 0.0, 1.0))
+    return TimeSeries(t0=t0, dt=p.period, values=_frozen(np.clip(u.real**2 + u.imag**2, 0.0, 1.0)))

@@ -58,6 +58,10 @@ _NORM_TOL = 1e-12
 # run never materializes its whole substep table at once.
 _CHUNK = 1 << 16
 
+# Largest trace propagate_exact records (0.8 GB of float64); longer runs are
+# a configuration error, raised before anything is allocated.
+_MAX_SAMPLES = 10**8
+
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -168,7 +172,15 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        arr = np.array(self.values, dtype=float)
+        arr = self.values
+        # A read-only float64 array that owns its data, as every propagator
+        # hands over, is adopted as is; any other input is copied, so a
+        # caller who changes its array later cannot change the series.
+        if not (
+            isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
+            and arr.flags.owndata and not arr.flags.writeable
+        ):
+            arr = np.array(arr, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigError("values must be a nonempty 1-D array")
         if not np.all(np.isfinite(arr)):
@@ -187,6 +199,12 @@ class TimeSeries:
     @property
     def t_end(self) -> float:
         return self.t0 + self.dt * (self.values.size - 1)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """values made read-only, so a TimeSeries adopts it without a copy."""
+    values.flags.writeable = False
+    return values
 
 
 def drive_epsilon(t, p: DriveParams):
@@ -398,7 +416,7 @@ def propagate_exact(
     psi0 : QubitState
         State at t = 0.
     t_end : float
-        Final time, > 0.
+        Final time, > 0.  The run may record at most 10^8 samples.
     steps_per_period : int
         Substeps per drive period, >= 16 (default 256).  The substep is
         h = t_end / n with n = t_end/T * steps_per_period, rounded up
@@ -436,6 +454,8 @@ def propagate_exact(
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError(f"t_end must be positive, got {t_end!r}")
     n, aligned = _substep_count(p, t_end, steps_per_period)
+    if n + 1 > _MAX_SAMPLES:
+        raise ConfigError(f"a run of {n + 1} samples exceeds the {_MAX_SAMPLES}-sample limit")
     h = t_end / n
     u0 = complex(psi0.up_amp)
     d0 = complex(psi0.down_amp)
@@ -452,7 +472,7 @@ def propagate_exact(
         if abs(norm2 - 1.0) > 1e-10:
             raise QuadratureError(f"norm drifted to {norm2!r}; integrator state corrupted")
     np.clip(out, 0.0, 1.0, out=out)
-    return TimeSeries(t0=0.0, dt=h, values=out)
+    return TimeSeries(t0=0.0, dt=h, values=_frozen(out))
 
 
 def propagate_linear_sweep(

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, _apply, _compose, _powers, _unitary
+from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, _apply, _compose, _frozen, _powers, _unitary
 from .errors import ConfigError, QuadratureError, RegimeError
 from .specfun import stokes_phase
 
@@ -380,7 +380,7 @@ def propagate_tm(p: DriveParams, psi0: QubitState, n_cycles: int) -> TimeSeries:
     _, t_c2 = crossing_times(p)
     u0, d0 = _apply(*_compose_cycle(cr, 0.5 * ph.theta_tilde_1, ph.theta_tilde_2), psi0.up_amp, psi0.down_amp)
     u, _ = _powers(*_compose_cycle(cr, ph.theta_tilde_1, ph.theta_tilde_2), u0, d0, np.arange(n_cycles + 1))
-    return TimeSeries(t0=t_c2, dt=p.period, values=np.clip(u.real**2 + u.imag**2, 0.0, 1.0))
+    return TimeSeries(t0=t_c2, dt=p.period, values=_frozen(np.clip(u.real**2 + u.imag**2, 0.0, 1.0)))
 
 
 def tm_fast_frequency(p: DriveParams) -> float:

@@ -44,7 +44,6 @@ def test_synthetic_sine_frequency_and_amplitude():
     assert abs(est.omega_est - omega0) / omega0 < 1e-2
     assert abs(est.omega_est - omega0) < 5e-3
     assert abs(est.amplitude - 0.8) < 0.02
-    assert est.confidence > 100.0
     assert est.flags == ()
 
 
@@ -132,9 +131,9 @@ def test_extraction_invariant_under_sampling_refinement():
 
 def test_frequency_estimate_field_validation():
     with pytest.raises(ConfigError):
-        FrequencyEstimate(omega_est=-1.0, amplitude=0.5, confidence=1.0)
+        FrequencyEstimate(omega_est=-1.0, amplitude=0.5)
     with pytest.raises(ConfigError):
-        FrequencyEstimate(omega_est=1.0, amplitude=1.5, confidence=1.0)
+        FrequencyEstimate(omega_est=1.0, amplitude=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,6 @@ def test_scan_result_shape_validation():
             axis2=np.array([5.0]),
             omega_est=np.zeros((1, 2)),
             amplitude=good,
-            confidence=good,
             omega_rwa=good,
             omega_tm=good,
             slow_lhs=good,

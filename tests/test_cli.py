@@ -2,15 +2,18 @@
 
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from drivenqubit import __version__, dynamics
-from drivenqubit.cli import main
+from drivenqubit.cli import _COMMANDS, main
 from drivenqubit.dynamics import DriveParams, QubitState, propagate_exact
 from drivenqubit.errors import QuadratureError
 from drivenqubit.specfun import bessel_j0_zero, bessel_jn
+from drivenqubit.transfer_matrix import crossing_times, propagate_tm
 
 
 def _run(capsys, argv):
@@ -41,6 +44,15 @@ def test_unknown_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["cdt", "--omega", "5", "--eps0", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_help_lists_exactly_the_table_keys(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert flags == {f"--{key}" for key in _COMMANDS[command].keys} | {"--config", "--help"}
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +111,42 @@ def test_simulate_strobe_follows_the_crossing_check(capsys):
     assert out.splitlines()[0] == "t,P_up,P_up_tm"
     code, out, _ = _run(capsys, ["predict", *argv, "--format", "json"])
     assert code == 0 and json.loads(out)["tm"] is not None
+    code, out, _ = _run(capsys, ["classify", *argv])
+    assert code == 0 and out.splitlines()[1].split(",")[6] == "false"
     code, out, _ = _run(capsys, ["simulate", *argv, "--phi", "0.5", "--cycles", "3", "--steps-per-period", "64"])
     assert code == 0
     assert out.splitlines()[0] == "t,P_up"
+
+
+@pytest.mark.parametrize(
+    "eps0, amp, omega, delta",
+    [("5", "30", "5", "1"), ("1", "0.5", "4", "1"), ("5", "30", "5", "2.5")],
+    ids=["with-tm", "without-tm", "delta"],
+)
+def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, delta):
+    code, out, _ = _run(
+        capsys,
+        [
+            "simulate", "--eps0", eps0, "--amp", amp, "--omega", omega, "--delta", delta,
+            "--cycles", "3", "--steps-per-period", "64",
+        ],
+    )
+    assert code == 0
+    p = DriveParams(delta=1.0, epsilon0=float(eps0), amplitude=float(amp), omega=float(omega))
+    ts = propagate_exact(p, QubitState.up(), 3 * p.period, steps_per_period=64)
+    tm = {}
+    if p.amplitude > p.epsilon0:
+        _, t_c2 = crossing_times(p)
+        strobe = propagate_tm(p, QubitState.up(), int(math.floor((ts.t_end - t_c2) / p.period)))
+        for k, value in enumerate(strobe.values):
+            tm[int(round((strobe.t0 + k * strobe.dt) / ts.dt))] = f"{value:.17g}"
+    lines = ["t,P_up,P_up_tm" if tm else "t,P_up"]
+    for i, (t, value) in enumerate(zip(ts.times(), ts.values)):
+        row = [f"{t / float(delta):.17g}", f"{value:.17g}"]
+        if tm:
+            row.append(tm.get(i, ""))
+        lines.append(",".join(row))
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_simulate_json_mirror(capsys):
@@ -213,6 +258,28 @@ def test_scan_output_is_deterministic(capsys, tmp_path):
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
     assert b"\r" not in first.read_bytes()
+
+
+def test_scan_json_layout(capsys):
+    code, out, _ = _run(capsys, _SCAN_ARGS + ["--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "meta", "fixed", "axis1", "axis2", "omega_est", "amplitude", "omega_rwa", "omega_tm", "slow_lhs", "flags",
+    ]
+    assert list(payload["meta"]) == ["generated_by", "eps0", "amp", "omega", "delta", "steps-per-period", "axis1", "axis2"]
+
+
+def test_scan_takes_no_phase(capsys, tmp_path):
+    # Scan cells always run at phi = 0, so a phase is refused, not ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(_SCAN_ARGS + ["--phi", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --phi 0.5" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"phi": 0.5}))
+    code, out, err = _run(capsys, _SCAN_ARGS + ["--config", str(path)])
+    assert (code, out, err) == (2, "", "config error: unknown config keys for 'scan': phi\n")
 
 
 def test_scan_requires_both_axes(capsys):
@@ -358,12 +425,57 @@ def test_unwritable_out_path_is_a_config_error(capsys, tmp_path):
     assert not target.exists()
 
 
-def test_config_type_checking(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("steps-per-period", "many", "config key 'steps-per-period' must be an integer, got 'many'"),
+        ("eps0", "big", "config key 'eps0' must be a number, got 'big'"),
+        ("out", 5, "config key 'out' must be a string, got 5"),
+        # null stands only for "no value", so it is refused where a key has a default.
+        ("format", None, "config key 'format' must be a string, got None"),
+    ],
+    ids=["int", "float", "str", "null"],
+)
+def test_config_type_checking(capsys, tmp_path, key, value, message):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"steps-per-period": "many"}))
+    path.write_text(json.dumps({key: value}))
     code, _, err = _run(capsys, ["simulate", "--amp", "1", "--omega", "2", "--config", str(path)])
     assert code == 2
-    assert "must be an integer" in err
+    assert err == f"config error: {message}\n"
+
+
+def test_format_is_checked_once_for_flags_and_files(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"format": "xml"}))
+    expected = (2, "", "config error: format must be csv or json, got 'xml'\n")
+    assert _run(capsys, ["classify", "--format", "xml"]) == expected
+    assert _run(capsys, ["classify", "--config", str(path)]) == expected
+
+
+_HUGE = "1000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--amp", "1", "--omega", "2", "--cycles", _HUGE, "--steps-per-period", "64"],
+        ["simulate", "--amp", "1", "--omega", "2", "--steps-per-period", _HUGE],
+        _SCAN_ARGS[:-1] + [_HUGE],
+        _WIDTH_ARGS[:-4] + ["--omega-points", _HUGE, "--steps-per-period", "32"],
+    ],
+    ids=["cycles", "steps-per-period", "scan-steps-per-period", "omega-points"],
+)
+def test_oversized_counts_are_config_errors(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:")
+    # Refused before any sample array is allocated.
+    assert peak < 4 * 2**20
 
 
 def test_delta_rescales_times_and_frequencies(capsys):
@@ -386,6 +498,22 @@ def test_delta_rescales_times_and_frequencies(capsys):
     assert doubled["tm"]["omega_osc"] == pytest.approx(2.0 * ref["tm"]["omega_osc"], rel=1e-15)
     # Angles are dimensionless.
     assert doubled["tm"]["theta_fc"] == ref["tm"]["theta_fc"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--eps0", "5", "--amp", "30", "--omega", "5", "--cycles", "3", "--steps-per-period", "64"],
+        _SCAN_ARGS + ["--format", "json"],
+    ],
+    ids=["simulate-csv", "scan-json"],
+)
+def test_out_file_bytes_match_stdout(capsys, tmp_path, argv):
+    target = tmp_path / "out"
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert _run(capsys, argv + ["--out", str(target)])[:2] == (0, "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Propagator checks: closed-form limits, unitarity, convergence order."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,28 @@ def test_timeseries_grid():
     assert ts.dt == pytest.approx(2.5 * p.period / (len(ts) - 1))
     assert ts.t_end == pytest.approx(2.5 * p.period)
     assert ts.values[0] == pytest.approx(1.0)
+
+
+def test_timeseries_holds_a_propagated_trace_once():
+    # 8192 periods x 256 = 2 097 153 samples, 16 MB: the series adopts the
+    # propagator's fresh read-only array instead of copying it.
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    tracemalloc.start()
+    try:
+        ts = propagate_exact(p, QubitState.up(), 8192 * p.period, steps_per_period=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 8192 * 256 + 1
+    assert peak < 1.5 * ts.values.nbytes
+
+
+def test_timeseries_copies_a_writeable_array():
+    values = np.full(8, 0.5)
+    ts = TimeSeries(0.0, 0.1, values)
+    values[0] = 0.9
+    assert ts.values[0] == 0.5
+    assert not ts.values.flags.writeable
 
 
 def test_whole_periods_give_period_aligned_grid():
