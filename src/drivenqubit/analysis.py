@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (
-    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _apply, _frozen, _powers, evolution_operator, propagate_exact,
+    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _check_steps_per_period, _stroboscope, evolution_operator,
+    propagate_exact,
 )
 from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
 from .rwa import rwa_predict
@@ -121,8 +122,7 @@ class ScanConfig:
     max_drive_periods: int = 5000
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.steps_per_period, int) and self.steps_per_period >= 16):
-            raise ConfigError(f"steps_per_period must be an integer >= 16, got {self.steps_per_period!r}")
+        _check_steps_per_period(self.steps_per_period)
         if not (math.isfinite(self.target_slow_periods) and self.target_slow_periods >= 1.0):
             raise ConfigError(f"target_slow_periods must be >= 1, got {self.target_slow_periods!r}")
         if not (isinstance(self.min_drive_periods, int) and self.min_drive_periods >= 2):
@@ -531,8 +531,6 @@ def stroboscopic_exact(
     operator, never k repeated multiplications, so rounding does not grow
     with k and does not limit n_cycles.
     """
-    if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
-        raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
     if not (0.0 < settle_fraction < 1.0):
         raise ConfigError(f"settle_fraction must lie in (0, 1), got {settle_fraction!r}")
     t_c1, t_c2 = crossing_times(p)
@@ -540,6 +538,4 @@ def stroboscopic_exact(
     t0 = t_c2 + settle_fraction * gap
     u_pre = evolution_operator(p, 0.0, t0, steps_per_period=steps_per_period)
     u_cycle = evolution_operator(p, t0, t0 + p.period, steps_per_period=steps_per_period)
-    u0, d0 = _apply(u_pre.u11, u_pre.u12, psi0.up_amp, psi0.down_amp)
-    u, _ = _powers(u_cycle.u11, u_cycle.u12, u0, d0, np.arange(n_cycles + 1))
-    return TimeSeries(t0=t0, dt=p.period, values=_frozen(np.clip(u.real**2 + u.imag**2, 0.0, 1.0)))
+    return _stroboscope(psi0, (u_pre.u11, u_pre.u12), (u_cycle.u11, u_cycle.u12), n_cycles, t0, p.period)

@@ -96,10 +96,10 @@ def _rows(header: str, pattern: str, *columns: Sequence[Any]) -> Iterator[str]:
     yield from map(pattern.__mod__, zip(*columns))
 
 
-def _json(cfg: dict[str, Any], body: dict[str, Any], *skip: str) -> list[str]:
-    """The JSON document of body after a ``meta`` block of the run's keys, except skip."""
+def _json(cfg: dict[str, Any], body: dict[str, Any]) -> list[str]:
+    """The JSON document of body after a ``meta`` block of the run's keys."""
     meta = {"generated_by": f"drivenqubit {__version__}"}
-    meta.update((k, v) for k, v in cfg.items() if k not in ("out", "format", *skip))
+    meta.update((k, v) for k, v in cfg.items() if k not in ("out", "format"))
     return [json.dumps({"meta": meta, **body}, indent=2) + "\n"]
 
 
@@ -342,8 +342,7 @@ def cmd_width(cfg: dict[str, Any]) -> Iterable[str]:
     hwhm = measure_resonance_width(p, cfg["n"], grid, ScanConfig(steps_per_period=cfg["steps-per-period"]))
     hwhm *= cfg["delta"]
     if cfg["format"] == "json":
-        # width's meta block omits steps-per-period, as it always has.
-        return _json(cfg, {"n": cfg["n"], "hwhm": hwhm}, "steps-per-period")
+        return _json(cfg, {"n": cfg["n"], "hwhm": hwhm})
     return _rows("n,hwhm", "%d,%.17g\n", [cfg["n"]], [hwhm])
 
 
@@ -353,7 +352,9 @@ class _Command(NamedTuple):
     keys: tuple[str, ...]
 
 
-_DRIVE = ("eps0", "amp", "omega", "phi", "delta")
+# predict and scan run at phi = 0 and classify does not depend on it, so they take no phase.
+_DRIVE = ("eps0", "amp", "omega", "delta")
+_PHASED_DRIVE = ("eps0", "amp", "omega", "phi", "delta")
 _OUTPUT = ("out", "format")
 
 # Every subcommand once.  Its keys are its flags and config-file keys, in
@@ -361,18 +362,18 @@ _OUTPUT = ("out", "format")
 _COMMANDS: dict[str, _Command] = {
     "simulate": _Command(
         cmd_simulate, "exact P_up trace (with TM strobe column when applicable)",
-        _DRIVE + ("cycles", "steps-per-period") + _OUTPUT,
+        _PHASED_DRIVE + ("cycles", "steps-per-period") + _OUTPUT,
     ),
     "predict": _Command(cmd_predict, "RWA + transfer-matrix resonance report (JSON)", _DRIVE + _OUTPUT),
     "scan": _Command(
         cmd_scan, "2-D resonance map over two drive parameters",
-        ("eps0", "amp", "omega", "delta", "steps-per-period", "axis1", "axis2") + _OUTPUT,
+        _DRIVE + ("steps-per-period", "axis1", "axis2") + _OUTPUT,
     ),
     "classify": _Command(cmd_classify, "validity-region label for a parameter point", _DRIVE + _OUTPUT),
     "cdt": _Command(cmd_cdt, "tunnelling-suppression drive amplitudes for a given omega", ("omega", "delta") + _OUTPUT),
     "width": _Command(
         cmd_width, "measured HWHM of a resonance versus drive frequency",
-        _DRIVE + ("n", "omega-min", "omega-max", "omega-points", "steps-per-period") + _OUTPUT,
+        _PHASED_DRIVE + ("n", "omega-min", "omega-max", "omega-points", "steps-per-period") + _OUTPUT,
     ),
 }
 

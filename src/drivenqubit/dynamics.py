@@ -15,17 +15,16 @@ at the substep midpoint.  Every factor is exactly unitary up to rounding
 and has the SU(2) form [[a, b], [-conj(b), conj(a)]]; the
 time-discretization error is second order in the substep.
 
-Factors are composed as (a, b) pairs by a vectorised log-depth scan, never
-one substep at a time.  On a period-aligned grid H(t + T) = H(t) makes every
-period apply the same factors, so ``propagate_exact`` builds one period,
-takes its product U_T and reaches the period boundaries with the closed-form
-power U_T^k (Floquet composition).  Other grids, ``evolution_operator`` and
-``propagate_linear_sweep`` compose all their factors block by block.
-
-One closed-form power, ``_powers``, applies a cycle k times for every
-stroboscopic path: ``propagate_exact``, ``propagate_tm`` (the transfer-matrix
-cycle) and ``stroboscopic_exact`` (the exact one-cycle operator).  No path
-powers a cycle by repeated multiplication, so rounding does not limit run length.
+Factors are composed as (a, b) pairs by a vectorised log-depth scan in two
+helpers.  The walker ``_walk`` carries a state through n substeps in blocks
+of at most ``_CHUNK`` factors; it serves ``evolution_operator``,
+``propagate_linear_sweep`` and ``propagate_exact`` off the Floquet path.
+The sampler ``_sample`` fills a trace from one cycle's prefixes and the
+closed-form power U^k of the cycle: for ``propagate_exact`` on a
+period-aligned grid of at most ``_CHUNK`` substeps per period (H(t + T) =
+H(t), so one period serves all), and once per cycle for ``propagate_tm``
+and ``stroboscopic_exact``.  No cycle is powered by repeated
+multiplication, and ``_check_norm`` holds the one 1e-10 norm bound.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 _NORM_TOL = 1e-12
 
-# Factor tables and sample blocks hold at most this many entries (one block
-# of substeps, or whole periods of samples on the Floquet path), so a long
-# run never materializes its whole substep table at once.
+# Factor tables and sample blocks hold at most this many entries (a block of
+# substeps, or whole periods of samples on the Floquet path, which needs
+# steps_per_period <= _CHUNK), so no run builds its whole substep table.
 _CHUNK = 1 << 16
 
 # Largest trace propagate_exact records (0.8 GB of float64); longer runs are
@@ -202,7 +201,8 @@ class TimeSeries:
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
-    """values made read-only, so a TimeSeries adopts it without a copy."""
+    """Probabilities clipped to [0, 1] in place and made read-only, so a TimeSeries adopts them without a copy."""
+    np.clip(values, 0.0, 1.0, out=values)
     values.flags.writeable = False
     return values
 
@@ -288,26 +288,6 @@ def _running_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return wa, wb
 
 
-def _block_products(eps_of, delta: float, t_start: float, h: float, n: int):
-    """Yield (i0, wa, wb) for each block of at most _CHUNK substeps from t_start.
-
-    Substep i covers [t_start + i h, t_start + (i+1) h] with the bias
-    eps_of(t) frozen at its midpoint; (wa, wb) are the running products of
-    the block's factors, so wa[-1], wb[-1] is the whole block.
-    """
-    for i0 in range(0, n, _CHUNK):
-        t_mid = t_start + h * (np.arange(i0, min(i0 + _CHUNK, n)) + 0.5)
-        yield (i0, *_running_products(*_step_entries(eps_of(t_mid), delta, h)))
-
-
-def _product(eps_of, delta: float, t_start: float, h: float, n: int) -> tuple[complex, complex]:
-    """(a, b) of the composed midpoint propagator over n substeps from t_start."""
-    ua, ub = 1.0 + 0.0j, 0.0j
-    for _, wa, wb in _block_products(eps_of, delta, t_start, h, n):
-        ua, ub = _compose(complex(wa[-1]), complex(wb[-1]), ua, ub)
-    return ua, ub
-
-
 def _apply(a, b, u, d):
     """State (u, d) after the SU(2) pair (a, b)."""
     return a * u + b * d, -b.conjugate() * u + a.conjugate() * d
@@ -320,6 +300,35 @@ def _up_probability(a, b, u, d, out: np.ndarray) -> None:
     out += np.square(amp.imag)
 
 
+def _check_norm(u: complex, d: complex, span: str = "") -> None:
+    """Raise QuadratureError if |u|^2 + |d|^2 drifts from 1 by more than 1e-10 (over span)."""
+    norm2 = u.real * u.real + u.imag * u.imag + d.real * d.real + d.imag * d.imag
+    if abs(norm2 - 1.0) > 1e-10:
+        raise QuadratureError(f"norm drifted to {norm2!r}{span}; integrator state corrupted")
+
+
+def _check_steps_per_period(steps_per_period) -> None:
+    """Raise ConfigError unless steps_per_period is an int (not a bool) >= 16."""
+    if not isinstance(steps_per_period, int) or isinstance(steps_per_period, bool) or steps_per_period < 16:
+        raise ConfigError(f"steps_per_period must be an integer >= 16, got {steps_per_period!r}")
+
+
+def _walk(eps_of, delta: float, t_start: float, h: float, n: int, u: complex, d: complex, out=None):
+    """State (u, d) after n midpoint substeps of length h from t_start, bias eps_of(t).
+
+    Factors are built and scanned in blocks of at most _CHUNK.  If out is
+    given, out[i] = P_up after substep i + 1.  The final norm is checked.
+    """
+    for i0 in range(0, n, _CHUNK):
+        t_mid = t_start + h * (np.arange(i0, min(i0 + _CHUNK, n)) + 0.5)
+        wa, wb = _running_products(*_step_entries(eps_of(t_mid), delta, h))
+        if out is not None:
+            _up_probability(wa, wb, u, d, out[i0 : i0 + wa.size])
+        u, d = _apply(complex(wa[-1]), complex(wb[-1]), u, d)
+    _check_norm(u, d)
+    return u, d
+
+
 def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """States (u_k, d_k) = U^k (u0, d0) for the one-cycle SU(2) pair U = (ua, ub).
 
@@ -327,14 +336,11 @@ def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -
     hypot(Im ua, |ub|)), so U^k = cos(k lambda) I + sin(k lambda)/sin(lambda)
     (U - cos(lambda) I) for every integer k in the array: exactly unitary
     however large k is, where repeated multiplication would round k times.
-    Every stroboscopic path powers its cycle here.
 
     Raises QuadratureError if |ua|^2 + |ub|^2 drifts from 1 by more than
     1e-10: the cycle itself is then not unitary.
     """
-    norm2 = ua.real * ua.real + ua.imag * ua.imag + ub.real * ub.real + ub.imag * ub.imag
-    if abs(norm2 - 1.0) > 1e-10:
-        raise QuadratureError(f"norm drifted to {norm2!r} over one period; integrator state corrupted")
+    _check_norm(ua, ub, " over one period")
     sin_l = math.hypot(ua.imag, abs(ub))
     lam = math.atan2(sin_l, ua.real)
     # (U - cos(lambda) I) psi0 / sin(lambda); U = +-I when sin(lambda) = 0.
@@ -346,30 +352,37 @@ def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -
     return c * u0 + s * gu, c * d0 + s * gd
 
 
-def _floquet_samples(p: DriveParams, h: float, spp: int, u0: complex, d0: complex, out: np.ndarray) -> None:
-    """Fill out[i] = P_up(i h) from (u0, d0) on a period-aligned grid, h = T/spp.
+def _sample(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex, out: np.ndarray) -> None:
+    """Fill out[k m + j] = P_up of W_j U^k (u0, d0) for every index of out.
 
-    Builds one period's factors and their prefixes W_j, takes U_T = W_spp
-    and powers it with _powers (see propagate_exact); rows of periods are
-    written in blocks of at most _CHUNK samples.
+    (wa, wb) are the m prefixes W_0 = I, ..., W_{m-1} of one cycle U = (ua, ub);
+    rows of cycles are written in blocks of at most _CHUNK samples.
     """
-    wa, wb = _running_products(*_step_entries(drive_epsilon(h * (np.arange(spp) + 0.5), p), p.delta, h))
-    ua, ub = complex(wa[-1]), complex(wb[-1])
-    # Prefixes W_0 = I, W_1, ..., W_{spp-1}: the samples within a period.
-    wa = np.concatenate(([1.0 + 0.0j], wa[:-1]))
-    wb = np.concatenate(([0.0j], wb[:-1]))
-    periods, r = divmod(out.size - 1, spp)
-    grid = out[: periods * spp].reshape(periods, spp)
-    rows = max(1, _CHUNK // spp)
-    for k0 in range(0, periods + 1, rows):
-        k = np.arange(k0, min(k0 + rows, periods + 1))
-        u, d = _powers(ua, ub, u0, d0, k)
-        u, d = u[:, None], d[:, None]
-        if k[-1] == periods:
-            # The last period boundary and the partial period after it.
-            _up_probability(wa[: r + 1], wb[: r + 1], u[-1], d[-1], out[periods * spp :])
+    m = wa.size
+    cycles, r = divmod(out.size - 1, m)
+    grid = out[: cycles * m].reshape(cycles, m)
+    rows = max(1, _CHUNK // m)
+    for k0 in range(0, cycles + 1, rows):
+        k = np.arange(k0, min(k0 + rows, cycles + 1))
+        u, d = _powers(ua, ub, u0, d0, k[:, None])
+        if k[-1] == cycles:
+            # The last cycle boundary and the partial cycle after it.
+            _up_probability(wa[: r + 1], wb[: r + 1], u[-1], d[-1], out[cycles * m :])
             u, d = u[:-1], d[:-1]
         _up_probability(wa, wb, u, d, grid[k0 : k0 + len(u)])
+
+
+def _stroboscope(psi0: QubitState, pre, cycle, n_cycles: int, t0: float, dt: float) -> TimeSeries:
+    """P_up of psi0 after the SU(2) pair pre and then k = 0..n_cycles cycles, from t0, dt apart.
+
+    The state after k cycles is the closed-form power of cycle, so rounding does not limit n_cycles.
+    """
+    if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
+        raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
+    out = np.empty(n_cycles + 1)
+    u0, d0 = _apply(*pre, psi0.up_amp, psi0.down_amp)
+    _sample(np.ones(1, complex), np.zeros(1, complex), *cycle, u0, d0, out)
+    return TimeSeries(t0=t0, dt=dt, values=_frozen(out))
 
 
 def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> tuple[int, bool]:
@@ -380,8 +393,9 @@ def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> tu
     period-aligned (True).  Rounding can push the ratio for a whole number
     of periods just above an integer, and its ceiling would add a substep
     and move every sample off the period grid.  Any other ratio is rounded
-    up (False).
+    up (False).  steps_per_period must be an int >= 16 (ConfigError).
     """
+    _check_steps_per_period(steps_per_period)
     x = duration / p.period * steps_per_period
     n = round(x)
     if n >= 1 and abs(x - n) <= 4.0 * math.ulp(x):
@@ -393,13 +407,11 @@ def evolution_operator(
     p: DriveParams, t_start: float, t_end: float, steps_per_period: int = 256
 ) -> Unitary2:
     """Composed midpoint propagator from t_start to t_end (t_end > t_start)."""
-    if steps_per_period < 16:
-        raise ConfigError(f"steps_per_period must be >= 16, got {steps_per_period}")
     if not t_end > t_start:
         raise ConfigError(f"need t_end > t_start, got [{t_start}, {t_end}]")
     n, _ = _substep_count(p, t_end - t_start, steps_per_period)
-    ua, ub = _product(lambda t: drive_epsilon(t, p), p.delta, t_start, (t_end - t_start) / n, n)
-    return _unitary(ua, ub)
+    u, d = _walk(lambda t: drive_epsilon(t, p), p.delta, t_start, (t_end - t_start) / n, n, 1.0 + 0.0j, 0.0j)
+    return _unitary(u, -d.conjugate())  # U |up> = (a, -conj(b)) for the pair (a, b) of U
 
 
 def propagate_exact(
@@ -431,47 +443,41 @@ def propagate_exact(
     Notes
     -----
     When n is an integer the grid is period-aligned: h = T/steps_per_period
-    and H(t + T) = H(t), so every period applies the same factors.  Only
-    one period's factors F_1..F_spp are built; their running products
-    W_j (W_0 = I) come from a log-depth scan and U_T = W_spp.  U_T is in
+    and H(t + T) = H(t), so every period applies the same factors.  With
+    steps_per_period <= 65536 only one period's factors F_1..F_spp are
+    built; their running products W_j (W_0 = I) give U_T = W_spp.  U_T is in
     SU(2) form with eigenphases +-lambda (cos lambda = Re u11, sin lambda
     = hypot(Im u11, |u12|)), so the period-boundary states follow in
     closed form, psi_k = U_T^k psi0 = cos(k lambda) psi0
     + sin(k lambda) (U_T - cos lambda I) psi0 / sin lambda, exactly unitary
     for every k, and P_up(kT + jh) = |[W_j psi_k]_up|^2.  A partial last
     period uses the first r prefixes.  U_T is never powered by repeated
-    multiplication, whose rounding compounds over the periods.  Any other
-    t_end composes all n factors block by block with the same scan.
+    multiplication, whose rounding compounds over the periods.  Every
+    other run composes all n factors block by block with the same scan.
 
     Raises
     ------
     QuadratureError
         If norm^2 drifts from 1 by more than 1e-10: over one period U_T
-        on a period-aligned grid, else the final state.
+        when one period is powered, else the final state.
     """
-    if steps_per_period < 16:
-        raise ConfigError(f"steps_per_period must be >= 16, got {steps_per_period}")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError(f"t_end must be positive, got {t_end!r}")
     n, aligned = _substep_count(p, t_end, steps_per_period)
     if n + 1 > _MAX_SAMPLES:
         raise ConfigError(f"a run of {n + 1} samples exceeds the {_MAX_SAMPLES}-sample limit")
     h = t_end / n
-    u0 = complex(psi0.up_amp)
-    d0 = complex(psi0.down_amp)
+    u0, d0 = psi0.up_amp, psi0.down_amp
     out = np.empty(n + 1)
-    if aligned:
-        _floquet_samples(p, h, steps_per_period, u0, d0, out)
+    if aligned and steps_per_period <= _CHUNK:
+        t_mid = h * (np.arange(steps_per_period) + 0.5)
+        wa, wb = _running_products(*_step_entries(drive_epsilon(t_mid, p), p.delta, h))
+        # Prefixes W_0 = I, ..., W_{spp-1} (the samples within a period), then U_T = W_spp.
+        prefixes = np.concatenate(([1.0 + 0.0j], wa[:-1])), np.concatenate(([0.0j], wb[:-1]))
+        _sample(*prefixes, complex(wa[-1]), complex(wb[-1]), u0, d0, out)
     else:
         out[0] = u0.real * u0.real + u0.imag * u0.imag
-        cu, cd = u0, d0
-        for i0, wa, wb in _block_products(lambda t: drive_epsilon(t, p), p.delta, 0.0, h, n):
-            _up_probability(wa, wb, cu, cd, out[i0 + 1 : i0 + 1 + wa.size])
-            cu, cd = _apply(complex(wa[-1]), complex(wb[-1]), cu, cd)
-        norm2 = cu.real * cu.real + cu.imag * cu.imag + cd.real * cd.real + cd.imag * cd.imag
-        if abs(norm2 - 1.0) > 1e-10:
-            raise QuadratureError(f"norm drifted to {norm2!r}; integrator state corrupted")
-    np.clip(out, 0.0, 1.0, out=out)
+        _walk(lambda t: drive_epsilon(t, p), p.delta, 0.0, h, n, u0, d0, out[1:])
     return TimeSeries(t0=0.0, dt=h, values=_frozen(out))
 
 
@@ -498,5 +504,5 @@ def propagate_linear_sweep(
         raise ConfigError(f"span must be positive, got {span!r}")
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ConfigError(f"delta must be nonnegative, got {delta!r}")
-    a, b = _product(lambda t: v * t, delta, -span / v, 2.0 * span / (v * steps), steps)
-    return QubitState(*_apply(a, b, complex(psi0.up_amp), complex(psi0.down_amp)))
+    h = 2.0 * span / (v * steps)
+    return QubitState(*_walk(lambda t: v * t, delta, -span / v, h, steps, psi0.up_amp, psi0.down_amp))

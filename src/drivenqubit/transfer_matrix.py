@@ -45,10 +45,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, _apply, _compose, _frozen, _powers, _unitary
+from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, _compose, _stroboscope, _unitary
 from .errors import ConfigError, QuadratureError, RegimeError
 from .specfun import stokes_phase
 
@@ -373,14 +372,12 @@ def propagate_tm(p: DriveParams, psi0: QubitState, n_cycles: int) -> TimeSeries:
     every stroboscopic path, never k repeated multiplications, so rounding
     does not grow with k and does not limit n_cycles.
     """
-    if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
-        raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
     cr = lz_crossing(p)
     ph = cycle_phases(p)
     _, t_c2 = crossing_times(p)
-    u0, d0 = _apply(*_compose_cycle(cr, 0.5 * ph.theta_tilde_1, ph.theta_tilde_2), psi0.up_amp, psi0.down_amp)
-    u, _ = _powers(*_compose_cycle(cr, ph.theta_tilde_1, ph.theta_tilde_2), u0, d0, np.arange(n_cycles + 1))
-    return TimeSeries(t0=t_c2, dt=p.period, values=_frozen(np.clip(u.real**2 + u.imag**2, 0.0, 1.0)))
+    prelude = _compose_cycle(cr, 0.5 * ph.theta_tilde_1, ph.theta_tilde_2)
+    cycle = _compose_cycle(cr, ph.theta_tilde_1, ph.theta_tilde_2)
+    return _stroboscope(psi0, prelude, cycle, n_cycles, t_c2, p.period)
 
 
 def tm_fast_frequency(p: DriveParams) -> float:

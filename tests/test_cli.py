@@ -195,11 +195,19 @@ def test_predict_needs_crossings(capsys):
     assert "regime error" in err
 
 
-def test_predict_needs_zero_phase(capsys):
-    code, _, err = _run(
-        capsys, ["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--phi", "0.5", "--format", "json"]
-    )
-    assert code == 3
+def test_predict_and_classify_take_no_phase(capsys, tmp_path):
+    # predict runs only at phi = 0 and classify does not depend on phi, so
+    # a phase is refused, not ignored.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"phi": 0.5}))
+    for command in ("predict", "classify"):
+        argv = [command, "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--phi", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --phi 0.5" in capsys.readouterr().err
+        code, out, err = _run(capsys, argv + ["--config", str(path)])
+        assert (code, out, err) == (2, "", f"config error: unknown config keys for {command!r}: phi\n")
 
 
 def test_predict_numerical_failure_exits_4(capsys):
@@ -364,6 +372,14 @@ def test_width_reports_hwhm(capsys):
     payload = json.loads(out)
     assert payload["n"] == 1
     assert 0.3 < payload["hwhm"] < 1.0
+
+
+def test_width_meta_lists_every_run_key(capsys):
+    code, out, _ = _run(capsys, _WIDTH_ARGS + ["--format", "json"])
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert list(meta) == ["generated_by", *(k for k in _COMMANDS["width"].keys if k not in ("out", "format"))]
+    assert meta["steps-per-period"] == 32
 
 
 def test_width_requires_sweep_arguments(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivenqubit import dynamics
+from drivenqubit.analysis import ScanConfig
 from drivenqubit.dynamics import (
     DriveParams,
     QubitState,
@@ -186,6 +187,20 @@ def test_timeseries_holds_a_propagated_trace_once():
         tracemalloc.stop()
     assert len(ts) == 8192 * 256 + 1
     assert peak < 1.5 * ts.values.nbytes
+
+
+def test_one_long_period_walks_in_blocks():
+    # One period of 10^6 substeps (8 MB trace) is past the Floquet path's
+    # one-block limit, so the walker builds at most _CHUNK factors at a time.
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    tracemalloc.start()
+    try:
+        ts = propagate_exact(p, QubitState.up(), p.period, steps_per_period=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 10**6 + 1
+    assert peak < 3 * ts.values.nbytes
 
 
 def test_timeseries_copies_a_writeable_array():
@@ -401,6 +416,8 @@ def test_norm_guard_on_both_grids(monkeypatch):
     for cycles in (3.0, 3.3):
         with pytest.raises(QuadratureError, match="norm drifted"):
             propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=16)
+    with pytest.raises(QuadratureError, match="norm drifted"):
+        evolution_operator(p, 0.0, 3.0 * p.period, steps_per_period=16)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +485,22 @@ def test_timeseries_rejects_bad_values():
         TimeSeries(0.0, -0.1, np.array([0.5, 0.5]))
     with pytest.raises(ConfigError):
         TimeSeries(0.0, 0.1, np.array([]))
+
+
+@pytest.mark.parametrize("steps_per_period", [32.0, 16.5, True, "32"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, spp: propagate_exact(p, QubitState.up(), 2.0 * p.period, steps_per_period=spp),
+        lambda p, spp: evolution_operator(p, 0.0, p.period, steps_per_period=spp),
+        lambda p, spp: ScanConfig(steps_per_period=spp),
+    ],
+    ids=["propagate_exact", "evolution_operator", "ScanConfig"],
+)
+def test_steps_per_period_must_be_an_integer(call, steps_per_period):
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    with pytest.raises(ConfigError, match="steps_per_period must be an integer >= 16"):
+        call(p, steps_per_period)
 
 
 def test_propagate_rejects_bad_grid():

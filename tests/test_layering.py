@@ -1,0 +1,20 @@
+"""Layering: the SU(2) state helpers of dynamics stay private to it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import drivenqubit
+
+_PACKAGE = Path(drivenqubit.__file__).parent
+_PRIVATE = {"_apply", "_powers", "_frozen"}
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in _PACKAGE.glob("*.py")))
+def test_no_module_imports_the_state_helpers(module):
+    # Every stroboscopic path reaches them through dynamics' walker and
+    # sampler, never by importing them.
+    tree = ast.parse((_PACKAGE / module).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & _PRIVATE
