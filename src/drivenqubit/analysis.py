@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (
-    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _check_steps_per_period, _stroboscope, evolution_operator,
+    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _count, _positive, _stroboscope, evolution_operator,
     propagate_exact,
 )
 from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
@@ -122,13 +122,10 @@ class ScanConfig:
     max_drive_periods: int = 5000
 
     def __post_init__(self) -> None:
-        _check_steps_per_period(self.steps_per_period)
-        if not (math.isfinite(self.target_slow_periods) and self.target_slow_periods >= 1.0):
+        _count("steps_per_period", self.steps_per_period, 16)
+        if _positive("target_slow_periods", self.target_slow_periods) < 1.0:
             raise ConfigError(f"target_slow_periods must be >= 1, got {self.target_slow_periods!r}")
-        if not (isinstance(self.min_drive_periods, int) and self.min_drive_periods >= 2):
-            raise ConfigError(f"min_drive_periods must be an integer >= 2, got {self.min_drive_periods!r}")
-        if not (isinstance(self.max_drive_periods, int) and self.max_drive_periods >= self.min_drive_periods):
-            raise ConfigError("max_drive_periods must be >= min_drive_periods")
+        _count("max_drive_periods", self.max_drive_periods, _count("min_drive_periods", self.min_drive_periods, 2))
         if self.max_drive_periods * self.steps_per_period + 1 > _MAX_SAMPLES:
             raise ConfigError(
                 f"{self.max_drive_periods} periods of {self.steps_per_period} steps exceed the "
@@ -197,9 +194,7 @@ def extract_frequency(
         raise InsufficientDataError(f"need at least {_MIN_SAMPLES} samples, got {len(values)}")
     dt = ts.dt
     if drive_period is not None:
-        if not (math.isfinite(drive_period) and drive_period > 0.0):
-            raise ConfigError(f"drive_period must be positive, got {drive_period!r}")
-        width = int(round(drive_period / dt))
+        width = int(round(_positive("drive_period", drive_period) / dt))
         if width >= 2:
             if len(values) < 2 * width:
                 raise InsufficientDataError(
@@ -468,8 +463,7 @@ def measure_resonance_width(
         The amplitude maximum sits on a grid edge, or a half-maximum
         crossing lies outside the grid.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"resonance index must be a positive integer, got {n!r}")
+    _count("resonance index n", n, 1)
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 5:
         raise ConfigError("omega_grid must be a 1-D grid with at least 5 points")

@@ -8,7 +8,8 @@ endings) and the JSON mirror carries a ``meta`` block whose sole
 provenance field is the package version.
 
 Exit codes: 0 success, 2 configuration error, 3 regime or bracketing
-error, 4 numerical failure.
+error, 4 numerical failure (an ArithmeticError such as an overflow
+included).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import __version__
 from .analysis import (
     _MAX_SCAN_CELLS, ScanConfig, classify_regime, measure_resonance_width, scan_resonance_map,
 )
-from .dynamics import DriveParams, QubitState, propagate_exact
+from .dynamics import _MAX_SAMPLES, DriveParams, QubitState, _count, _positive, propagate_exact
 from .errors import BracketError, ConfigError, InsufficientDataError, QuadratureError, RegimeError
 from .rwa import cdt_amplitudes, rwa_predict
 from .specfun import MAX_J0_ZERO_INDEX
@@ -36,7 +37,6 @@ from .transfer_matrix import (
     full_cycle_matrix,
     propagate_tm,
     tm_fast_resonance_check,
-    tm_slow_frequency,
     tm_slow_resonance_lhs,
 )
 
@@ -155,8 +155,7 @@ def _merge_config(args: argparse.Namespace) -> dict[str, Any]:
             cfg[key] = _KEYS[key].default
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    if not (isinstance(cfg["delta"], float) and math.isfinite(cfg["delta"]) and cfg["delta"] > 0):
-        raise ConfigError(f"delta must be a positive number, got {cfg['delta']!r}")
+    _positive("delta", cfg["delta"])
     return cfg
 
 
@@ -181,11 +180,7 @@ def _parse_axis(spec: str, label: str) -> tuple[str, np.ndarray]:
         start, stop, num = float(start_s), float(stop_s), int(num_s)
     except ValueError as exc:
         raise ConfigError(f"{label} has non-numeric fields: {spec!r}") from exc
-    if num < 1:
-        raise ConfigError(f"{label} point count must be >= 1, got {num}")
-    if num > _MAX_SCAN_CELLS:
-        raise ConfigError(f"{label} point count {num} exceeds the {_MAX_SCAN_CELLS}-cell scan guard")
-    return _PARAM_BY_FLAG[flag_name], np.linspace(start, stop, num)
+    return _PARAM_BY_FLAG[flag_name], np.linspace(start, stop, _count(f"{label} point count", num, 1, _MAX_SCAN_CELLS))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +188,7 @@ def _parse_axis(spec: str, label: str) -> tuple[str, np.ndarray]:
 
 def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
     p = _drive_params(cfg)
-    cycles = cfg["cycles"]
-    if not (isinstance(cycles, int) and cycles >= 1):
-        raise ConfigError(f"cycles must be a positive integer, got {cycles!r}")
+    cycles = _count("cycles", cfg["cycles"], 1, _MAX_SAMPLES)
     scale = cfg["delta"]
     ts = propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=cfg["steps-per-period"])
     t = (ts.times() / scale).tolist()
@@ -252,7 +245,7 @@ def cmd_predict(cfg: dict[str, Any]) -> Iterable[str]:
             "zeta_fc": deco.zeta_fc,
             "theta_fc": deco.theta_fc,
             "phi_fc": deco.phi_fc,
-            "omega_osc": tm_slow_frequency(p) * scale,
+            "omega_osc": p.omega * deco.zeta_fc / (2.0 * math.pi) * scale,
             "resonance_residual": residual,
         },
         "slow": {
@@ -329,16 +322,12 @@ def cmd_width(cfg: dict[str, Any]) -> Iterable[str]:
     for key in ("n", "omega-min", "omega-max", "omega-points"):
         if cfg[key] is None:
             raise ConfigError(f"width requires --{key}")
-    if not (isinstance(cfg["n"], int) and cfg["n"] >= 1):
-        raise ConfigError(f"n must be a positive integer, got {cfg['n']!r}")
-    if not (cfg["omega-min"] < cfg["omega-max"]):
-        raise ConfigError("omega-min must be less than omega-max")
-    if not (isinstance(cfg["omega-points"], int) and cfg["omega-points"] >= 5):
-        raise ConfigError(f"omega-points must be an integer >= 5, got {cfg['omega-points']!r}")
-    if cfg["omega-points"] > _MAX_SCAN_CELLS:
-        raise ConfigError(f"omega-points {cfg['omega-points']} exceeds the {_MAX_SCAN_CELLS}-cell scan guard")
     p = _drive_params(cfg)
-    grid = np.linspace(cfg["omega-min"], cfg["omega-max"], cfg["omega-points"])
+    grid = np.linspace(
+        _positive("omega-min", cfg["omega-min"]),
+        _positive("omega-max", cfg["omega-max"]),
+        _count("omega-points", cfg["omega-points"], 5, _MAX_SCAN_CELLS),
+    )
     hwhm = measure_resonance_width(p, cfg["n"], grid, ScanConfig(steps_per_period=cfg["steps-per-period"]))
     hwhm *= cfg["delta"]
     if cfg["format"] == "json":
@@ -405,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RegimeError, BracketError) as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, InsufficientDataError, ValueError) as exc:
+    except (QuadratureError, InsufficientDataError, ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
 

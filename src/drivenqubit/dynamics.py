@@ -62,6 +62,27 @@ _CHUNK = 1 << 16
 _MAX_SAMPLES = 10**8
 
 
+def _count(name: str, value, low: int, high: int | None = None) -> int:
+    """value if it is an int (not a bool) in [low, high] (high None: no upper bound), else ConfigError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    """value as a float if it is a finite number > 0 (not a bool), else ConfigError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
+def _nearest_integer(x: float) -> int:
+    """Integer nearest to x; a half-integer tie within 1e-12 goes to the smaller one."""
+    lo = math.floor(x)
+    return lo if (x - lo) - (lo + 1 - x) <= 1e-12 else lo + 1
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Drive and qubit parameters: bias eps(t) = epsilon0 + amplitude*cos(omega*t + phi).
@@ -83,10 +104,8 @@ class DriveParams:
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
             object.__setattr__(self, name, float(v))
-        if self.delta <= 0.0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
-        if self.omega <= 0.0:
-            raise ConfigError(f"omega must be positive, got {self.omega}")
+        _positive("delta", self.delta)
+        _positive("omega", self.omega)
         if self.amplitude < 0.0:
             raise ConfigError(f"amplitude must be nonnegative, got {self.amplitude}")
         if self.epsilon0 < 0.0:
@@ -169,8 +188,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
+        _positive("dt", self.dt)
         arr = self.values
         # A read-only float64 array that owns its data, as every propagator
         # hands over, is adopted as is; any other input is copied, so a
@@ -245,8 +263,7 @@ def _step_entries(eps_mid: np.ndarray, delta: float, h: float) -> tuple[np.ndarr
 
 def step_unitary(t: float, h: float, p: DriveParams) -> Unitary2:
     """One exponential-midpoint substep covering [t, t + h]."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ConfigError(f"step size must be positive, got {h!r}")
+    _positive("step size", h)
     u11s, u12s = _step_entries(drive_epsilon([t + 0.5 * h], p), p.delta, h)
     return _unitary(complex(u11s[0]), complex(u12s[0]))
 
@@ -305,12 +322,6 @@ def _check_norm(u: complex, d: complex, span: str = "") -> None:
     norm2 = u.real * u.real + u.imag * u.imag + d.real * d.real + d.imag * d.imag
     if abs(norm2 - 1.0) > 1e-10:
         raise QuadratureError(f"norm drifted to {norm2!r}{span}; integrator state corrupted")
-
-
-def _check_steps_per_period(steps_per_period) -> None:
-    """Raise ConfigError unless steps_per_period is an int (not a bool) >= 16."""
-    if not isinstance(steps_per_period, int) or isinstance(steps_per_period, bool) or steps_per_period < 16:
-        raise ConfigError(f"steps_per_period must be an integer >= 16, got {steps_per_period!r}")
 
 
 def _walk(eps_of, delta: float, t_start: float, h: float, n: int, u: complex, d: complex, out=None):
@@ -377,9 +388,7 @@ def _stroboscope(psi0: QubitState, pre, cycle, n_cycles: int, t0: float, dt: flo
 
     The state after k cycles is the closed-form power of cycle, so rounding does not limit n_cycles.
     """
-    if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
-        raise ConfigError(f"n_cycles must be a positive integer, got {n_cycles!r}")
-    out = np.empty(n_cycles + 1)
+    out = np.empty(_count("n_cycles", n_cycles, 1, _MAX_SAMPLES - 1) + 1)
     u0, d0 = _apply(*pre, psi0.up_amp, psi0.down_amp)
     _sample(np.ones(1, complex), np.zeros(1, complex), *cycle, u0, d0, out)
     return TimeSeries(t0=t0, dt=dt, values=_frozen(out))
@@ -393,10 +402,10 @@ def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> tu
     period-aligned (True).  Rounding can push the ratio for a whole number
     of periods just above an integer, and its ceiling would add a substep
     and move every sample off the period grid.  Any other ratio is rounded
-    up (False).  steps_per_period must be an int >= 16 (ConfigError).
+    up (False).  duration must be positive and finite and steps_per_period
+    an int >= 16 (ConfigError).
     """
-    _check_steps_per_period(steps_per_period)
-    x = duration / p.period * steps_per_period
+    x = _positive("duration", duration) / p.period * _count("steps_per_period", steps_per_period, 16)
     n = round(x)
     if n >= 1 and abs(x - n) <= 4.0 * math.ulp(x):
         return n, True
@@ -407,8 +416,6 @@ def evolution_operator(
     p: DriveParams, t_start: float, t_end: float, steps_per_period: int = 256
 ) -> Unitary2:
     """Composed midpoint propagator from t_start to t_end (t_end > t_start)."""
-    if not t_end > t_start:
-        raise ConfigError(f"need t_end > t_start, got [{t_start}, {t_end}]")
     n, _ = _substep_count(p, t_end - t_start, steps_per_period)
     u, d = _walk(lambda t: drive_epsilon(t, p), p.delta, t_start, (t_end - t_start) / n, n, 1.0 + 0.0j, 0.0j)
     return _unitary(u, -d.conjugate())  # U |up> = (a, -conj(b)) for the pair (a, b) of U
@@ -461,8 +468,6 @@ def propagate_exact(
         If norm^2 drifts from 1 by more than 1e-10: over one period U_T
         when one period is powered, else the final state.
     """
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ConfigError(f"t_end must be positive, got {t_end!r}")
     n, aligned = _substep_count(p, t_end, steps_per_period)
     if n + 1 > _MAX_SAMPLES:
         raise ConfigError(f"a run of {n + 1} samples exceeds the {_MAX_SAMPLES}-sample limit")
@@ -494,15 +499,14 @@ def propagate_linear_sweep(
     +span/v) with the same midpoint-exponential rule as the harmonic
     propagator.  Used as the numerical reference for the single-crossing
     transition probability; span should be much larger than delta for
-    the asymptotic formulas to apply.
+    the asymptotic formulas to apply.  The final state is renormalised:
+    the walker's 1e-10 drift check guards it, and a long sweep may drift
+    past QubitState's 1e-12 bound within that.
     """
-    if steps < 1000:
-        raise ConfigError(f"steps must be >= 1000, got {steps}")
-    if not (math.isfinite(v) and v > 0.0):
-        raise ConfigError(f"sweep rate must be positive, got {v!r}")
-    if not (math.isfinite(span) and span > 0.0):
-        raise ConfigError(f"span must be positive, got {span!r}")
+    steps = _count("steps", steps, 1000)
+    v, span = _positive("sweep rate", v), _positive("span", span)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ConfigError(f"delta must be nonnegative, got {delta!r}")
-    h = 2.0 * span / (v * steps)
-    return QubitState(*_walk(lambda t: v * t, delta, -span / v, h, steps, psi0.up_amp, psi0.down_amp))
+    u, d = _walk(lambda t: v * t, delta, -span / v, 2.0 * span / (v * steps), steps, psi0.up_amp, psi0.down_amp)
+    norm = math.hypot(abs(u), abs(d))
+    return QubitState(u / norm, d / norm)

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DriveParams
-from .errors import ConfigError
-from .specfun import MAX_BESSEL_ORDER, MAX_J0_ZERO_INDEX, bessel_j0_zero, bessel_jn
+from .dynamics import DriveParams, _count, _nearest_integer, _positive
+from .specfun import MAX_J0_ZERO_INDEX, bessel_j0_zero, bessel_jn
 
 __all__ = [
     "RwaPrediction",
@@ -66,25 +65,19 @@ def rwa_resonant_index(p: DriveParams) -> int:
     """Integer n minimizing |n*omega + epsilon0|.
 
     For positive bias the resonant index is negative (n = -epsilon0/omega
-    at exact resonance); |n| is the photon number.  Exact half-integer
-    epsilon0/omega is a tie between two equally detuned resonances and is
-    broken toward the smaller |n|.
+    at exact resonance); |n| is the photon number.  A half-integer
+    epsilon0/omega (within 1e-12) is a tie between two equally detuned
+    resonances and is broken toward the smaller |n|.
     """
-    x = p.epsilon0 / p.omega
-    lo = math.floor(-x)
-    hi = lo + 1
-    d_lo = abs(lo * p.omega + p.epsilon0)
-    d_hi = abs(hi * p.omega + p.epsilon0)
-    if abs(d_lo - d_hi) <= 1e-12 * p.omega:
-        return hi if abs(hi) < abs(lo) else lo
-    return lo if d_lo < d_hi else hi
+    return -_nearest_integer(p.epsilon0 / p.omega)
 
 
 def rwa_frequency(p: DriveParams, n: int) -> float:
-    """On-resonance oscillation frequency Omega = delta*|J_n(A/omega)|."""
-    if abs(n) > MAX_BESSEL_ORDER:
-        raise ValueError(f"photon index |{n}| exceeds the validated Bessel range")
-    return p.delta * abs(bessel_jn(int(n), p.amplitude / p.omega))
+    """On-resonance oscillation frequency Omega = delta*|J_n(A/omega)|.
+
+    Raises ValueError unless n is an int (not a bool) with |n| <= 200.
+    """
+    return p.delta * abs(bessel_jn(n, p.amplitude / p.omega))
 
 
 def rwa_width(omega_osc: float, n: int) -> float:
@@ -106,11 +99,8 @@ def cdt_amplitudes(omega: float, k_max: int) -> list[float]:
     At epsilon0 = 0 the slow frequency is delta*|J_0(A/omega)|, so the
     first k_max zeros of J_0 mark the coherent-destruction points.
     """
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega > 0):
-        raise ConfigError(f"omega must be positive and finite, got {omega!r}")
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or not 1 <= k_max <= MAX_J0_ZERO_INDEX:
-        raise ConfigError(f"k_max must be an integer in [1, {MAX_J0_ZERO_INDEX}], got {k_max!r}")
-    return [omega * bessel_j0_zero(k) for k in range(1, k_max + 1)]
+    _positive("omega", omega)
+    return [omega * bessel_j0_zero(k) for k in range(1, _count("k_max", k_max, 1, MAX_J0_ZERO_INDEX) + 1)]
 
 
 def rabi_weak_driving(p: DriveParams) -> RabiPrediction:

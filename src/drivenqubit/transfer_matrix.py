@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 from scipy.integrate import quad
 
-from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, _compose, _stroboscope, _unitary
+from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, _compose, _nearest_integer, _stroboscope, _unitary
 from .errors import ConfigError, QuadratureError, RegimeError
 from .specfun import stokes_phase
 
@@ -397,12 +397,6 @@ def tm_fast_frequency(p: DriveParams) -> float:
     _, closed_2 = _closed_phases(p)
     prefactor = (2.0 * p.omega / math.pi) * math.sqrt(math.pi * p.delta**2 / (2.0 * sweep_rate(p)))
     return prefactor * abs(math.cos(closed_2 - 0.25 * math.pi))
-
-
-def _nearest_integer(x: float) -> int:
-    """Integer nearest to x; a half-integer tie within 1e-12 goes to the smaller one."""
-    lo = math.floor(x)
-    return lo if (x - lo) - (lo + 1 - x) <= 1e-12 else lo + 1
 
 
 def tm_fast_resonance_check(p: DriveParams) -> tuple[int, float]:

@@ -290,6 +290,31 @@ def test_scan_takes_no_phase(capsys, tmp_path):
     assert (code, out, err) == (2, "", "config error: unknown config keys for 'scan': phi\n")
 
 
+def test_scan_cells_without_crossings(capsys):
+    # Cells with A <= eps0 have no transfer-matrix prediction: NaN, not an
+    # error.  At A = 0, J_n(0) = 0 for the n != 0 resonance, so no finite
+    # prediction sizes the run and it takes the 5000-period cap.
+    args = ["scan", "--omega", "3", "--axis1", "eps0:3:6:2", "--axis2", "amp:0:9:3", "--steps-per-period", "16"]
+    code, out, _ = _run(capsys, args)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 6
+    for eps0, amp, _, _, omega_rwa, omega_tm, slow_lhs, flags in rows:
+        crossings = float(amp) > float(eps0)
+        assert math.isfinite(float(omega_rwa))
+        assert (omega_tm == "nan", slow_lhs == "nan") == (not crossings, not crossings)
+        assert "error:" not in flags
+        assert ("below_resolution" in flags.split(";")) == (float(amp) == 0.0)
+    code, out, _ = _run(capsys, args + ["--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    for i, eps0 in enumerate(payload["axis1"]["values"]):
+        for j, amp in enumerate(payload["axis2"]["values"]):
+            assert payload["omega_rwa"][i][j] is not None
+            assert (payload["omega_tm"][i][j] is None) == (payload["slow_lhs"][i][j] is None) == (amp <= eps0)
+            assert not any(flag.startswith("error:") for flag in payload["flags"][i][j])
+
+
 def test_scan_requires_both_axes(capsys):
     code, _, err = _run(capsys, ["scan", "--omega", "3", "--axis1", "eps0:1:2:2"])
     assert code == 2
@@ -540,3 +565,55 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "t,P_up"
+
+
+# ---------------------------------------------------------------------------
+# hostile input
+
+_PREFIXES = {2: "config error: ", 3: "regime error: ", 4: "numerical error: "}
+
+
+@pytest.mark.parametrize(
+    "argv, config, expected",
+    [
+        (["simulate", "--omega", "0"], None, 2),
+        (["classify", "--omega", "-1"], None, 2),
+        (["simulate", "--eps0", "nan"], None, 2),
+        (["predict", "--amp", "inf", "--format", "json"], None, 2),
+        (["cdt", "--omega", "5", "--delta", "0"], None, 2),
+        (["simulate", "--delta", "nan"], None, 2),
+        (["cdt", "--omega", "inf"], None, 2),
+        (["simulate", "--amp", "1", "--cycles", "0"], None, 2),
+        (["simulate", "--amp", "1", "--cycles", "-3"], None, 2),
+        # cycles * T would overflow a float: the count's bound refuses it first.
+        (["simulate", "--amp", "1", "--cycles", "1" + "0" * 400], None, 2),
+        (["scan", "--omega", "3", "--axis1", "eps0:0:1:-2", "--axis2", "amp:1:2:2"], None, 2),
+        (_WIDTH_ARGS[:-2] + ["--n", "0"], None, 2),
+        (_WIDTH_ARGS[:-2] + ["--omega-min", "0"], None, 2),
+        (_WIDTH_ARGS[:-2] + ["--omega-max", "nan"], None, 2),
+        (_WIDTH_ARGS[:-2] + ["--omega-points", "-1"], None, 2),
+        (_WIDTH_ARGS[:-2] + ["--omega-min", "5.8", "--omega-max", "4.2"], None, 2),
+        # v = omega*sqrt(A^2 - eps0^2) underflows to 0 and the adiabaticity divides by it.
+        (["predict", "--eps0", "0", "--amp", "1e-300", "--omega", "3", "--format", "json"], None, 4),
+        (["predict", "--amp", "1e300", "--omega", "3", "--format", "json"], None, 4),
+        (["simulate", "--amp", "1"], {"cycles": 2.5}, 2),
+        (["simulate", "--amp", "1"], {"steps-per-period": True}, 2),
+        (_WIDTH_ARGS[:-4], {"omega-points": 9.0}, 2),
+    ],
+    ids=[
+        "omega-zero", "omega-negative", "eps0-nan", "amp-inf", "delta-zero", "delta-nan", "cdt-omega-inf",
+        "cycles-zero", "cycles-negative", "cycles-huge", "axis-count-negative", "width-n-zero", "omega-min-zero",
+        "omega-max-nan", "omega-points-negative", "omega-range-reversed", "amp-1e-300", "amp-1e300",
+        "config-cycles-float", "config-steps-bool", "config-omega-points-float",
+    ],
+)
+def test_hostile_input_exits_with_a_documented_code(capsys, tmp_path, argv, config, expected):
+    # No traceback: every failure maps to exit 2, 3 or 4, with one prefixed
+    # line on stderr and nothing on stdout.
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (expected, "")
+    assert err.startswith(_PREFIXES[expected]) and err.count("\n") == 1

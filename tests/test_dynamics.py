@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivenqubit import dynamics
-from drivenqubit.analysis import ScanConfig
+from drivenqubit.analysis import ScanConfig, extract_frequency
 from drivenqubit.dynamics import (
     DriveParams,
     QubitState,
@@ -23,6 +23,8 @@ from drivenqubit.dynamics import (
     step_unitary,
 )
 from drivenqubit.errors import ConfigError, QuadratureError
+from drivenqubit.rwa import cdt_amplitudes
+from drivenqubit.transfer_matrix import propagate_tm
 
 
 def _random_params(rng):
@@ -346,6 +348,14 @@ def test_linear_sweep_matches_sequential_oracle(delta, v, span, steps):
         assert np.max(np.abs(final.as_vector() - expected)) <= 1e-12
 
 
+def test_long_linear_sweep_returns_a_normalised_state():
+    # The scan drifts by about 3e-12 over these 150 000 steps: inside the
+    # walker's 1e-10 bound, outside QubitState's 1e-12 one.
+    final = propagate_linear_sweep(1.0, 4.0, 10.0, QubitState.up(), steps=150_000)
+    expected = _oracle_sweep(1.0, 4.0, 10.0, QubitState.up(), 150_000)
+    assert np.max(np.abs(final.as_vector() - expected)) <= 1e-12
+
+
 def test_one_period_product_is_su2():
     rng = np.random.RandomState(7)
     for _ in range(20):
@@ -437,6 +447,39 @@ def test_norm_guard_on_both_grids(monkeypatch):
 def test_drive_params_rejects_invalid(kwargs):
     with pytest.raises(ConfigError):
         DriveParams(**kwargs)
+
+
+_P = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: propagate_linear_sweep(1.0, 1.0, 10.0, QubitState.up(), steps=2000.0),
+        lambda: propagate_linear_sweep(1.0, "1", 10.0, QubitState.up()),
+        lambda: propagate_linear_sweep(1.0, 1.0, math.inf, QubitState.up()),
+        lambda: propagate_exact(_P, QubitState.up(), True),
+        lambda: propagate_exact(_P, QubitState.up(), "1"),
+        lambda: evolution_operator(_P, 0.0, math.inf),
+        lambda: step_unitary(0.0, "0.1", _P),
+        lambda: TimeSeries(0.0, "0.1", np.array([0.5, 0.5])),
+        lambda: ScanConfig(target_slow_periods="5"),
+        lambda: ScanConfig(target_slow_periods=True),
+        lambda: ScanConfig(max_drive_periods=10),
+        lambda: extract_frequency(propagate_exact(_P, QubitState.up(), 3.0 * _P.period), drive_period="3"),
+        lambda: cdt_amplitudes(True, 3),
+        # Refused before the 8 TB trace is allocated.
+        lambda: propagate_tm(_P, QubitState.up(), 10**12),
+    ],
+    ids=[
+        "sweep-steps-float", "sweep-rate-str", "sweep-span-inf", "t_end-bool", "t_end-str", "duration-inf",
+        "step-str", "dt-str", "target-str", "target-bool", "max-below-min", "drive-period-str", "cdt-omega-bool",
+        "n_cycles-huge",
+    ],
+)
+def test_counts_and_positive_reals_are_config_errors(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_qubit_state_requires_normalization():

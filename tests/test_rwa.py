@@ -59,6 +59,13 @@ def test_rwa_frequency_is_bessel_weighted():
         rwa_frequency(p, 201)
 
 
+@pytest.mark.parametrize("n", [1.5, True, 2.0])
+def test_rwa_frequency_takes_only_integer_orders(n):
+    # The Bessel order rule governs: no coercion to an int.
+    with pytest.raises(ValueError):
+        rwa_frequency(_p(3.0, 10.0, 3.0), n)
+
+
 def test_rwa_frequency_envelope_bound():
     # |J_n(z)| <= ~sqrt(2/(pi z)) for z well above n: Omega is bounded by
     # delta * 1.1 * sqrt(2 omega/(pi A)).

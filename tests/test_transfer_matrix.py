@@ -185,7 +185,7 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
         (analysis._cell_predictions, 2),
         (cycle_phases, 2),
         (lambda p: full_cycle_matrix_windowed(p, 0.05), 4),
-        (lambda p: cli.main(["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]), 4),
+        (lambda p: cli.main(["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]), 2),
     ],
     ids=[
         "full_cycle_matrix",
