@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (
-    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _count, _positive, _stroboscope, evolution_operator,
-    propagate_exact,
+    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _count, _positive, _steps_per_period, _stroboscope,
+    evolution_operator, propagate_exact,
 )
 from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
 from .rwa import rwa_predict
@@ -122,7 +122,7 @@ class ScanConfig:
     max_drive_periods: int = 5000
 
     def __post_init__(self) -> None:
-        _count("steps_per_period", self.steps_per_period, 16)
+        _steps_per_period(self.steps_per_period)
         if _positive("target_slow_periods", self.target_slow_periods) < 1.0:
             raise ConfigError(f"target_slow_periods must be >= 1, got {self.target_slow_periods!r}")
         _count("max_drive_periods", self.max_drive_periods, _count("min_drive_periods", self.min_drive_periods, 2))
@@ -464,13 +464,9 @@ def measure_resonance_width(
         crossing lies outside the grid.
     """
     _count("resonance index n", n, 1)
-    grid = np.asarray(omega_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 5:
-        raise ConfigError("omega_grid must be a 1-D grid with at least 5 points")
-    if not np.all(np.isfinite(grid)) or not np.all(grid > 0.0):
-        raise ConfigError("omega_grid must be positive and finite")
-    if not np.all(np.diff(grid) > 0.0):
-        raise ConfigError("omega_grid must be strictly increasing")
+    grid = _validate_axis("omega", omega_grid)
+    if grid.size < 5:
+        raise ConfigError("omega_grid must have at least 5 points")
     if config is None:
         config = ScanConfig()
 

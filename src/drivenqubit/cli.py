@@ -206,16 +206,13 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
     if cfg["format"] == "json":
         body: dict[str, Any] = {"t": t, "P_up": p_up}
         if strobe is not None:
-            body["P_up_tm"] = {
-                "t": [(strobe.t0 + k * strobe.dt) / scale for k in range(len(strobe))],
-                "values": strobe.values.tolist(),
-            }
+            body["P_up_tm"] = {"t": (strobe.times() / scale).tolist(), "values": strobe.values.tolist()}
         return _json(cfg, body)
     if strobe is None:
         return _rows("t,P_up", "%.17g,%.17g\n", t, p_up)
     tm_col = [""] * len(t)
-    for k, value in enumerate(strobe.values.tolist()):
-        idx = int(round((strobe.t0 + k * strobe.dt) / ts.dt))
+    for t_k, value in zip(strobe.times().tolist(), strobe.values.tolist()):
+        idx = int(round(t_k / ts.dt))
         if 0 <= idx < len(tm_col):
             tm_col[idx] = "%.17g" % value
     return _rows("t,P_up,P_up_tm", "%.17g,%.17g,%s\n", t, p_up, tm_col)

@@ -18,13 +18,13 @@ time-discretization error is second order in the substep.
 Factors are composed as (a, b) pairs by a vectorised log-depth scan in two
 helpers.  The walker ``_walk`` carries a state through n substeps in blocks
 of at most ``_CHUNK`` factors; it serves ``evolution_operator``,
-``propagate_linear_sweep`` and ``propagate_exact`` off the Floquet path.
+``propagate_linear_sweep`` and ``propagate_exact`` off the period grid.
 The sampler ``_sample`` fills a trace from one cycle's prefixes and the
-closed-form power U^k of the cycle: for ``propagate_exact`` on a
-period-aligned grid of at most ``_CHUNK`` substeps per period (H(t + T) =
-H(t), so one period serves all), and once per cycle for ``propagate_tm``
-and ``stroboscopic_exact``.  No cycle is powered by repeated
-multiplication, and ``_check_norm`` holds the one 1e-10 norm bound.
+closed-form power U^k of the cycle: for ``propagate_exact`` on every
+period-aligned grid (H(t + T) = H(t), so one period serves all), and once
+per cycle for ``propagate_tm`` and ``stroboscopic_exact``.  No cycle is
+powered by repeated multiplication.  ``_check_norm`` holds the one 1e-10
+norm bound, and ``_substep_count`` the run limits of every time grid.
 """
 
 from __future__ import annotations
@@ -53,19 +53,19 @@ _UNITARY_TOL = 1e-10
 _NORM_TOL = 1e-12
 
 # Factor tables and sample blocks hold at most this many entries (a block of
-# substeps, or whole periods of samples on the Floquet path, which needs
-# steps_per_period <= _CHUNK), so no run builds its whole substep table.
+# substeps, or whole periods of samples), so no run builds its whole substep
+# table; it is also the largest steps_per_period, so one period fits a block.
 _CHUNK = 1 << 16
 
-# Largest trace propagate_exact records (0.8 GB of float64); longer runs are
-# a configuration error, raised before anything is allocated.
+# Largest trace propagate_exact records (0.8 GB of float64); a run of this
+# many substeps or more is a ConfigError, raised before anything is allocated.
 _MAX_SAMPLES = 10**8
 
 
 def _count(name: str, value, low: int, high: int | None = None) -> int:
     """value if it is an int (not a bool) in [low, high] (high None: no upper bound), else ConfigError."""
     if not isinstance(value, int) or isinstance(value, bool) or value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        bounds = f">= {low}" + ("" if high is None else f" and <= {high}")
         raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
     return value
 
@@ -366,13 +366,13 @@ def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -
 def _sample(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex, out: np.ndarray) -> None:
     """Fill out[k m + j] = P_up of W_j U^k (u0, d0) for every index of out.
 
-    (wa, wb) are the m prefixes W_0 = I, ..., W_{m-1} of one cycle U = (ua, ub);
-    rows of cycles are written in blocks of at most _CHUNK samples.
+    (wa, wb) are the m <= _CHUNK prefixes W_0 = I, ..., W_{m-1} of one cycle
+    U = (ua, ub); rows of cycles are written in blocks of at most _CHUNK samples.
     """
     m = wa.size
     cycles, r = divmod(out.size - 1, m)
     grid = out[: cycles * m].reshape(cycles, m)
-    rows = max(1, _CHUNK // m)
+    rows = _CHUNK // m
     for k0 in range(0, cycles + 1, rows):
         k = np.arange(k0, min(k0 + rows, cycles + 1))
         u, d = _powers(ua, ub, u0, d0, k[:, None])
@@ -394,6 +394,11 @@ def _stroboscope(psi0: QubitState, pre, cycle, n_cycles: int, t0: float, dt: flo
     return TimeSeries(t0=t0, dt=dt, values=_frozen(out))
 
 
+def _steps_per_period(value) -> int:
+    """value if it is an int in [16, _CHUNK], so one period's factors fit one block, else ConfigError."""
+    return _count("steps_per_period", value, 16, _CHUNK)
+
+
 def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> tuple[int, bool]:
     """Substeps covering duration, and whether they tile the drive period.
 
@@ -402,10 +407,13 @@ def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> tu
     period-aligned (True).  Rounding can push the ratio for a whole number
     of periods just above an integer, and its ceiling would add a substep
     and move every sample off the period grid.  Any other ratio is rounded
-    up (False).  duration must be positive and finite and steps_per_period
-    an int >= 16 (ConfigError).
+    up (False).  duration must be positive and finite, steps_per_period an
+    int in [16, _CHUNK] and the ratio at most _MAX_SAMPLES - 1, infinity
+    included (ConfigError, before anything is rounded or allocated).
     """
-    x = _positive("duration", duration) / p.period * _count("steps_per_period", steps_per_period, 16)
+    x = _positive("duration", duration) / p.period * _steps_per_period(steps_per_period)
+    if not x <= _MAX_SAMPLES - 1:
+        raise ConfigError(f"a run of {x:.6g} substeps exceeds the {_MAX_SAMPLES - 1}-substep limit")
     n = round(x)
     if n >= 1 and abs(x - n) <= 4.0 * math.ulp(x):
         return n, True
@@ -435,12 +443,12 @@ def propagate_exact(
     psi0 : QubitState
         State at t = 0.
     t_end : float
-        Final time, > 0.  The run may record at most 10^8 samples.
+        Final time, > 0.  The run may take at most 10^8 - 1 substeps.
     steps_per_period : int
-        Substeps per drive period, >= 16 (default 256).  The substep is
-        h = t_end / n with n = t_end/T * steps_per_period, rounded up
-        unless it is an integer to within 4 ulps, so samples are uniform
-        and the last one lands exactly on t_end.
+        Substeps per drive period, in [16, 65536] (default 256).  The
+        substep is h = t_end / n with n = t_end/T * steps_per_period,
+        rounded up unless it is an integer to within 4 ulps, so samples are
+        uniform and the last one lands exactly on t_end.
 
     Returns
     -------
@@ -450,12 +458,12 @@ def propagate_exact(
     Notes
     -----
     When n is an integer the grid is period-aligned: h = T/steps_per_period
-    and H(t + T) = H(t), so every period applies the same factors.  With
-    steps_per_period <= 65536 only one period's factors F_1..F_spp are
-    built; their running products W_j (W_0 = I) give U_T = W_spp.  U_T is in
-    SU(2) form with eigenphases +-lambda (cos lambda = Re u11, sin lambda
-    = hypot(Im u11, |u12|)), so the period-boundary states follow in
-    closed form, psi_k = U_T^k psi0 = cos(k lambda) psi0
+    and H(t + T) = H(t), so every period applies the same factors.  Only
+    one period's factors F_1..F_spp are built; their running products W_j
+    (W_0 = I) give U_T = W_spp.  U_T is in SU(2) form with eigenphases
+    +-lambda (cos lambda = Re u11, sin lambda = hypot(Im u11, |u12|)), so
+    the period-boundary states follow in closed form,
+    psi_k = U_T^k psi0 = cos(k lambda) psi0
     + sin(k lambda) (U_T - cos lambda I) psi0 / sin lambda, exactly unitary
     for every k, and P_up(kT + jh) = |[W_j psi_k]_up|^2.  A partial last
     period uses the first r prefixes.  U_T is never powered by repeated
@@ -469,12 +477,10 @@ def propagate_exact(
         when one period is powered, else the final state.
     """
     n, aligned = _substep_count(p, t_end, steps_per_period)
-    if n + 1 > _MAX_SAMPLES:
-        raise ConfigError(f"a run of {n + 1} samples exceeds the {_MAX_SAMPLES}-sample limit")
     h = t_end / n
     u0, d0 = psi0.up_amp, psi0.down_amp
     out = np.empty(n + 1)
-    if aligned and steps_per_period <= _CHUNK:
+    if aligned:
         t_mid = h * (np.arange(steps_per_period) + 0.5)
         wa, wb = _running_products(*_step_entries(drive_epsilon(t_mid, p), p.delta, h))
         # Prefixes W_0 = I, ..., W_{spp-1} (the samples within a period), then U_T = W_spp.
@@ -503,7 +509,7 @@ def propagate_linear_sweep(
     the walker's 1e-10 drift check guards it, and a long sweep may drift
     past QubitState's 1e-12 bound within that.
     """
-    steps = _count("steps", steps, 1000)
+    steps = _count("steps", steps, 1000, _MAX_SAMPLES - 1)
     v, span = _positive("sweep rate", v), _positive("span", span)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ConfigError(f"delta must be nonnegative, got {delta!r}")

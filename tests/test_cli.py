@@ -503,8 +503,12 @@ _HUGE = "1000000000000"
         ["simulate", "--amp", "1", "--omega", "2", "--steps-per-period", _HUGE],
         _SCAN_ARGS[:-1] + [_HUGE],
         _WIDTH_ARGS[:-4] + ["--omega-points", _HUGE, "--steps-per-period", "32"],
+        # Too large for a float, and past the one-block period of 65 536 steps.
+        ["simulate", "--amp", "1", "--omega", "2", "--cycles", "1", "--steps-per-period", "1" + "0" * 400],
+        ["simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "1", "--steps-per-period", "2000000"],
     ],
-    ids=["cycles", "steps-per-period", "scan-steps-per-period", "omega-points"],
+    ids=["cycles", "steps-per-period", "scan-steps-per-period", "omega-points", "steps-per-period-401-digits",
+         "steps-per-period-past-block"],
 )
 def test_oversized_counts_are_config_errors(capsys, argv):
     tracemalloc.start()

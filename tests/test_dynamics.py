@@ -192,17 +192,29 @@ def test_timeseries_holds_a_propagated_trace_once():
 
 
 def test_one_long_period_walks_in_blocks():
-    # One period of 10^6 substeps (8 MB trace) is past the Floquet path's
-    # one-block limit, so the walker builds at most _CHUNK factors at a time.
+    # 15.3 periods of the finest grid, 65 536 substeps each, are off the
+    # period grid: 1 002 701 substeps (8 MB trace) that the walker composes
+    # at most _CHUNK factors at a time.
     p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
     tracemalloc.start()
     try:
-        ts = propagate_exact(p, QubitState.up(), p.period, steps_per_period=10**6)
+        ts = propagate_exact(p, QubitState.up(), 15.3 * p.period, steps_per_period=dynamics._CHUNK)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(ts) == 10**6 + 1
+    assert len(ts) == 1_002_701 + 1
     assert peak < 3 * ts.values.nbytes
+
+
+def test_finest_aligned_period_is_sampled_without_the_walker(monkeypatch):
+    # Every steps_per_period fits one block, so every period-aligned run
+    # takes the one-period path, the finest grid included.
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    monkeypatch.setattr(dynamics, "_walk", _no_walk)
+    ts = propagate_exact(p, QubitState.up(), p.period, steps_per_period=dynamics._CHUNK)
+    h, expected = _oracle_propagate(p, QubitState.up(), p.period, dynamics._CHUNK)
+    assert len(ts) == dynamics._CHUNK + 1 and ts.dt == h
+    assert np.max(np.abs(ts.values - expected)) <= 1e-10
 
 
 def test_timeseries_copies_a_writeable_array():
@@ -452,6 +464,10 @@ def test_drive_params_rejects_invalid(kwargs):
 _P = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
 
 
+def _no_walk(*args, **kwargs):
+    raise AssertionError("the walker was reached")
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -470,14 +486,19 @@ _P = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
         lambda: cdt_amplitudes(True, 3),
         # Refused before the 8 TB trace is allocated.
         lambda: propagate_tm(_P, QubitState.up(), 10**12),
+        # Runs of more than 10^8 - 1 substeps, refused before any walk.
+        lambda: propagate_linear_sweep(1.0, 1.0, 10.0, QubitState.up(), steps=10**12),
+        lambda: evolution_operator(DriveParams(1.0, 0.0, 1.0, 1.0), 0.0, 1e300),
+        lambda: propagate_exact(_P, QubitState.up(), 1e308),
     ],
     ids=[
         "sweep-steps-float", "sweep-rate-str", "sweep-span-inf", "t_end-bool", "t_end-str", "duration-inf",
         "step-str", "dt-str", "target-str", "target-bool", "max-below-min", "drive-period-str", "cdt-omega-bool",
-        "n_cycles-huge",
+        "n_cycles-huge", "sweep-steps-huge", "duration-huge", "t_end-overflow",
     ],
 )
-def test_counts_and_positive_reals_are_config_errors(call):
+def test_counts_and_positive_reals_are_config_errors(monkeypatch, call):
+    monkeypatch.setattr(dynamics, "_walk", _no_walk)
     with pytest.raises(ConfigError):
         call()
 

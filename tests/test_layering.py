@@ -1,4 +1,4 @@
-"""Layering: the SU(2) state helpers of dynamics stay private to it."""
+"""Layering: the SU(2) state helpers, block size and run limits of dynamics stay private to it."""
 
 import ast
 from pathlib import Path
@@ -8,13 +8,14 @@ import pytest
 import drivenqubit
 
 _PACKAGE = Path(drivenqubit.__file__).parent
-_PRIVATE = {"_apply", "_powers", "_frozen"}
+_PRIVATE = {"_apply", "_powers", "_frozen", "_walk", "_sample", "_CHUNK", "_substep_count"}
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in _PACKAGE.glob("*.py")))
 def test_no_module_imports_the_state_helpers(module):
-    # Every stroboscopic path reaches them through dynamics' walker and
-    # sampler, never by importing them.
+    # Every stroboscopic path reaches them through dynamics' propagators,
+    # never by importing them; ScanConfig checks steps_per_period through
+    # dynamics' shared rule.
     tree = ast.parse((_PACKAGE / module).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & _PRIVATE
