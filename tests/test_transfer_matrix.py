@@ -7,6 +7,7 @@ an independent computation, not against themselves.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,15 +204,93 @@ def test_quadrature_counts(monkeypatch, call, expected):
     # boundary-independent path; the slow-crossing condition needs none,
     # and only the windowed construction pays for four band integrals.
     # The CLI predict point is (3, 15, 3), the same as _FAST_ONE_PHOTON.
+    # The counter delegates to the module's own rule, so each integral
+    # still meets its error bound.
     calls = []
+    rule = transfer_matrix.quad
 
     def counting_quad(*args, **kwargs):
         calls.append(args[1:3])
-        return quad(*args, **kwargs)
+        return rule(*args, **kwargs)
 
     monkeypatch.setattr(transfer_matrix, "quad", counting_quad)
     call(_FAST_ONE_PHOTON)
     assert len(calls) == expected
+
+
+# The gap integrand at A*omega = 6000, numpy form for the rule and mpmath
+# form (the cancelling difference, at 30 digits) for the oracle.
+_STEEP = DriveParams(delta=1.0, epsilon0=40.0, amplitude=300.0, omega=20.0)
+
+
+def _steep_gap(t):
+    e = np.abs(_STEEP.epsilon0 + _STEEP.amplitude * np.cos(_STEEP.omega * t))
+    return 0.5 / (np.hypot(e, 1.0) + e)
+
+
+def _steep_gap_mp(t):
+    e = _STEEP.epsilon0 + _STEEP.amplitude * mpmath.cos(_STEEP.omega * t)
+    return 0.5 * (mpmath.sqrt(e * e + 1) - abs(e))
+
+
+# The two half-period integrals; mpmath gets the crossing at an end of each
+# piece, and the 1/(A*omega) scale next to it.
+_STEEP_C1 = crossing_times(_STEEP)[0]
+_STEEP_F1 = (0.0, _STEEP_C1, [0.0, _STEEP_C1 - 1e-2, _STEEP_C1 - 1e-3, _STEEP_C1 - 1e-4, _STEEP_C1])
+_STEEP_F2 = (_STEEP_C1, 0.5 * _STEEP.period, [_STEEP_C1, _STEEP_C1 + 1e-4, _STEEP_C1 + 1e-3, _STEEP_C1 + 1e-2, 0.5 * _STEEP.period])
+
+
+@pytest.mark.parametrize(
+    "f, f_mp, a, b, points",
+    [
+        (np.exp, mpmath.exp, 0.0, 1.0, None),
+        (lambda x: np.cos(3.0 * x), lambda x: mpmath.cos(3 * x), -1.0, 2.0, None),
+        (lambda x: 1.0 / (1.0 + x * x), lambda x: 1 / (1 + x * x), 0.0, 1.0, None),
+        (lambda x: np.sqrt(1.0 - x * x), lambda x: mpmath.sqrt(1 - x * x), -1.0, 1.0, None),
+        (np.log, mpmath.log, 0.0, 2.0, None),
+        (_steep_gap, _steep_gap_mp, *_STEEP_F1),
+        (_steep_gap, _steep_gap_mp, *_STEEP_F2),
+    ],
+    ids=["exp", "cos", "arctan", "semicircle", "endpoint_log", "steep_gap_f1", "steep_gap_f2"],
+)
+def test_tanh_sinh_rule_against_mpmath(f, f_mp, a, b, points):
+    # one evaluation of f on all nodes per call; the value within 1e-13 of
+    # mpmath, and the embedded estimate bounds the actual error up to the
+    # rounding of the weighted sum
+    arrays = []
+
+    def recorded(x):
+        arrays.append(x)
+        return f(x)
+
+    value, abserr = transfer_matrix.quad(recorded, a, b)
+    assert len(arrays) == 1 and arrays[0].shape == (217,)
+    assert np.all((a <= arrays[0]) & (arrays[0] <= b))
+    with mpmath.workdps(30):
+        exact = float(mpmath.quad(f_mp, points or [a, b]))
+    assert abs(value - exact) <= 1e-13
+    assert abs(value - exact) <= abserr + 4.0 * np.finfo(float).eps * abs(exact)
+
+
+def test_tanh_sinh_estimate_bounds_a_visible_error():
+    # Runge's function has poles at +-i/5, close to [-1, 1]: the rule is
+    # visibly off (about 1e-11), and the estimate still covers the miss.
+    value, abserr = transfer_matrix.quad(lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0)
+    error = abs(value - 0.4 * math.atan(5.0))
+    assert 1e-13 < error <= abserr
+
+
+def test_unfolded_crossing_window_misses_the_error_bound():
+    # Unfolded, a window straddling a crossing puts the gap minimum between
+    # the sparse middle nodes; folded about the crossing, the same window
+    # integrates cleanly and matches scipy's adaptive oracle.
+    p = DriveParams(delta=1.0, epsilon0=0.0, amplitude=20.0, omega=5.0)
+    t_c1, _ = crossing_times(p)
+    tau = 0.05
+    with pytest.raises(QuadratureError, match="band-energy integral"):
+        transfer_matrix._band_integral(p, t_c1 - tau, t_c1 + tau)
+    folded = transfer_matrix._band_integral(p, 0.0, tau, centre=t_c1)
+    assert folded == pytest.approx(_half_gap_integral(p, t_c1 - tau, t_c1 + tau), abs=1e-13)
 
 
 def test_gap_excess_scales_quadratically_in_delta():
