@@ -8,130 +8,20 @@ them against each other.
 
 __version__ = "1.0.0"
 
-from .analysis import (
-    FrequencyEstimate,
-    RegimeLabel,
-    ScanConfig,
-    ScanResult,
-    classify_regime,
-    extract_frequency,
-    measure_resonance_width,
-    scan_resonance_map,
-    stroboscopic_exact,
-)
-from .dynamics import (
-    DriveParams,
-    QubitState,
-    TimeSeries,
-    Unitary2,
-    drive_epsilon,
-    evolution_operator,
-    hamiltonian,
-    propagate_exact,
-    propagate_linear_sweep,
-    step_unitary,
-)
-from .errors import (
-    BracketError,
-    ConfigError,
-    DrivenQubitError,
-    InsufficientDataError,
-    QuadratureError,
-    RegimeError,
-)
-from .rwa import (
-    RabiPrediction,
-    RwaPrediction,
-    cdt_amplitudes,
-    rabi_weak_driving,
-    rwa_frequency,
-    rwa_predict,
-    rwa_resonant_index,
-    rwa_width,
-)
-from .specfun import bessel_j0_zero, bessel_jn, log_gamma_complex, stokes_phase
-from .transfer_matrix import (
-    CyclePhases,
-    FullCycleDecomposition,
-    LzCrossing,
-    SlowResonance,
-    crossing_times,
-    cycle_phases,
-    decompose_full_cycle,
-    full_cycle_matrix,
-    full_cycle_matrix_windowed,
-    lz_crossing,
-    lz_mixing_angle,
-    lz_transfer_matrix,
-    phase_matrix,
-    propagate_tm,
-    reconstruct_full_cycle,
-    sweep_rate,
-    tm_fast_frequency,
-    tm_fast_resonance_check,
-    tm_resonance_width,
-    tm_slow_frequency,
-    tm_slow_resonance_lhs,
-)
+# Each module's __all__ is its public list; the package re-exports them all.
+from .analysis import *
+from .dynamics import *
+from .errors import *
+from .rwa import *
+from .specfun import *
+from .transfer_matrix import *
 
 __all__ = [
     "__version__",
-    "BracketError",
-    "ConfigError",
-    "CyclePhases",
-    "DriveParams",
-    "DrivenQubitError",
-    "FrequencyEstimate",
-    "FullCycleDecomposition",
-    "InsufficientDataError",
-    "LzCrossing",
-    "QuadratureError",
-    "QubitState",
-    "RabiPrediction",
-    "RegimeError",
-    "RegimeLabel",
-    "RwaPrediction",
-    "ScanConfig",
-    "ScanResult",
-    "SlowResonance",
-    "TimeSeries",
-    "Unitary2",
-    "bessel_j0_zero",
-    "bessel_jn",
-    "cdt_amplitudes",
-    "classify_regime",
-    "crossing_times",
-    "cycle_phases",
-    "decompose_full_cycle",
-    "drive_epsilon",
-    "evolution_operator",
-    "extract_frequency",
-    "full_cycle_matrix",
-    "full_cycle_matrix_windowed",
-    "hamiltonian",
-    "log_gamma_complex",
-    "lz_crossing",
-    "lz_mixing_angle",
-    "lz_transfer_matrix",
-    "measure_resonance_width",
-    "phase_matrix",
-    "propagate_exact",
-    "propagate_linear_sweep",
-    "propagate_tm",
-    "rabi_weak_driving",
-    "reconstruct_full_cycle",
-    "rwa_frequency",
-    "rwa_predict",
-    "rwa_resonant_index",
-    "rwa_width",
-    "scan_resonance_map",
-    "step_unitary",
-    "stokes_phase",
-    "stroboscopic_exact",
-    "sweep_rate",
-    "tm_fast_frequency",
-    "tm_fast_resonance_check",
-    "tm_resonance_width",
-    "tm_slow_frequency",
-    "tm_slow_resonance_lhs",
+    *analysis.__all__,
+    *dynamics.__all__,
+    *errors.__all__,
+    *rwa.__all__,
+    *specfun.__all__,
+    *transfer_matrix.__all__,
 ]

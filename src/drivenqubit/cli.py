@@ -279,7 +279,7 @@ def cmd_scan(cfg: dict[str, Any]) -> Iterable[str]:
 
     if cfg["format"] == "json":
         return _json(cfg, {
-            "fixed": {"name": result.fixed_name, "value": result.fixed_value},
+            "fixed": {"name": result.fixed_name, "value": result.fixed_value * scale},
             "axis1": {"name": result.axis1_name, "values": (result.axis1 * scale).tolist()},
             "axis2": {"name": result.axis2_name, "values": (result.axis2 * scale).tolist()},
             **{name: [[_json_value(v) for v in row] for row in g.tolist()] for name, g in grids.items()},

@@ -6,6 +6,15 @@ application boundary (the command line driver maps subclasses to exit
 codes).
 """
 
+__all__ = [
+    "DrivenQubitError",
+    "ConfigError",
+    "RegimeError",
+    "BracketError",
+    "QuadratureError",
+    "InsufficientDataError",
+]
+
 
 class DrivenQubitError(Exception):
     """Base class for all errors raised by this package."""

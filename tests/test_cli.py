@@ -544,6 +544,13 @@ def test_delta_rescales_times_and_frequencies(capsys):
     # Angles are dimensionless.
     assert doubled["tm"]["theta_fc"] == ref["tm"]["theta_fc"]
 
+    # A scan's fixed parameter is an energy or frequency like its axes.
+    args = ["scan", "--omega", "3", "--axis1", "eps0:8.9:9.1:2", "--axis2", "amp:15:15:1", "--steps-per-period", "16"]
+    _, out, _ = _run(capsys, args + ["--delta", "2", "--format", "json"])
+    payload = json.loads(out)
+    assert payload["axis1"]["values"] == [17.8, 18.2] and payload["axis2"]["values"] == [30.0]
+    assert payload["fixed"] == {"name": "omega", "value": 6.0}
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,7 +1,8 @@
-"""Layering: the SU(2) state helpers, block size and run limits of dynamics stay private to it,
-and the CLI imports no scipy.integrate."""
+"""Layering: the package re-exports exactly the modules' __all__, the SU(2) state helpers, block
+size and run limits of dynamics stay private to it, and the CLI imports no scipy.integrate."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,23 @@ import drivenqubit
 
 _PACKAGE = Path(drivenqubit.__file__).parent
 _PRIVATE = {"_apply", "_powers", "_frozen", "_walk", "_sample", "_CHUNK", "_substep_count"}
+_MODULES = [
+    importlib.import_module(f"drivenqubit.{name}")
+    for name in ("analysis", "dynamics", "errors", "rwa", "specfun", "transfer_matrix")
+]
+
+
+def test_package_all_is_the_module_lists_in_import_order():
+    expected = ["__version__", *(name for module in _MODULES for name in module.__all__)]
+    assert drivenqubit.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+@pytest.mark.parametrize("module", _MODULES, ids=lambda module: module.__name__.rsplit(".", 1)[1])
+def test_package_names_are_the_module_objects(module):
+    for name in module.__all__:
+        assert hasattr(module, name), name
+        assert getattr(drivenqubit, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in _PACKAGE.glob("*.py")))
