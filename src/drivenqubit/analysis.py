@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (
-    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _count, _positive, _steps_per_period, _stroboscope,
-    evolution_operator, propagate_exact,
+    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _count, _is_number, _positive, _steps_per_period,
+    _stroboscope, evolution_operator, propagate_exact,
 )
 from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
 from .rwa import rwa_predict
@@ -36,7 +36,6 @@ __all__ = [
     "TM_SLOW_MAX",
     "FrequencyEstimate",
     "RegimeLabel",
-    "ScanConfig",
     "ScanResult",
     "classify_regime",
     "extract_frequency",
@@ -104,34 +103,12 @@ class RegimeLabel:
     tm_speed: str | None
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Sizing and integration settings for parameter scans.
-
-    ``target_slow_periods`` slow oscillations are requested per trace,
-    subject to a floor of ``min_drive_periods`` and a hard cap of
-    ``max_drive_periods`` drive cycles; traces that hit the cap before
-    covering the requested slow periods are flagged "below_resolution".
-    A run of ``max_drive_periods`` must fit the propagator's 10^8-sample
-    limit.
-    """
-
-    steps_per_period: int = 128
-    target_slow_periods: float = 5.0
-    min_drive_periods: int = 50
-    max_drive_periods: int = 5000
-
-    def __post_init__(self) -> None:
-        _steps_per_period(self.steps_per_period)
-        if _positive("target_slow_periods", self.target_slow_periods) < 1.0:
-            raise ConfigError(f"target_slow_periods must be >= 1, got {self.target_slow_periods!r}")
-        _count("max_drive_periods", self.max_drive_periods, _count("min_drive_periods", self.min_drive_periods, 2))
-        if self.max_drive_periods * self.steps_per_period + 1 > _MAX_SAMPLES:
-            raise ConfigError(
-                f"{self.max_drive_periods} periods of {self.steps_per_period} steps exceed the "
-                f"{_MAX_SAMPLES}-sample limit"
-            )
-
+# Scan and width runs cover _TARGET_SLOW_PERIODS oscillations of the slowest
+# prediction, with at least _MIN_DRIVE_PERIODS drive periods; a run capped at
+# _MAX_DRIVE_PERIODS is flagged "below_resolution".
+_TARGET_SLOW_PERIODS = 5.0
+_MIN_DRIVE_PERIODS = 50
+_MAX_DRIVE_PERIODS = 5000
 
 _SCAN_PARAMETERS = ("epsilon0", "amplitude", "omega")
 _MAX_SCAN_CELLS = 1_000_000
@@ -318,36 +295,49 @@ def _cell_predictions(p: DriveParams) -> tuple[float, float, float]:
     return omega_rwa, omega_tm, slow_lhs
 
 
-def _sized_periods(p: DriveParams, predictions: tuple[float, ...], config: ScanConfig) -> tuple[int, bool]:
+def _sized_periods(p: DriveParams, predictions: tuple[float, ...]) -> tuple[int, bool]:
     """Drive-period count for a run, and whether the cap truncated it.
 
-    Sizing targets ``target_slow_periods`` of the slowest credible
+    Sizing targets ``_TARGET_SLOW_PERIODS`` of the slowest credible
     prediction, so disagreeing predictors err on the long side.
     """
     finite = [w for w in predictions if math.isfinite(w) and w > 1e-12]
     if finite:
-        needed = config.target_slow_periods * (2.0 * math.pi / min(finite)) / p.period
+        needed = _TARGET_SLOW_PERIODS * (2.0 * math.pi / min(finite)) / p.period
     else:
         needed = math.inf
-    n_periods = max(float(config.min_drive_periods), needed)
-    if n_periods > config.max_drive_periods:
-        return config.max_drive_periods, True
+    n_periods = max(float(_MIN_DRIVE_PERIODS), needed)
+    if n_periods > _MAX_DRIVE_PERIODS:
+        return _MAX_DRIVE_PERIODS, True
     return int(math.ceil(n_periods - 1e-9)), False
 
 
+def _scan_steps(steps_per_period) -> int:
+    """steps_per_period if it passes dynamics' rule and a capped run of it fits the sample limit, else ConfigError."""
+    _steps_per_period(steps_per_period)
+    if _MAX_DRIVE_PERIODS * steps_per_period + 1 > _MAX_SAMPLES:
+        raise ConfigError(
+            f"{_MAX_DRIVE_PERIODS} periods of {steps_per_period} steps exceed the {_MAX_SAMPLES}-sample limit"
+        )
+    return steps_per_period
+
+
 def _estimate_cell(
-    p: DriveParams, predictions: tuple[float, float, float], config: ScanConfig
+    p: DriveParams, predictions: tuple[float, float, float], steps_per_period: int
 ) -> tuple[FrequencyEstimate, bool]:
     """Run one exact trace sized from the cell's ``_cell_predictions`` and extract."""
-    n_periods, capped = _sized_periods(p, predictions[:2], config)
-    ts = propagate_exact(p, QubitState.up(), n_periods * p.period, steps_per_period=config.steps_per_period)
+    n_periods, capped = _sized_periods(p, predictions[:2])
+    ts = propagate_exact(p, QubitState.up(), n_periods * p.period, steps_per_period=steps_per_period)
     return extract_frequency(ts, drive_period=p.period), capped
 
 
 def _validate_axis(name: str, grid: np.ndarray) -> np.ndarray:
     if name not in _SCAN_PARAMETERS:
         raise ConfigError(f"unknown scan parameter {name!r}; expected one of {_SCAN_PARAMETERS}")
-    arr = np.asarray(grid, dtype=float)
+    arr = np.asarray(grid)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"axis {name!r} must hold integers or floats, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"axis {name!r} must be a nonempty 1-D grid")
     if not np.all(np.isfinite(arr)):
@@ -364,14 +354,15 @@ def scan_resonance_map(
     fixed: tuple[str, float],
     axis1: tuple[str, np.ndarray],
     axis2: tuple[str, np.ndarray],
-    config: ScanConfig | None = None,
+    steps_per_period: int = 128,
 ) -> ScanResult:
     """Map envelope amplitude and slow frequency over a 2-D parameter grid.
 
     ``fixed`` pins one of {"epsilon0", "amplitude", "omega"}; the two
     axes sweep the other two (in any order).  Each cell simulates the
-    exact dynamics from the ground state, sized by the analytic
-    frequency predictions via the rules in :class:`ScanConfig`, and
+    exact dynamics from the ground state at ``steps_per_period`` substeps
+    per drive period (an integer in [16, 19999]) for 5 oscillations of the
+    slowest analytic prediction, between 50 and 5000 drive periods, and
     attaches the predictions themselves for side-by-side comparison.
     delta = 1 throughout.
 
@@ -380,8 +371,9 @@ def scan_resonance_map(
     observables and the scan continues; any other exception propagates.
     Cells that hit the run-length cap are flagged "below_resolution".
     """
-    if config is None:
-        config = ScanConfig()
+    steps_per_period = _scan_steps(steps_per_period)
+    if not _is_number(fixed[1]):
+        raise ConfigError(f"fixed {fixed[0]!r} must be a finite number, got {fixed[1]!r}")
     fixed_name, fixed_value = fixed[0], float(fixed[1])
     axis1_name, axis1_grid = axis1[0], _validate_axis(axis1[0], axis1[1])
     axis2_name, axis2_grid = axis2[0], _validate_axis(axis2[0], axis2[1])
@@ -413,7 +405,7 @@ def scan_resonance_map(
                 p = DriveParams(delta=1.0, **params)
                 predictions = _cell_predictions(p)
                 omega_rwa[i, j], omega_tm[i, j], slow_lhs[i, j] = predictions
-                est, capped = _estimate_cell(p, predictions, config)
+                est, capped = _estimate_cell(p, predictions, steps_per_period)
                 omega_est[i, j] = est.omega_est
                 amplitude[i, j] = est.amplitude
                 cell_flags.extend(est.flags)
@@ -446,7 +438,7 @@ def measure_resonance_width(
     p: DriveParams,
     n: int,
     omega_grid: np.ndarray,
-    config: ScanConfig | None = None,
+    steps_per_period: int = 128,
 ) -> float:
     """Half-width at half-maximum of the envelope amplitude versus omega.
 
@@ -455,7 +447,8 @@ def measure_resonance_width(
     amplitude at each point, and returns half the separation of the
     half-maximum crossings around the amplitude peak.  ``n`` names the
     resonance under study (positive by convention) and is recorded for
-    validation only; the grid itself must bracket the ridge.
+    validation only; the grid itself must bracket the ridge.  Each point
+    is one exact run sized as a ``scan_resonance_map`` cell.
 
     Raises
     ------
@@ -463,17 +456,16 @@ def measure_resonance_width(
         The amplitude maximum sits on a grid edge, or a half-maximum
         crossing lies outside the grid.
     """
+    steps_per_period = _scan_steps(steps_per_period)
     _count("resonance index n", n, 1)
     grid = _validate_axis("omega", omega_grid)
     if grid.size < 5:
         raise ConfigError("omega_grid must have at least 5 points")
-    if config is None:
-        config = ScanConfig()
 
     amps = np.empty(grid.size)
     for i, w in enumerate(grid):
         q = replace(p, omega=w)
-        amps[i] = _estimate_cell(q, _cell_predictions(q), config)[0].amplitude
+        amps[i] = _estimate_cell(q, _cell_predictions(q), steps_per_period)[0].amplitude
     k = int(np.argmax(amps))
     if k == 0 or k == grid.size - 1:
         raise BracketError(
@@ -503,13 +495,12 @@ def stroboscopic_exact(
     p: DriveParams,
     psi0: QubitState,
     n_cycles: int,
-    settle_fraction: float = 0.5,
     steps_per_period: int = 1024,
 ) -> TimeSeries:
     """Exact P_up sampled once per drive cycle, between the crossings.
 
-    The sample point sits ``settle_fraction`` of the way through the
-    epsilon > 0 inter-crossing interval that follows the upward sweep,
+    The sample point sits in the middle of the epsilon > 0
+    inter-crossing interval that follows the upward sweep,
     where the exact populations have settled onto the plateau that the
     transfer-matrix cycle samples represent.  Sampling at the crossing
     time itself would catch the exact trace mid-transition (half the
@@ -521,11 +512,9 @@ def stroboscopic_exact(
     operator, never k repeated multiplications, so rounding does not grow
     with k and does not limit n_cycles.
     """
-    if not (0.0 < settle_fraction < 1.0):
-        raise ConfigError(f"settle_fraction must lie in (0, 1), got {settle_fraction!r}")
     t_c1, t_c2 = crossing_times(p)
     gap = p.period - (t_c2 - t_c1)
-    t0 = t_c2 + settle_fraction * gap
+    t0 = t_c2 + 0.5 * gap
     u_pre = evolution_operator(p, 0.0, t0, steps_per_period=steps_per_period)
     u_cycle = evolution_operator(p, t0, t0 + p.period, steps_per_period=steps_per_period)
     return _stroboscope(psi0, (u_pre.u11, u_pre.u12), (u_cycle.u11, u_cycle.u12), n_cycles, t0, p.period)

@@ -24,9 +24,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    _MAX_SCAN_CELLS, ScanConfig, classify_regime, measure_resonance_width, scan_resonance_map,
-)
+from .analysis import _MAX_SCAN_CELLS, classify_regime, measure_resonance_width, scan_resonance_map
 from .dynamics import _MAX_SAMPLES, DriveParams, QubitState, _count, _positive, propagate_exact
 from .errors import BracketError, ConfigError, InsufficientDataError, QuadratureError, RegimeError
 from .rwa import cdt_amplitudes, rwa_predict
@@ -262,12 +260,7 @@ def cmd_scan(cfg: dict[str, Any]) -> Iterable[str]:
         raise ConfigError(f"axis1 and axis2 must name different parameters, got {axis1[0]!r} twice")
     fixed_name = fixed_candidates.pop()
     fixed_flag = next(flag for flag, param in _PARAM_BY_FLAG.items() if param == fixed_name)
-    result = scan_resonance_map(
-        (fixed_name, cfg[fixed_flag]),
-        axis1,
-        axis2,
-        ScanConfig(steps_per_period=cfg["steps-per-period"]),
-    )
+    result = scan_resonance_map((fixed_name, cfg[fixed_flag]), axis1, axis2, cfg["steps-per-period"])
     scale = cfg["delta"]
     grids = {
         "omega_est": result.omega_est * scale,
@@ -325,7 +318,7 @@ def cmd_width(cfg: dict[str, Any]) -> Iterable[str]:
         _positive("omega-max", cfg["omega-max"]),
         _count("omega-points", cfg["omega-points"], 5, _MAX_SCAN_CELLS),
     )
-    hwhm = measure_resonance_width(p, cfg["n"], grid, ScanConfig(steps_per_period=cfg["steps-per-period"]))
+    hwhm = measure_resonance_width(p, cfg["n"], grid, cfg["steps-per-period"])
     hwhm *= cfg["delta"]
     if cfg["format"] == "json":
         return _json(cfg, {"n": cfg["n"], "hwhm": hwhm})

@@ -70,9 +70,17 @@ def _count(name: str, value, low: int, high: int | None = None) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """True if value is a finite int or float, not a bool; an int too large for a float is not finite."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _positive(name: str, value) -> float:
-    """value as a float if it is a finite number > 0 (not a bool), else ConfigError."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+    """value as a float if it is a number (``_is_number``) > 0, else ConfigError."""
+    if not (_is_number(value) and value > 0):
         raise ConfigError(f"{name} must be positive, got {value!r}")
     return float(value)
 
@@ -101,7 +109,7 @@ class DriveParams:
     def __post_init__(self) -> None:
         for name in ("delta", "epsilon0", "amplitude", "omega", "phi"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            if not _is_number(v):
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
             object.__setattr__(self, name, float(v))
         _positive("delta", self.delta)
@@ -511,7 +519,7 @@ def propagate_linear_sweep(
     """
     steps = _count("steps", steps, 1000, _MAX_SAMPLES - 1)
     v, span = _positive("sweep rate", v), _positive("span", span)
-    if not (math.isfinite(delta) and delta >= 0.0):
+    if not (_is_number(delta) and delta >= 0.0):
         raise ConfigError(f"delta must be nonnegative, got {delta!r}")
     u, d = _walk(lambda t: v * t, delta, -span / v, 2.0 * span / (v * steps), steps, psi0.up_amp, psi0.down_amp)
     norm = math.hypot(abs(u), abs(d))

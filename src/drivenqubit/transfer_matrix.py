@@ -55,7 +55,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DriveParams, QubitState, TimeSeries, Unitary2, _compose, _nearest_integer, _stroboscope, _unitary
+from .dynamics import (
+    DriveParams, QubitState, TimeSeries, Unitary2, _compose, _is_number, _nearest_integer, _stroboscope, _unitary,
+)
 from .errors import ConfigError, QuadratureError, RegimeError
 from .specfun import stokes_phase
 
@@ -356,9 +358,9 @@ def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
     """
     t_c1, t_c2 = crossing_times(p)
     half_gap = 0.5 * min(t_c2 - t_c1, p.period - (t_c2 - t_c1))
-    if not 0.0 < tau < half_gap:
+    if not (_is_number(tau) and 0.0 < tau < half_gap):
         raise ConfigError(
-            f"window half-width {tau:g} must lie in (0, {half_gap:g}) "
+            f"window half-width {tau!r} must lie in (0, {half_gap:g}) "
             "so the windows stay inside both between-crossing intervals"
         )
     theta1 = -_band_integral(p, t_c2 + tau, t_c1 + p.period - tau)

@@ -11,7 +11,6 @@ import pytest
 from scipy.optimize import brentq
 
 from drivenqubit.analysis import (
-    ScanConfig,
     extract_frequency,
     measure_resonance_width,
     scan_resonance_map,

@@ -8,7 +8,6 @@ import pytest
 from drivenqubit import analysis
 from drivenqubit.analysis import (
     FrequencyEstimate,
-    ScanConfig,
     ScanResult,
     classify_regime,
     extract_frequency,
@@ -180,12 +179,13 @@ def test_classify_depends_only_on_ratios():
 # scan_resonance_map
 
 
-def test_scan_isolates_per_cell_failures():
+def test_scan_isolates_per_cell_failures(monkeypatch):
     # Two drive periods at 16 steps each leave too few coarse samples, so
     # every cell fails in extraction; the scan must still return.
-    cfg = ScanConfig(steps_per_period=16, target_slow_periods=1.0, min_drive_periods=2, max_drive_periods=2)
+    monkeypatch.setattr(analysis, "_MIN_DRIVE_PERIODS", 2)
+    monkeypatch.setattr(analysis, "_MAX_DRIVE_PERIODS", 2)
     res = scan_resonance_map(
-        ("omega", 3.0), ("epsilon0", np.array([3.0])), ("amplitude", np.array([10.0])), cfg
+        ("omega", 3.0), ("epsilon0", np.array([3.0])), ("amplitude", np.array([10.0])), steps_per_period=16
     )
     assert res.flags[0][0] == ("error:InsufficientDataError",)
     assert math.isnan(res.omega_est[0, 0])
@@ -199,15 +199,15 @@ def test_scan_lets_programming_errors_escape(monkeypatch):
         raise TypeError("bug in extraction")
 
     monkeypatch.setattr(analysis, "extract_frequency", broken_extract)
-    cfg = ScanConfig(steps_per_period=16, min_drive_periods=2, max_drive_periods=2)
     with pytest.raises(TypeError, match="bug in extraction"):
-        scan_resonance_map(("omega", 3.0), ("epsilon0", np.array([3.0])), ("amplitude", np.array([10.0])), cfg)
+        scan_resonance_map(
+            ("omega", 3.0), ("epsilon0", np.array([3.0])), ("amplitude", np.array([10.0])), steps_per_period=16
+        )
 
 
 def test_scan_flags_capped_runs():
-    cfg = ScanConfig(steps_per_period=16, min_drive_periods=50, max_drive_periods=60)
     res = scan_resonance_map(
-        ("epsilon0", 5.0), ("amplitude", np.array([34.95])), ("omega", np.array([5.0])), cfg
+        ("epsilon0", 5.0), ("amplitude", np.array([34.95])), ("omega", np.array([5.0])), steps_per_period=16
     )
     assert "below_resolution" in res.flags[0][0]
 
@@ -215,12 +215,11 @@ def test_scan_flags_capped_runs():
 def test_scan_ridge_peaks_at_multiphoton_resonance():
     # eps0 = 3 omega is the three-photon ridge; amplitude there saturates
     # while one drive quantum away it stays small.
-    cfg = ScanConfig(steps_per_period=64, target_slow_periods=4.0, min_drive_periods=30, max_drive_periods=400)
     res = scan_resonance_map(
         ("omega", 3.0),
         ("epsilon0", np.array([8.0, 9.0, 10.0])),
         ("amplitude", np.array([15.0])),
-        cfg,
+        steps_per_period=64,
     )
     amps = res.amplitude[:, 0]
     assert int(np.argmax(amps)) == 1
@@ -245,17 +244,22 @@ def test_scan_axis_and_name_validation():
     big = np.linspace(1.0, 2.0, 1001)
     with pytest.raises(ConfigError):
         scan_resonance_map(("omega", 3.0), ("epsilon0", big), ("amplitude", big))
+    # Fixed values and grids are numbers: no bool, string or other dtype.
+    for value in (True, "3", "x"):
+        with pytest.raises(ConfigError):
+            scan_resonance_map(("omega", value), ("epsilon0", ok), ("amplitude", ok))
+    for grid in (["1", "2"], ["x"], np.array([False, True]), np.array([1.0, 2.0 + 1j])):
+        with pytest.raises(ConfigError):
+            scan_resonance_map(("omega", 3.0), ("epsilon0", grid), ("amplitude", ok))
 
 
 def test_scan_config_validation():
-    with pytest.raises(ConfigError):
-        ScanConfig(steps_per_period=8)
-    with pytest.raises(ConfigError):
-        ScanConfig(target_slow_periods=0.5)
-    with pytest.raises(ConfigError):
-        ScanConfig(min_drive_periods=1)
-    with pytest.raises(ConfigError):
-        ScanConfig(min_drive_periods=100, max_drive_periods=50)
+    # steps_per_period follows dynamics' rule, and 5000 periods of it must
+    # fit the 10^8-sample limit (19 999 steps do, 20 000 do not).
+    ok = np.array([1.0])
+    for spp in (8, 20_000):
+        with pytest.raises(ConfigError):
+            scan_resonance_map(("omega", 3.0), ("epsilon0", ok), ("amplitude", ok), steps_per_period=spp)
 
 
 def test_scan_result_shape_validation():
@@ -282,7 +286,7 @@ def test_scan_result_shape_validation():
 # measure_resonance_width
 
 
-_WIDTH_CFG = ScanConfig(steps_per_period=32, target_slow_periods=4.0, min_drive_periods=20, max_drive_periods=200)
+_WIDTH_CFG = 32
 
 
 def test_width_tracks_lineshape_theory():
@@ -353,5 +357,3 @@ def test_stroboscopic_validation():
     p = _p(5.0, 30.0, 5.0)
     with pytest.raises(ConfigError):
         stroboscopic_exact(p, QubitState.up(), 0)
-    with pytest.raises(ConfigError):
-        stroboscopic_exact(p, QubitState.up(), 5, settle_fraction=1.0)

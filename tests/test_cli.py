@@ -5,7 +5,6 @@ import math
 import re
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from drivenqubit import __version__, dynamics
@@ -502,13 +501,16 @@ _HUGE = "1000000000000"
         ["simulate", "--amp", "1", "--omega", "2", "--cycles", _HUGE, "--steps-per-period", "64"],
         ["simulate", "--amp", "1", "--omega", "2", "--steps-per-period", _HUGE],
         _SCAN_ARGS[:-1] + [_HUGE],
+        # 5000 capped periods of 20 000 steps pass the 10^8-sample limit.
+        _SCAN_ARGS[:-1] + ["20000"],
+        _WIDTH_ARGS[:-1] + ["20000"],
         _WIDTH_ARGS[:-4] + ["--omega-points", _HUGE, "--steps-per-period", "32"],
         # Too large for a float, and past the one-block period of 65 536 steps.
         ["simulate", "--amp", "1", "--omega", "2", "--cycles", "1", "--steps-per-period", "1" + "0" * 400],
         ["simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "1", "--steps-per-period", "2000000"],
     ],
-    ids=["cycles", "steps-per-period", "scan-steps-per-period", "omega-points", "steps-per-period-401-digits",
-         "steps-per-period-past-block"],
+    ids=["cycles", "steps-per-period", "scan-steps-per-period", "scan-steps-per-period-past-cap",
+         "width-steps-per-period-past-cap", "omega-points", "steps-per-period-401-digits", "steps-per-period-past-block"],
 )
 def test_oversized_counts_are_config_errors(capsys, argv):
     tracemalloc.start()

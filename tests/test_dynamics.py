@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivenqubit import dynamics
-from drivenqubit.analysis import ScanConfig, extract_frequency
+from drivenqubit.analysis import extract_frequency, scan_resonance_map
 from drivenqubit.dynamics import (
     DriveParams,
     QubitState,
@@ -24,7 +24,7 @@ from drivenqubit.dynamics import (
 )
 from drivenqubit.errors import ConfigError, QuadratureError
 from drivenqubit.rwa import cdt_amplitudes
-from drivenqubit.transfer_matrix import propagate_tm
+from drivenqubit.transfer_matrix import full_cycle_matrix_windowed, propagate_tm
 
 
 def _random_params(rng):
@@ -474,14 +474,15 @@ def _no_walk(*args, **kwargs):
         lambda: propagate_linear_sweep(1.0, 1.0, 10.0, QubitState.up(), steps=2000.0),
         lambda: propagate_linear_sweep(1.0, "1", 10.0, QubitState.up()),
         lambda: propagate_linear_sweep(1.0, 1.0, math.inf, QubitState.up()),
+        lambda: propagate_linear_sweep("1", 1.0, 10.0, QubitState.up()),
+        lambda: propagate_linear_sweep(True, 1.0, 10.0, QubitState.up()),
         lambda: propagate_exact(_P, QubitState.up(), True),
         lambda: propagate_exact(_P, QubitState.up(), "1"),
         lambda: evolution_operator(_P, 0.0, math.inf),
         lambda: step_unitary(0.0, "0.1", _P),
         lambda: TimeSeries(0.0, "0.1", np.array([0.5, 0.5])),
-        lambda: ScanConfig(target_slow_periods="5"),
-        lambda: ScanConfig(target_slow_periods=True),
-        lambda: ScanConfig(max_drive_periods=10),
+        lambda: step_unitary(0.0, 10**400, _P),
+        lambda: full_cycle_matrix_windowed(_P, "0.1"),
         lambda: extract_frequency(propagate_exact(_P, QubitState.up(), 3.0 * _P.period), drive_period="3"),
         lambda: cdt_amplitudes(True, 3),
         # Refused before the 8 TB trace is allocated.
@@ -492,9 +493,9 @@ def _no_walk(*args, **kwargs):
         lambda: propagate_exact(_P, QubitState.up(), 1e308),
     ],
     ids=[
-        "sweep-steps-float", "sweep-rate-str", "sweep-span-inf", "t_end-bool", "t_end-str", "duration-inf",
-        "step-str", "dt-str", "target-str", "target-bool", "max-below-min", "drive-period-str", "cdt-omega-bool",
-        "n_cycles-huge", "sweep-steps-huge", "duration-huge", "t_end-overflow",
+        "sweep-steps-float", "sweep-rate-str", "sweep-span-inf", "sweep-delta-str", "sweep-delta-bool", "t_end-bool",
+        "t_end-str", "duration-inf", "step-str", "dt-str", "step-int-overflow", "window-str", "drive-period-str",
+        "cdt-omega-bool", "n_cycles-huge", "sweep-steps-huge", "duration-huge", "t_end-overflow",
     ],
 )
 def test_counts_and_positive_reals_are_config_errors(monkeypatch, call):
@@ -557,9 +558,9 @@ def test_timeseries_rejects_bad_values():
     [
         lambda p, spp: propagate_exact(p, QubitState.up(), 2.0 * p.period, steps_per_period=spp),
         lambda p, spp: evolution_operator(p, 0.0, p.period, steps_per_period=spp),
-        lambda p, spp: ScanConfig(steps_per_period=spp),
+        lambda p, spp: scan_resonance_map(("omega", 3.0), ("epsilon0", [3.0]), ("amplitude", [15.0]), spp),
     ],
-    ids=["propagate_exact", "evolution_operator", "ScanConfig"],
+    ids=["propagate_exact", "evolution_operator", "scan_resonance_map"],
 )
 def test_steps_per_period_must_be_an_integer(call, steps_per_period):
     p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)

@@ -1,5 +1,6 @@
 """Layering: the package re-exports exactly the modules' __all__, the SU(2) state helpers, block
-size and run limits of dynamics stay private to it, and the CLI imports no scipy.integrate."""
+size and run limits of dynamics stay private to it, the CLI imports no scipy.integrate, and no
+module or test imports a name it does not use."""
 
 import ast
 import importlib
@@ -36,7 +37,7 @@ def test_package_names_are_the_module_objects(module):
 @pytest.mark.parametrize("module", sorted(path.name for path in _PACKAGE.glob("*.py")))
 def test_no_module_imports_the_state_helpers(module):
     # Every stroboscopic path reaches them through dynamics' propagators,
-    # never by importing them; ScanConfig checks steps_per_period through
+    # never by importing them; scan and width check steps_per_period through
     # dynamics' shared rule.
     tree = ast.parse((_PACKAGE / module).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -50,3 +51,20 @@ def test_cli_import_loads_no_scipy_integrate():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(_PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+_SOURCES = sorted([*_PACKAGE.glob("*.py"), *(_PACKAGE.parents[1] / "tests").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_imported_name_is_used(path):
+    # Star imports bind no one name, and a __future__ import is a compiler switch.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - used) == []
