@@ -58,6 +58,16 @@ _MIN_SAMPLES = 32
 _AMBIGUOUS_RATIO = 10.0 ** (-3.0 / 20.0)
 _AMBIGUOUS_MIN_SEPARATION = 3
 
+# The closed-form spectrum (``_form_spectrum``) sums the exponentials of the
+# boxcar whose weight is at least _LINE_FLOOR of the strongest, at the bins
+# within _LINE_REACH of those at least _STRONG_LINE of it.  A boxcar whose
+# strongest exponential weighs at most _FLAT_WEIGHT, the rounding level of a
+# probability, is flat: its lines are rounding noise, all of them "strong".
+_LINE_FLOOR = 1e-15
+_STRONG_LINE = 0.25
+_LINE_REACH = 4
+_FLAT_WEIGHT = 1e-14
+
 
 @dataclass(frozen=True)
 class FrequencyEstimate:
@@ -161,75 +171,184 @@ def extract_frequency(
     quadratic interpolation of the log magnitude.  ``band``, if given,
     restricts the peak search to angular frequencies in [lo, hi].
 
+    A series from ``propagate_exact`` on a period-aligned grid carries the
+    one-period form of its samples, P(k m + j) = A_j + Re(B_j e^{2ik lambda})
+    (see ``propagate_exact``).  When ``band`` is None and the boxcar spans
+    exactly its m samples, the estimate comes from the form in O(m) work,
+    without reading the trace: the boxcar is mean(A) + Re(Z_j e^{2ik lambda})
+    with Z from a two-period prefix sum of B, the amplitude is its max - min
+    over the windows the trace has, and the Hann spectrum is summed from
+    the closed-form kernel at the bins near its strong lines.  It agrees
+    with the FFT of the same samples to rounding: the amplitude to 1e-10,
+    ``omega_est`` to 1e-6 bins and the flags away from the 0.02 and 3 dB
+    thresholds.  Any other series, a ``band`` or another boxcar width
+    takes the FFT.
+
     Raises
     ------
     InsufficientDataError
         Fewer than 32 usable samples, or no spectral bins in ``band``.
     """
-    values = np.asarray(ts.values, dtype=float)
-    if len(values) < _MIN_SAMPLES:
-        raise InsufficientDataError(f"need at least {_MIN_SAMPLES} samples, got {len(values)}")
-    dt = ts.dt
+    n = len(ts.values)
+    if n < _MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {_MIN_SAMPLES} samples, got {n}")
+    width = 1
     if drive_period is not None:
-        width = int(round(_positive("drive_period", drive_period) / dt))
-        if width >= 2:
-            if len(values) < 2 * width:
-                raise InsufficientDataError(
-                    f"trace of {len(values)} samples is too short for a {width}-sample boxcar"
-                )
-            csum = np.concatenate(([0.0], np.cumsum(values)))
-            values = (csum[width:] - csum[:-width]) / width
-    if len(values) < _MIN_SAMPLES:
-        raise InsufficientDataError(f"only {len(values)} samples remain after coarse-graining")
-
-    amplitude = float(min(1.0, max(0.0, np.max(values) - np.min(values))))
-
-    n = len(values)
-    windowed = (values - values.mean()) * np.hanning(n)
-    spectrum = np.abs(np.fft.rfft(windowed))
-    # Bin k sits at angular frequency 2*pi*k/(n*dt); DC is never a peak candidate.
-    bin_step = 2.0 * np.pi / (n * dt)
-    usable = np.ones(spectrum.shape, dtype=bool)
-    usable[0] = False
+        width = max(1, int(round(_positive("drive_period", drive_period) / ts.dt)))
+        if width >= 2 and n < 2 * width:
+            raise InsufficientDataError(f"trace of {n} samples is too short for a {width}-sample boxcar")
+    size = n - width + 1
+    if size < _MIN_SAMPLES:
+        raise InsufficientDataError(f"only {size} samples remain after coarse-graining")
     if band is not None:
         lo, hi = float(band[0]), float(band[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise ConfigError(f"band must satisfy 0 <= lo < hi, got {band!r}")
-        freqs = bin_step * np.arange(len(spectrum))
-        usable &= (freqs >= lo) & (freqs <= hi)
+
+    form = ts._form
+    if form is not None and band is None and width == form.mean.size:
+        amplitude, bins, mags = _form_spectrum(form, size)
+    else:
+        values = ts.values
+        if width >= 2:
+            csum = np.concatenate(([0.0], np.cumsum(values)))
+            values = (csum[width:] - csum[:-width]) / width
+        amplitude = float(np.max(values) - np.min(values))
+        mags = np.abs(np.fft.rfft((values - values.mean()) * np.hanning(size)))
+        bins = np.arange(mags.size)
+    # Bin k sits at angular frequency 2*pi*k/(size*dt); DC is never a peak candidate.
+    bin_step = 2.0 * math.pi / (size * ts.dt)
+    usable = bins > 0
+    if band is not None:
+        usable &= (bin_step * bins >= lo) & (bin_step * bins <= hi)
     if not usable.any():
         raise InsufficientDataError(f"no spectral bins inside band {band!r}")
+    position, ambiguous = _spectral_peak(bins, mags, usable)
 
-    masked = np.where(usable, spectrum, 0.0)
-    k = int(np.argmax(masked))
-    peak = spectrum[k]
-
-    shift = 0.0
-    if 1 <= k < len(spectrum) - 1 and spectrum[k - 1] > 0.0 and peak > 0.0 and spectrum[k + 1] > 0.0:
-        lm, lc, lp = np.log(spectrum[k - 1]), np.log(peak), np.log(spectrum[k + 1])
-        curvature = lm - 2.0 * lc + lp
-        if curvature < 0.0:
-            shift = min(0.5, max(-0.5, 0.5 * (lm - lp) / curvature))
-    omega_est = max(0.0, bin_step * (k + shift))
-
+    amplitude = min(1.0, max(0.0, amplitude))
     flags: list[str] = []
     if amplitude < SUPPRESSED_AMPLITUDE:
         flags.append("suppressed")
-    if _has_competing_peak(masked, k):
+    if ambiguous:
         flags.append("ambiguous")
-    return FrequencyEstimate(omega_est=omega_est, amplitude=amplitude, flags=tuple(flags))
+    return FrequencyEstimate(omega_est=max(0.0, bin_step * position), amplitude=amplitude, flags=tuple(flags))
 
 
-def _has_competing_peak(mags: np.ndarray, k: int) -> bool:
-    """True when a separated local maximum comes within 3 dB of bin k."""
-    if mags[k] <= 0.0:
-        return False
-    interior = np.arange(1, len(mags) - 1)
-    is_peak = (mags[interior] >= mags[interior - 1]) & (mags[interior] >= mags[interior + 1])
-    candidates = interior[is_peak & (np.abs(interior - k) > _AMBIGUOUS_MIN_SEPARATION)]
-    if candidates.size == 0:
-        return False
-    return bool(np.max(mags[candidates]) >= _AMBIGUOUS_RATIO * mags[k])
+def _spectral_peak(bins: np.ndarray, mags: np.ndarray, usable: np.ndarray) -> tuple[float, bool]:
+    """Refined position (in bins) of the strongest usable bin, and whether a rival comes within 3 dB.
+
+    ``bins`` are increasing bin indices and ``mags`` their spectral
+    magnitudes; a bin's neighbours count only where bins k - 1 and k + 1
+    are present.  The peak k is shifted by quadratic interpolation of the
+    log magnitude over k - 1, k, k + 1.  A rival is a usable local maximum
+    more than 3 bins from k.
+    """
+    masked = np.where(usable, mags, 0.0)
+    i = int(np.argmax(masked))
+    k = int(bins[i])
+    shift = 0.0
+    if 0 < i < bins.size - 1 and bins[i - 1] == k - 1 and bins[i + 1] == k + 1:
+        below, peak, above = mags[i - 1], mags[i], mags[i + 1]
+        if below > 0.0 and peak > 0.0 and above > 0.0:
+            lm, lc, lp = np.log(below), np.log(peak), np.log(above)
+            curvature = lm - 2.0 * lc + lp
+            if curvature < 0.0:
+                shift = min(0.5, max(-0.5, float(0.5 * (lm - lp) / curvature)))
+    if masked[i] <= 0.0:
+        return k + shift, False
+    inner = np.flatnonzero((bins[1:-1] - bins[:-2] == 1) & (bins[2:] - bins[1:-1] == 1)) + 1
+    is_peak = (masked[inner] >= masked[inner - 1]) & (masked[inner] >= masked[inner + 1])
+    rivals = inner[is_peak & (np.abs(bins[inner] - k) > _AMBIGUOUS_MIN_SEPARATION)]
+    return k + shift, bool(rivals.size and np.max(masked[rivals]) >= _AMBIGUOUS_RATIO * masked[i])
+
+
+def _form_spectrum(form, size: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Amplitude, bins and Hann spectrum magnitudes of the one-period boxcar of a series with ``form``.
+
+    ``size`` is the boxcar length.  The window starting at sample
+    s = k m + j holds mid + Re(Z_j e^{2ik lambda}), mid the mean of A; Z
+    is a two-period prefix sum of B, whose second period is B e^{2i lambda}.
+    With x = 2 lambda / m, Z_j e^{-ixj} is m-periodic, so its m-point FFT
+    y_p gives the boxcar as mid + Re sum_p y_p e^{i nu_p s}, nu_p =
+    x + 2 pi p / m.  The spectrum sums the Hann kernel of every exponential
+    with |y_p| at least _LINE_FLOOR of the largest, mean subtracted line by
+    line, at the bins within _LINE_REACH of the lines at least _STRONG_LINE
+    of it (a weaker line cannot by itself make the peak or a 3 dB rival: a
+    line's Hann peak loses at most 1.42 dB between bins).  The spectrum of
+    a flat boxcar is zero (bins 0 and 1 returned), so its ``omega_est`` is 0.
+    """
+    m, lam, b = form.swing.size, form.lam, form.swing
+    csum = np.concatenate(([0j], np.cumsum(np.concatenate((b, b * np.exp(2j * lam))))))
+    z = (csum[m : 2 * m] - csum[:m]) / m
+    amplitude = _boxcar_swing(z, lam, size)
+
+    y = np.fft.fft(z * np.exp(-2j * lam / m * np.arange(m))) / m
+    weight = np.abs(y)
+    top = weight.max()
+    if top <= _FLAT_WEIGHT:
+        return amplitude, np.arange(2), np.zeros(2)
+    keep = weight >= _LINE_FLOOR * top
+    nu = (2.0 * lam + 2.0 * math.pi * np.fft.fftfreq(m, 1.0 / m)[keep]) / m
+    # Bins within reach of every strong line, its bin folded into [0, size / 2].
+    strong = nu[weight[keep] >= _STRONG_LINE * top]
+    centre = np.rint(np.abs(np.remainder(strong / (2.0 * math.pi) + 0.5, 1.0) - 0.5) * size)
+    bins = np.unique(centre[:, None] + np.arange(-_LINE_REACH, _LINE_REACH + 1))
+    bins = bins[(bins >= 0) & (bins <= size // 2)].astype(int)
+
+    coef = 0.5 * y[keep]
+    nu, coef = np.concatenate((nu, -nu)), np.concatenate((coef, coef.conjugate()))
+    # Each line minus its share of the boxcar mean, sum_s e^{i nu s} / size;
+    # the last column, a line at 0, is the kernel of that constant.
+    kernel = _hann_kernel(np.append(nu, 0.0)[None, :] - (2.0 * math.pi / size) * bins[:, None], size)
+    mean = _hann_kernel(nu, size, window=False) / size
+    spectrum = (kernel[:, :-1] - kernel[:, -1:] * mean) @ coef
+    return amplitude, bins, np.abs(spectrum)
+
+
+def _hann_kernel(nu: np.ndarray, size: int, window: bool = True) -> np.ndarray:
+    """sum_{s < size} w_s e^{i nu s} for the Hann window w = np.hanning(size), or w = 1 when not ``window``.
+
+    With x = nu/2 reduced to [-pi/2, pi/2) and S(x) = sin(size x)/sin(x)
+    (size at x = 0, its limit), the sum is e^{i (size-1) x} times S(x), or
+    times S(x)/2 + S(x + b)/4 + S(x - b)/4 with b = pi/(size - 1) for the
+    window.  The arguments of S stay within (-pi, pi), so x = 0 and
+    x = -+b are the only vanishing denominators.
+    """
+    x = 0.5 * (np.remainder(nu + math.pi, 2.0 * math.pi) - math.pi)
+    if window:
+        b = math.pi / (size - 1)
+        shape = _dirichlet(x[..., None] + np.array((0.0, b, -b)), size) @ np.array((0.5, 0.25, 0.25))
+    else:
+        shape = _dirichlet(x, size)
+    return np.exp(1j * (size - 1) * x) * shape
+
+
+def _dirichlet(x: np.ndarray, size: int) -> np.ndarray:
+    """sin(size x) / sin(x), and its limit size where sin(x) = 0."""
+    den = np.sin(x)
+    zero = den == 0.0
+    return np.where(zero, float(size), np.sin(size * x) / np.where(zero, 1.0, den))
+
+
+def _boxcar_swing(z: np.ndarray, lam: float, size: int) -> float:
+    """max - min of Re(z[s % m] e^{2i (s // m) lam}) over the windows s < size.
+
+    Every j reaches the periods k < last_k, and j <= last_j also k = last_k.
+    Re(z_j e^{i theta}) peaks where theta is nearest -arg z_j (mod 2 pi) and
+    dips where it is nearest pi - arg z_j, so among k < last_k only the two
+    periods whose phases 2k lambda flank each target are evaluated.
+    """
+    m = z.size
+    last_k, last_j = divmod(size - 1, m)
+    theta = np.remainder(2.0 * lam * np.arange(last_k), 2.0 * math.pi)
+    order = np.argsort(theta)
+    rot = np.angle(z)
+    targets = np.remainder(np.concatenate((-rot, math.pi - rot)), 2.0 * math.pi)
+    at = np.searchsorted(theta[order], targets)
+    k = np.concatenate((order[at - 1], order[at % last_k], np.full(last_j + 1, last_k)))
+    zz = np.concatenate((z, z, z, z, z[: last_j + 1]))
+    vals = (zz * np.exp(2j * lam * k)).real
+    return float(vals.max() - vals.min())
 
 
 def classify_regime(p: DriveParams) -> RegimeLabel:
@@ -334,7 +453,10 @@ def _estimate_cell(
 def _validate_axis(name: str, grid: np.ndarray) -> np.ndarray:
     if name not in _SCAN_PARAMETERS:
         raise ConfigError(f"unknown scan parameter {name!r}; expected one of {_SCAN_PARAMETERS}")
-    arr = np.asarray(grid)
+    try:
+        arr = np.asarray(grid)
+    except ValueError as exc:  # a ragged grid
+        raise ConfigError(f"axis {name!r} must be a nonempty 1-D grid") from exc
     if arr.dtype.kind not in "iuf":
         raise ConfigError(f"axis {name!r} must hold integers or floats, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)

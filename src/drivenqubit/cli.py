@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import _MAX_SCAN_CELLS, classify_regime, measure_resonance_width, scan_resonance_map
-from .dynamics import _MAX_SAMPLES, DriveParams, QubitState, _count, _positive, propagate_exact
+from .dynamics import _MAX_SAMPLES, DriveParams, QubitState, _count, _is_number, _positive, propagate_exact
 from .errors import BracketError, ConfigError, InsufficientDataError, QuadratureError, RegimeError
 from .rwa import cdt_amplitudes, rwa_predict
 from .specfun import MAX_J0_ZERO_INDEX
@@ -127,12 +127,14 @@ def _load_config_file(path: str, command: str) -> dict[str, Any]:
 def _coerce(key: str, value: Any) -> Any:
     """Config-file values arrive as JSON types; normalize to the key's flag type.
 
-    null is accepted only where it is the default (no value).
+    null is accepted only where it is the default (no value); a number is
+    one by ``_is_number``, so an int too large for a float is refused here.
     """
     kind, default, _ = _KEYS[key]
     if value is None and default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+    ok = _is_number(value) if kind is float else isinstance(value, kind) and not isinstance(value, bool)
+    if not ok:
         raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return kind(value)
 

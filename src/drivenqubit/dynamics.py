@@ -23,14 +23,18 @@ The sampler ``_sample`` fills a trace from one cycle's prefixes and the
 closed-form power U^k of the cycle: for ``propagate_exact`` on every
 period-aligned grid (H(t + T) = H(t), so one period serves all), and once
 per cycle for ``propagate_tm`` and ``stroboscopic_exact``.  No cycle is
-powered by repeated multiplication.  ``_check_norm`` holds the one 1e-10
-norm bound, and ``_substep_count`` the run limits of every time grid.
+powered by repeated multiplication.  A period-aligned ``propagate_exact``
+series also carries ``_periodic_form``, the O(steps_per_period) form of
+its samples that ``analysis.extract_frequency`` reads.  ``_check_norm``
+holds the one 1e-10 norm bound, and ``_substep_count`` the run limits of
+every time grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,13 +191,27 @@ class Unitary2:
         return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=complex)
 
 
+class _Form(NamedTuple):
+    """One period of a period-aligned trace: P(k m + j) = mean[j] + Re(swing[j] e^{2 i k lam}), m = mean.size."""
+
+    mean: np.ndarray
+    swing: np.ndarray
+    lam: float
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Uniformly sampled up-state probability P_up(t0 + k*dt), k = 0..len-1."""
+    """Uniformly sampled up-state probability P_up(t0 + k*dt), k = 0..len-1.
+
+    ``_form`` is the one-period ``_Form`` of the samples when
+    ``propagate_exact`` ran on a period-aligned grid, and None on every
+    other series; ``analysis.extract_frequency`` reads it.
+    """
 
     t0: float
     dt: float
     values: np.ndarray
+    _form: _Form | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         _positive("dt", self.dt)
@@ -348,13 +366,13 @@ def _walk(eps_of, delta: float, t_start: float, h: float, n: int, u: complex, d:
     return u, d
 
 
-def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States (u_k, d_k) = U^k (u0, d0) for the one-cycle SU(2) pair U = (ua, ub).
+def _rotation(ua: complex, ub: complex, u0: complex, d0: complex) -> tuple[float, complex, complex]:
+    """Eigenphase lambda of the one-cycle SU(2) pair U = (ua, ub) and g = (U - cos(lambda) I) (u0, d0) / sin(lambda).
 
     U has eigenphases +-lambda (cos lambda = Re ua, sin lambda =
     hypot(Im ua, |ub|)), so U^k = cos(k lambda) I + sin(k lambda)/sin(lambda)
-    (U - cos(lambda) I) for every integer k in the array: exactly unitary
-    however large k is, where repeated multiplication would round k times.
+    (U - cos(lambda) I) and U^k (u0, d0) = cos(k lambda) (u0, d0) +
+    sin(k lambda) g for every integer k.  g = 0 when U = +-I.
 
     Raises QuadratureError if |ua|^2 + |ub|^2 drifts from 1 by more than
     1e-10: the cycle itself is then not unitary.
@@ -362,11 +380,20 @@ def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -
     _check_norm(ua, ub, " over one period")
     sin_l = math.hypot(ua.imag, abs(ub))
     lam = math.atan2(sin_l, ua.real)
-    # (U - cos(lambda) I) psi0 / sin(lambda); U = +-I when sin(lambda) = 0.
     gu, gd = (0.0j, 0.0j) if sin_l == 0.0 else (
         (1j * ua.imag * u0 + ub * d0) / sin_l,
         (-ub.conjugate() * u0 - 1j * ua.imag * d0) / sin_l,
     )
+    return lam, gu, gd
+
+
+def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States (u_k, d_k) = U^k (u0, d0) for the one-cycle SU(2) pair U = (ua, ub), by ``_rotation``.
+
+    Exactly unitary however large k is, where repeated multiplication
+    would round k times.
+    """
+    lam, gu, gd = _rotation(ua, ub, u0, d0)
     c, s = np.cos(k * lam), np.sin(k * lam)
     return c * u0 + s * gu, c * d0 + s * gd
 
@@ -389,6 +416,22 @@ def _sample(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex, out: np.
             _up_probability(wa[: r + 1], wb[: r + 1], u[-1], d[-1], out[cycles * m :])
             u, d = u[:-1], d[:-1]
         _up_probability(wa, wb, u, d, grid[k0 : k0 + len(u)])
+
+
+def _periodic_form(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex) -> _Form:
+    """The ``_Form`` of the samples ``_sample`` writes from the same prefixes, cycle and state.
+
+    With a_j = [W_j psi0]_up and b_j = [W_j g]_up (``_rotation``), sample
+    k m + j is |cos(k lambda) a_j + sin(k lambda) b_j|^2 = mean_j +
+    Re(swing_j e^{2 i k lambda}), mean_j = (|a_j|^2 + |b_j|^2)/2 and
+    swing_j = (|a_j|^2 - |b_j|^2)/2 - i Re(a_j conj(b_j)).
+    """
+    lam, gu, gd = _rotation(ua, ub, u0, d0)
+    a, b = wa * u0 + wb * d0, wa * gu + wb * gd
+    aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
+    mean, swing = 0.5 * (aa + bb), 0.5 * (aa - bb) - 1j * (a * b.conjugate()).real
+    mean.flags.writeable = swing.flags.writeable = False
+    return _Form(mean, swing, lam)
 
 
 def _stroboscope(psi0: QubitState, pre, cycle, n_cycles: int, t0: float, dt: float) -> TimeSeries:
@@ -478,6 +521,13 @@ def propagate_exact(
     multiplication, whose rounding compounds over the periods.  Every
     other run composes all n factors block by block with the same scan.
 
+    On a period-aligned grid the series also keeps the one-period form of
+    its samples, P(kT + jh) = A_j + Re(B_j e^{2ik lambda}) with A_j and B_j
+    from a_j = [W_j psi0]_up and b_j = [W_j g]_up, g = (U_T - cos lambda I)
+    psi0 / sin lambda (zero when U_T = +-I).  It costs O(steps_per_period),
+    leaves the samples as they are, and lets ``extract_frequency`` take
+    the boxcar amplitude and the spectrum in closed form.
+
     Raises
     ------
     QuadratureError
@@ -488,16 +538,19 @@ def propagate_exact(
     h = t_end / n
     u0, d0 = psi0.up_amp, psi0.down_amp
     out = np.empty(n + 1)
+    form = None
     if aligned:
         t_mid = h * (np.arange(steps_per_period) + 0.5)
         wa, wb = _running_products(*_step_entries(drive_epsilon(t_mid, p), p.delta, h))
         # Prefixes W_0 = I, ..., W_{spp-1} (the samples within a period), then U_T = W_spp.
         prefixes = np.concatenate(([1.0 + 0.0j], wa[:-1])), np.concatenate(([0.0j], wb[:-1]))
-        _sample(*prefixes, complex(wa[-1]), complex(wb[-1]), u0, d0, out)
+        cycle = complex(wa[-1]), complex(wb[-1])
+        _sample(*prefixes, *cycle, u0, d0, out)
+        form = _periodic_form(*prefixes, *cycle, u0, d0)
     else:
         out[0] = u0.real * u0.real + u0.imag * u0.imag
         _walk(lambda t: drive_epsilon(t, p), p.delta, 0.0, h, n, u0, d0, out[1:])
-    return TimeSeries(t0=0.0, dt=h, values=_frozen(out))
+    return TimeSeries(t0=0.0, dt=h, values=_frozen(out), _form=form)
 
 
 def propagate_linear_sweep(

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from drivenqubit import analysis
+from drivenqubit import analysis, dynamics
 from drivenqubit.analysis import (
     FrequencyEstimate,
     ScanResult,
@@ -18,7 +20,7 @@ from drivenqubit.analysis import (
 from drivenqubit.dynamics import DriveParams, QubitState, TimeSeries, propagate_exact
 from drivenqubit.errors import BracketError, ConfigError, InsufficientDataError
 from drivenqubit.rwa import rwa_predict
-from drivenqubit.specfun import bessel_jn
+from drivenqubit.specfun import bessel_j0_zero, bessel_jn
 from drivenqubit.transfer_matrix import crossing_times, propagate_tm
 
 
@@ -126,6 +128,176 @@ def test_extraction_invariant_under_sampling_refinement():
         drive_period=p.period,
     )
     assert abs(coarse.omega_est - fine.omega_est) / fine.omega_est < 0.01
+
+
+def test_omega_est_is_a_python_float_on_both_paths():
+    p = _p(3.0, 10.0, 3.0)
+    ts = propagate_exact(p, QubitState.up(), 60 * p.period, steps_per_period=64)
+    assert ts._form is not None
+    for series in (ts, _fft_copy(ts)):
+        assert type(extract_frequency(series, drive_period=p.period).omega_est) is float
+
+
+# ---------------------------------------------------------------------------
+# the closed-form path: a series carrying its one-period form against the
+# FFT of a plain copy of the same samples
+
+
+def _fft_copy(ts):
+    return TimeSeries(ts.t0, ts.dt, ts.values)
+
+
+def _fft_margins(ts, width):
+    """(runner-up local maximum over the peak, best rival over the 3 dB ratio) of the plain spectrum."""
+    csum = np.concatenate(([0.0], np.cumsum(ts.values)))
+    box = (csum[width:] - csum[:-width]) / width
+    mags = np.abs(np.fft.rfft((box - box.mean()) * np.hanning(box.size)))
+    mags[0] = 0.0
+    k = int(np.argmax(mags))
+    if mags[k] == 0.0:
+        return 0.0, 0.0
+    inner = np.arange(1, mags.size - 1)
+    peaks = inner[(mags[inner] >= mags[inner - 1]) & (mags[inner] >= mags[inner + 1])]
+    others = mags[peaks[peaks != k]]
+    rivals = mags[peaks[np.abs(peaks - k) > analysis._AMBIGUOUS_MIN_SEPARATION]]
+    runner_up = others.max() / mags[k] if others.size else 0.0
+    rival = rivals.max() / mags[k] if rivals.size else 0.0
+    return runner_up, rival / analysis._AMBIGUOUS_RATIO
+
+
+def _assert_paths_agree(ts, period):
+    """The closed form matches the FFT path: amplitude to 1e-10, omega_est to 1e-6 bins, flags away from thresholds.
+
+    omega_est is compared on cells that are not suppressed and whose two
+    highest local maxima differ by more than rounding; the flags where the
+    amplitude is more than 1e-9 from 0.02 and the best rival more than
+    1e-6 from the 3 dB ratio.
+    """
+    width = round(period / ts.dt)
+    assert ts._form is not None and ts._form.mean.size == width
+    closed = extract_frequency(ts, drive_period=period)
+    plain = extract_frequency(_fft_copy(ts), drive_period=period)
+    assert math.isfinite(closed.omega_est)
+    assert abs(closed.amplitude - plain.amplitude) <= 1e-10
+    runner_up, rival = _fft_margins(ts, width)
+    bin_step = 2.0 * math.pi / ((len(ts) - width + 1) * ts.dt)
+    if "suppressed" not in plain.flags and runner_up < 1.0 - 1e-9:
+        assert abs(closed.omega_est - plain.omega_est) <= 1e-6 * bin_step
+    if plain.amplitude < 1e-9:
+        # A boxcar flat to rounding has a spectrum of rounding noise: the rival flag means nothing there.
+        assert "suppressed" in closed.flags and "suppressed" in plain.flags
+    elif abs(plain.amplitude - analysis.SUPPRESSED_AMPLITUDE) > 1e-9 and abs(rival - 1.0) > 1e-6:
+        assert closed.flags == plain.flags
+    return closed, plain
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    epsilon0=st.floats(0.0, 20.0),
+    amplitude=st.floats(0.0, 30.0),
+    omega=st.floats(0.5, 8.0),
+    steps=st.integers(16, 1024),
+    periods=st.integers(3, 5000),
+    extra=st.integers(0, 1023),
+)
+def test_closed_form_extraction_matches_the_fft(epsilon0, amplitude, omega, steps, periods, extra):
+    # Up to 200 000 samples: 5000 periods at up to 40 steps, and a partial
+    # last period of extra % steps samples.
+    p = _p(epsilon0, amplitude, omega)
+    periods = min(periods, 200_000 // steps)
+    ts = propagate_exact(p, QubitState.up(), (periods + (extra % steps) / steps) * p.period, steps_per_period=steps)
+    assume(ts._form is not None)
+    _assert_paths_agree(ts, p.period)
+
+
+@pytest.mark.parametrize(
+    "eps0, amp, omega, periods, steps",
+    [
+        (9.2, 14.0, 3.0, 57, 256),  # a scan_map cell
+        (5.0, 34.95, 5.0, 5000, 128),  # a capped scan cell
+        (2.0, 0.0, 3.0, 60, 64),  # undriven
+        (0.0, 5.0 * bessel_j0_zero(1), 5.0, 25, 512),  # the first CDT node
+        (0.0, 5.0 * bessel_j0_zero(1), 5.0, 5000, 64),
+    ],
+    ids=["scan-cell", "capped", "undriven", "cdt-node", "cdt-node-long"],
+)
+def test_closed_form_extraction_on_marked_cells(eps0, amp, omega, periods, steps):
+    p = _p(eps0, amp, omega)
+    _assert_paths_agree(propagate_exact(p, QubitState.up(), periods * p.period, steps_per_period=steps), p.period)
+
+
+def test_closed_form_extraction_of_a_constant_trace():
+    # delta rounds to 0 in every factor, so each one, U_T included, is I
+    # exactly: lambda = 0, P_up = 1, and both paths see no line at all.
+    p = DriveParams(delta=5e-324, epsilon0=0.0, amplitude=0.0, omega=1.0)
+    ts = propagate_exact(p, QubitState.up(), 40 * p.period, steps_per_period=32)
+    assert ts._form.lam == 0.0 and np.all(ts.values == 1.0)
+    closed, plain = _assert_paths_agree(ts, p.period)
+    assert closed == plain == FrequencyEstimate(0.0, 0.0, ("suppressed",))
+
+
+def test_closed_form_extraction_of_a_boxcar_flat_to_rounding():
+    # delta = 1e-20 leaves up a Floquet state to rounding: every line of the
+    # boxcar is noise near 1e-17, which the FFT reads as a spectrum.  The
+    # closed form takes such a boxcar as flat instead of summing hundreds
+    # of noise lines at hundreds of bins.
+    p = DriveParams(delta=1e-20, epsilon0=2.3, amplitude=1.0, omega=0.5)
+    ts = propagate_exact(p, QubitState.up(), 2000 * p.period, steps_per_period=1024)
+    closed = extract_frequency(ts, drive_period=p.period)
+    assert closed.omega_est == 0.0 and closed.amplitude < 1e-15 and closed.flags == ("suppressed",)
+    assert "suppressed" in extract_frequency(_fft_copy(ts), drive_period=p.period).flags
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["identity", "minus-identity"])
+def test_closed_form_extraction_when_the_period_is_plus_minus_identity(sign):
+    # Random one-period prefixes closed by U_T = +-I (lambda = 0 or pi): the
+    # trace repeats every period, its boxcar is flat to rounding, and the
+    # kernel meets its vanishing denominators; the result stays finite.
+    rng = np.random.default_rng(7)
+    steps = 48
+    a = rng.normal(size=steps) + 1j * rng.normal(size=steps)
+    b = rng.normal(size=steps) + 1j * rng.normal(size=steps)
+    norm = np.hypot(np.abs(a), np.abs(b))
+    wa, wb = a / norm, b / norm
+    u0, d0 = 0.6 + 0.0j, 0.8j
+    out = np.empty(30 * steps + 11)
+    dynamics._sample(wa, wb, complex(sign), 0j, u0, d0, out)
+    form = dynamics._periodic_form(wa, wb, complex(sign), 0j, u0, d0)
+    assert form.lam == (0.0 if sign > 0 else math.pi)
+    ts = TimeSeries(0.0, 0.1, dynamics._frozen(out), _form=form)
+    closed = extract_frequency(ts, drive_period=steps * 0.1)
+    plain = extract_frequency(_fft_copy(ts), drive_period=steps * 0.1)
+    assert math.isfinite(closed.omega_est)
+    assert abs(closed.amplitude - plain.amplitude) <= 1e-10
+    assert "suppressed" in closed.flags and "suppressed" in plain.flags
+
+
+@pytest.mark.parametrize("size", [32, 33, 1000])
+def test_hann_kernel_matches_the_windowed_sum(size):
+    # Its denominators vanish at nu = 0 and nu = +-2 pi/(size - 1), and
+    # again one turn away: there it takes the limit.
+    alpha = 2.0 * math.pi / (size - 1)
+    nu = np.array([0.0, alpha, -alpha, 2.0 * math.pi, -2.0 * math.pi + alpha, math.pi, -math.pi, 0.3, 1e-13])
+    s = np.arange(size)
+    for window, weights in ((True, np.hanning(size)), (False, np.ones(size))):
+        want = np.exp(1j * nu[:, None] * s) @ weights
+        got = analysis._hann_kernel(nu, size, window=window)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-10 * size
+
+
+def test_band_or_other_boxcar_takes_the_fft(monkeypatch):
+    p = _p(3.0, 10.0, 3.0)
+    ts = propagate_exact(p, QubitState.up(), 60 * p.period, steps_per_period=64)
+
+    def no_closed_form(*args):
+        raise AssertionError("closed-form path taken")
+
+    monkeypatch.setattr(analysis, "_form_spectrum", no_closed_form)
+    for kwargs in ({"band": (0.1, 2.0), "drive_period": p.period}, {"drive_period": 2.0 * p.period}, {}):
+        assert extract_frequency(ts, **kwargs) == extract_frequency(_fft_copy(ts), **kwargs)
+    with pytest.raises(AssertionError, match="closed-form path taken"):
+        extract_frequency(ts, drive_period=p.period)
 
 
 def test_frequency_estimate_field_validation():
@@ -248,7 +420,7 @@ def test_scan_axis_and_name_validation():
     for value in (True, "3", "x"):
         with pytest.raises(ConfigError):
             scan_resonance_map(("omega", value), ("epsilon0", ok), ("amplitude", ok))
-    for grid in (["1", "2"], ["x"], np.array([False, True]), np.array([1.0, 2.0 + 1j])):
+    for grid in (["1", "2"], ["x"], np.array([False, True]), np.array([1.0, 2.0 + 1j]), [[1.0], [2.0, 3.0]]):
         with pytest.raises(ConfigError):
             scan_resonance_map(("omega", 3.0), ("epsilon0", grid), ("amplitude", ok))
 

@@ -473,8 +473,10 @@ def test_unwritable_out_path_is_a_config_error(capsys, tmp_path):
         ("out", 5, "config key 'out' must be a string, got 5"),
         # null stands only for "no value", so it is refused where a key has a default.
         ("format", None, "config key 'format' must be a string, got None"),
+        # An int past the float range is not a number (it was an OverflowError, exit 4).
+        ("eps0", 10**400, f"config key 'eps0' must be a number, got {10**400}"),
     ],
-    ids=["int", "float", "str", "null"],
+    ids=["int", "float", "str", "null", "float-int-overflow"],
 )
 def test_config_type_checking(capsys, tmp_path, key, value, message):
     path = tmp_path / "cfg.json"
@@ -612,12 +614,13 @@ _PREFIXES = {2: "config error: ", 3: "regime error: ", 4: "numerical error: "}
         (["simulate", "--amp", "1"], {"cycles": 2.5}, 2),
         (["simulate", "--amp", "1"], {"steps-per-period": True}, 2),
         (_WIDTH_ARGS[:-4], {"omega-points": 9.0}, 2),
+        (["classify", "--eps0", "1", "--amp", "2", "--omega", "0.5"], {"delta": 10**400}, 2),
     ],
     ids=[
         "omega-zero", "omega-negative", "eps0-nan", "amp-inf", "delta-zero", "delta-nan", "cdt-omega-inf",
         "cycles-zero", "cycles-negative", "cycles-huge", "axis-count-negative", "width-n-zero", "omega-min-zero",
         "omega-max-nan", "omega-points-negative", "omega-range-reversed", "amp-1e-300", "amp-1e300",
-        "config-cycles-float", "config-steps-bool", "config-omega-points-float",
+        "config-cycles-float", "config-steps-bool", "config-omega-points-float", "config-delta-int-overflow",
     ],
 )
 def test_hostile_input_exits_with_a_documented_code(capsys, tmp_path, argv, config, expected):

@@ -424,6 +424,43 @@ def test_closed_form_power_matches_matrix_power(pair):
         assert np.max(np.abs(np.array([u[i], d[i]]) - expected)) <= 1e-12
 
 
+def test_aligned_runs_carry_their_one_period_form():
+    # P(k m + j) = mean_j + Re(swing_j e^{2ik lambda}) reproduces every
+    # sample, the partial last period included; off the period grid, and
+    # on any series built from values, there is no form.
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    ts = propagate_exact(p, QubitState.up(), 30.25 * p.period, steps_per_period=64)
+    form = ts._form
+    assert form is not None and form.mean.size == form.swing.size == 64
+    assert not form.mean.flags.writeable and not form.swing.flags.writeable
+    k, j = np.divmod(np.arange(len(ts)), 64)
+    model = form.mean[j] + (form.swing[j] * np.exp(2j * k * form.lam)).real
+    assert np.max(np.abs(model - ts.values)) <= 1e-12
+    assert propagate_exact(p, QubitState.up(), 30.1 * p.period, steps_per_period=64)._form is None
+    assert TimeSeries(ts.t0, ts.dt, ts.values)._form is None
+    assert "_form" not in repr(ts)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(1.0 + 0.0j, 0.0j), (-1.0 + 0.0j, 0.0j), _GENERIC_PAIR],
+    ids=["identity", "minus-identity", "generic"],
+)
+def test_periodic_form_reproduces_the_sampler(pair):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=24) + 1j * rng.normal(size=24)
+    b = rng.normal(size=24) + 1j * rng.normal(size=24)
+    norm = np.hypot(np.abs(a), np.abs(b))
+    wa, wb = a / norm, b / norm
+    u0, d0 = 0.6 + 0.0j, 0.8j
+    out = np.empty(24 * 40 + 5)
+    dynamics._sample(wa, wb, *pair, u0, d0, out)
+    form = dynamics._periodic_form(wa, wb, *pair, u0, d0)
+    k, j = np.divmod(np.arange(out.size), 24)
+    model = form.mean[j] + (form.swing[j] * np.exp(2j * k * form.lam)).real
+    assert np.max(np.abs(model - out)) <= 1e-12
+
+
 def test_closed_form_power_rejects_a_leaky_pair():
     ua, ub = _GENERIC_PAIR
     with pytest.raises(QuadratureError, match="norm drifted"):
