@@ -9,7 +9,9 @@ provenance field is the package version.
 
 Exit codes: 0 success, 2 configuration error, 3 regime or bracketing
 error, 4 numerical failure (an ArithmeticError such as an overflow
-included).
+included), 141 stdout closed by its reader before the output was written
+(as ``| head`` does; 128 + SIGPIPE, what a shell reports for a process
+that signal ends).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -25,7 +28,16 @@ import numpy as np
 
 from . import __version__
 from .analysis import _MAX_SCAN_CELLS, classify_regime, measure_resonance_width, scan_resonance_map
-from .dynamics import _MAX_SAMPLES, DriveParams, QubitState, _count, _is_number, _positive, propagate_exact
+from .dynamics import (
+    _MAX_SAMPLES,
+    DriveParams,
+    QubitState,
+    TimeSeries,
+    _count,
+    _is_number,
+    _positive,
+    propagate_exact,
+)
 from .errors import BracketError, ConfigError, InsufficientDataError, QuadratureError, RegimeError
 from .rwa import cdt_amplitudes, rwa_predict
 from .specfun import MAX_J0_ZERO_INDEX
@@ -71,11 +83,16 @@ _KEYS: dict[str, _Key] = {
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
+# Rows of the simulate CSV formatted at a time: the writer's memory is this
+# block, not the length of the trace.
+_CSV_BLOCK_ROWS = 4096
+
 
 def _write(out: str | None, lines: Iterable[str]) -> None:
     """Write lines to the file ``out``, or to stdout when it is None, as they are formatted."""
     if out is None:
         sys.stdout.writelines(lines)
+        sys.stdout.flush()
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -191,8 +208,6 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
     cycles = _count("cycles", cfg["cycles"], 1, _MAX_SAMPLES)
     scale = cfg["delta"]
     ts = propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=cfg["steps-per-period"])
-    t = (ts.times() / scale).tolist()
-    p_up = ts.values.tolist()
 
     # The P_up_tm column appears wherever propagate_tm applies (A > eps0,
     # phi = 0), the same test predict and scan use.
@@ -204,18 +219,46 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
     strobe = propagate_tm(p, QubitState.up(), n_strobe) if n_strobe >= 1 else None
 
     if cfg["format"] == "json":
-        body: dict[str, Any] = {"t": t, "P_up": p_up}
+        body: dict[str, Any] = {"t": (ts.times() / scale).tolist(), "P_up": ts.values.tolist()}
         if strobe is not None:
             body["P_up_tm"] = {"t": (strobe.times() / scale).tolist(), "values": strobe.values.tolist()}
         return _json(cfg, body)
     if strobe is None:
-        return _rows("t,P_up", "%.17g,%.17g\n", t, p_up)
-    tm_col = [""] * len(t)
+        return _trace_csv(ts, scale, None)
+    # A row takes the strobe sample nearest its time; a later sample wins a shared row.
+    marks: dict[int, float] = {}
     for t_k, value in zip(strobe.times().tolist(), strobe.values.tolist()):
         idx = int(round(t_k / ts.dt))
-        if 0 <= idx < len(tm_col):
-            tm_col[idx] = "%.17g" % value
-    return _rows("t,P_up,P_up_tm", "%.17g,%.17g,%s\n", t, p_up, tm_col)
+        if 0 <= idx < ts.values.size:
+            marks[idx] = value
+    return _trace_csv(ts, scale, marks)
+
+
+def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> Iterator[str]:
+    """The simulate CSV: the header, then one string per block of _CSV_BLOCK_ROWS rows.
+
+    Only one block's rows are formatted at a time, so a run holds its trace
+    array and one block, never a list per column.  ``marks`` maps a row
+    index to its strobe value; with marks, every row has a P_up_tm field,
+    empty except at those rows, and without (None) there is no such column.
+    """
+    if marks is None:
+        yield "t,P_up\n"
+        pattern, marks = "%.17g,%.17g\n", {}
+    else:
+        yield "t,P_up,P_up_tm\n"
+        pattern = "%.17g,%.17g,\n"
+    strobe_rows = sorted(marks)
+    k = 0
+    for i in range(0, ts.values.size, _CSV_BLOCK_ROWS):
+        j = min(i + _CSV_BLOCK_ROWS, ts.values.size)
+        t = ((ts.t0 + ts.dt * np.arange(i, j)) / scale).tolist()
+        rows = list(map(pattern.__mod__, zip(t, ts.values[i:j].tolist())))
+        while k < len(strobe_rows) and strobe_rows[k] < j:
+            idx = strobe_rows[k]
+            rows[idx - i] = rows[idx - i][:-1] + "%.17g\n" % marks[idx]
+            k += 1
+        yield "".join(rows)
 
 
 def cmd_predict(cfg: dict[str, Any]) -> Iterable[str]:
@@ -389,6 +432,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (QuadratureError, InsufficientDataError, ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull so that the
+        # interpreter's last flush of what is left finds no broken pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -2,17 +2,23 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from drivenqubit import __version__, dynamics
-from drivenqubit.cli import _COMMANDS, main
+from drivenqubit.cli import _COMMANDS, _CSV_BLOCK_ROWS, main
 from drivenqubit.dynamics import DriveParams, QubitState, propagate_exact
 from drivenqubit.errors import QuadratureError
 from drivenqubit.specfun import bessel_j0_zero, bessel_jn
 from drivenqubit.transfer_matrix import crossing_times, propagate_tm
+
+_SRC = str(Path(dynamics.__file__).resolve().parents[1])
 
 
 def _run(capsys, argv):
@@ -118,21 +124,31 @@ def test_simulate_strobe_follows_the_crossing_check(capsys):
 
 
 @pytest.mark.parametrize(
-    "eps0, amp, omega, delta",
-    [("5", "30", "5", "1"), ("1", "0.5", "4", "1"), ("5", "30", "5", "2.5")],
-    ids=["with-tm", "without-tm", "delta"],
+    "eps0, amp, omega, delta, cycles",
+    [
+        ("5", "30", "5", "1", 3),
+        ("1", "0.5", "4", "1", 3),
+        ("5", "30", "5", "2.5", 3),
+        # 9601 rows: two whole blocks and a part of a third.
+        ("5", "30", "5", "1", 150),
+        ("1", "0.5", "4", "1", 150),
+        ("5", "30", "5", "2.5", 150),
+    ],
+    ids=["with-tm", "without-tm", "delta", "with-tm-blocks", "without-tm-blocks", "delta-blocks"],
 )
-def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, delta):
+def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, delta, cycles):
     code, out, _ = _run(
         capsys,
         [
             "simulate", "--eps0", eps0, "--amp", amp, "--omega", omega, "--delta", delta,
-            "--cycles", "3", "--steps-per-period", "64",
+            "--cycles", str(cycles), "--steps-per-period", "64",
         ],
     )
     assert code == 0
     p = DriveParams(delta=1.0, epsilon0=float(eps0), amplitude=float(amp), omega=float(omega))
-    ts = propagate_exact(p, QubitState.up(), 3 * p.period, steps_per_period=64)
+    ts = propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=64)
+    if cycles > 3:
+        assert ts.values.size > _CSV_BLOCK_ROWS and ts.values.size % _CSV_BLOCK_ROWS
     tm = {}
     if p.amplitude > p.epsilon0:
         _, t_c2 = crossing_times(p)
@@ -146,6 +162,42 @@ def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, d
             row.append(tm.get(i, ""))
         lines.append(",".join(row))
     assert out == "\n".join(lines) + "\n"
+
+
+def test_simulate_csv_memory_is_the_trace_and_one_block(tmp_path):
+    # 512 001 rows.  A list of every row's fields would take about 80 bytes
+    # a row; the trace array takes 8.
+    rows = 8000 * 64 + 1
+    target = tmp_path / "trace.csv"
+    argv = [
+        "simulate", "--eps0", "5", "--amp", "30", "--omega", "5",
+        "--cycles", "8000", "--steps-per-period", "64", "--out", str(target),
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(target, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == rows + 1
+    assert peak < 16 * rows + 4 * 2**20
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # The reader takes one line and closes the pipe, as `| head -1` does.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    argv = [
+        sys.executable, "-m", "drivenqubit.cli", "simulate", "--eps0", "5", "--amp", "30", "--omega", "1",
+        "--cycles", "400",
+    ]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"t,P_up,P_up_tm\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (141, b"")
 
 
 def test_simulate_json_mirror(capsys):
