@@ -189,7 +189,7 @@ def extract_frequency(
     InsufficientDataError
         Fewer than 32 usable samples, or no spectral bins in ``band``.
     """
-    n = len(ts.values)
+    n = len(ts)
     if n < _MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     width = 1
@@ -248,18 +248,21 @@ def _spectral_peak(bins: np.ndarray, mags: np.ndarray, usable: np.ndarray) -> tu
     k = int(bins[i])
     shift = 0.0
     if 0 < i < bins.size - 1 and bins[i - 1] == k - 1 and bins[i + 1] == k + 1:
-        below, peak, above = mags[i - 1], mags[i], mags[i + 1]
+        below, peak, above = mags[i - 1 : i + 2].tolist()
         if below > 0.0 and peak > 0.0 and above > 0.0:
-            lm, lc, lp = np.log(below), np.log(peak), np.log(above)
+            lm, lc, lp = math.log(below), math.log(peak), math.log(above)
             curvature = lm - 2.0 * lc + lp
             if curvature < 0.0:
-                shift = min(0.5, max(-0.5, float(0.5 * (lm - lp) / curvature)))
+                shift = min(0.5, max(-0.5, 0.5 * (lm - lp) / curvature))
     if masked[i] <= 0.0:
         return k + shift, False
-    inner = np.flatnonzero((bins[1:-1] - bins[:-2] == 1) & (bins[2:] - bins[1:-1] == 1)) + 1
-    is_peak = (masked[inner] >= masked[inner - 1]) & (masked[inner] >= masked[inner + 1])
-    rivals = inner[is_peak & (np.abs(bins[inner] - k) > _AMBIGUOUS_MIN_SEPARATION)]
-    return k + shift, bool(rivals.size and np.max(masked[rivals]) >= _AMBIGUOUS_RATIO * masked[i])
+    # Bins increase, so a bin's two neighbours are both present where the bins either side differ by 2.
+    inner = masked[1:-1]
+    rivals = (
+        (bins[2:] - bins[:-2] == 2) & (inner >= masked[:-2]) & (inner >= masked[2:])
+        & (np.abs(bins[1:-1] - k) > _AMBIGUOUS_MIN_SEPARATION) & (inner >= _AMBIGUOUS_RATIO * masked[i])
+    )
+    return k + shift, bool(rivals.any())
 
 
 def _form_spectrum(form, size: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -271,15 +274,18 @@ def _form_spectrum(form, size: int) -> tuple[float, np.ndarray, np.ndarray]:
     With x = 2 lambda / m, Z_j e^{-ixj} is m-periodic, so its m-point FFT
     y_p gives the boxcar as mid + Re sum_p y_p e^{i nu_p s}, nu_p =
     x + 2 pi p / m.  The spectrum sums the Hann kernel of every exponential
-    with |y_p| at least _LINE_FLOOR of the largest, mean subtracted line by
-    line, at the bins within _LINE_REACH of the lines at least _STRONG_LINE
-    of it (a weaker line cannot by itself make the peak or a 3 dB rival: a
-    line's Hann peak loses at most 1.42 dB between bins).  The spectrum of
-    a flat boxcar is zero (bins 0 and 1 returned), so its ``omega_est`` is 0.
+    with |y_p| at least _LINE_FLOOR of the largest, less the kernel of
+    their share of the boxcar mean, at the bins within _LINE_REACH of the
+    lines at least _STRONG_LINE of it (a weaker line cannot by itself make
+    the peak or a 3 dB rival: a line's Hann peak loses at most 1.42 dB
+    between bins).  The spectrum of a flat boxcar is zero (bins 0 and 1
+    returned), so its ``omega_est`` is 0.
     """
     m, lam, b = form.swing.size, form.lam, form.swing
-    csum = np.concatenate(([0j], np.cumsum(np.concatenate((b, b * np.exp(2j * lam))))))
-    z = (csum[m : 2 * m] - csum[:m]) / m
+    csum = np.cumsum(np.concatenate((b, b * np.exp(2j * lam))))
+    z = csum[m - 1 : 2 * m - 1].copy()
+    z[1:] -= csum[: m - 1]
+    z /= m
     amplitude = _boxcar_swing(z, lam, size)
 
     y = np.fft.fft(z * np.exp(-2j * lam / m * np.arange(m))) / m
@@ -291,21 +297,21 @@ def _form_spectrum(form, size: int) -> tuple[float, np.ndarray, np.ndarray]:
     nu = (2.0 * lam + 2.0 * math.pi * np.fft.fftfreq(m, 1.0 / m)[keep]) / m
     # Bins within reach of every strong line, its bin folded into [0, size / 2].
     strong = nu[weight[keep] >= _STRONG_LINE * top]
-    centre = np.rint(np.abs(np.remainder(strong / (2.0 * math.pi) + 0.5, 1.0) - 0.5) * size)
-    bins = np.unique(centre[:, None] + np.arange(-_LINE_REACH, _LINE_REACH + 1))
-    bins = bins[(bins >= 0) & (bins <= size // 2)].astype(int)
+    centre = np.rint(np.abs(np.remainder(strong / (2.0 * math.pi) + 0.5, 1.0) - 0.5) * size).astype(int)
+    reach = range(-_LINE_REACH, _LINE_REACH + 1)
+    bins = np.array(sorted({c + r for c in centre.tolist() for r in reach if 0 <= c + r <= size // 2}))
 
     coef = 0.5 * y[keep]
+    # The lines' share of the boxcar mean, sum_s e^{i nu s} / size over each
+    # line and its conjugate: twice the real part of the sum over one half.
+    offset = 2.0 * (coef @ _hann_kernel(nu, size, window=False)).real / size
     nu, coef = np.concatenate((nu, -nu)), np.concatenate((coef, coef.conjugate()))
-    # Each line minus its share of the boxcar mean, sum_s e^{i nu s} / size;
-    # the last column, a line at 0, is the kernel of that constant.
-    kernel = _hann_kernel(np.append(nu, 0.0)[None, :] - (2.0 * math.pi / size) * bins[:, None], size)
-    mean = _hann_kernel(nu, size, window=False) / size
-    spectrum = (kernel[:, :-1] - kernel[:, -1:] * mean) @ coef
-    return amplitude, bins, np.abs(spectrum)
+    # Every line, and in the last column (a line at 0) that constant, subtracted.
+    kernel = _hann_kernel(np.append(nu, 0.0), size, bins=bins)
+    return amplitude, bins, np.abs(kernel @ np.append(coef, -offset))
 
 
-def _hann_kernel(nu: np.ndarray, size: int, window: bool = True) -> np.ndarray:
+def _hann_kernel(nu: np.ndarray, size: int, window: bool = True, bins: np.ndarray | None = None) -> np.ndarray:
     """sum_{s < size} w_s e^{i nu s} for the Hann window w = np.hanning(size), or w = 1 when not ``window``.
 
     With x = nu/2 reduced to [-pi/2, pi/2) and S(x) = sin(size x)/sin(x)
@@ -313,21 +319,34 @@ def _hann_kernel(nu: np.ndarray, size: int, window: bool = True) -> np.ndarray:
     times S(x)/2 + S(x + b)/4 + S(x - b)/4 with b = pi/(size - 1) for the
     window.  The arguments of S stay within (-pi, pi), so x = 0 and
     x = -+b are the only vanishing denominators.
+
+    With ``bins`` (integers in [0, size/2]), row k holds the sum at
+    nu - 2 pi k / size times e^{i (size-1) pi k / size}, a factor the same
+    for every nu of the row, so a sum over nu keeps its magnitude: the
+    phase stays e^{i (size-1) x} and S is taken at x - pi k / size, in
+    [-pi, pi/2).  Below -pi/2 that argument moves up by pi, where S changes
+    by (-1)^(size+1), so for even size the phase changes sign there.
     """
     x = 0.5 * (np.remainder(nu + math.pi, 2.0 * math.pi) - math.pi)
+    phase = np.exp(1j * (size - 1) * x)
+    if bins is not None:
+        x = x - (math.pi / size) * bins[:, None]
+        wrapped = x < -0.5 * math.pi
+        x = np.where(wrapped, x + math.pi, x)
+        if size % 2 == 0:
+            phase = np.where(wrapped, -phase, phase)
     if window:
         b = math.pi / (size - 1)
         shape = _dirichlet(x[..., None] + np.array((0.0, b, -b)), size) @ np.array((0.5, 0.25, 0.25))
     else:
         shape = _dirichlet(x, size)
-    return np.exp(1j * (size - 1) * x) * shape
+    return phase * shape
 
 
 def _dirichlet(x: np.ndarray, size: int) -> np.ndarray:
     """sin(size x) / sin(x), and its limit size where sin(x) = 0."""
     den = np.sin(x)
-    zero = den == 0.0
-    return np.where(zero, float(size), np.sin(size * x) / np.where(zero, 1.0, den))
+    return np.divide(np.sin(size * x), den, out=np.full_like(x, float(size)), where=den != 0.0)
 
 
 def _boxcar_swing(z: np.ndarray, lam: float, size: int) -> float:
@@ -340,6 +359,8 @@ def _boxcar_swing(z: np.ndarray, lam: float, size: int) -> float:
     """
     m = z.size
     last_k, last_j = divmod(size - 1, m)
+    # e^{2ik lambda} for every period k <= last_k, read by index below.
+    turn = np.exp(2j * lam * np.arange(last_k + 1))
     theta = np.remainder(2.0 * lam * np.arange(last_k), 2.0 * math.pi)
     order = np.argsort(theta)
     rot = np.angle(z)
@@ -347,7 +368,7 @@ def _boxcar_swing(z: np.ndarray, lam: float, size: int) -> float:
     at = np.searchsorted(theta[order], targets)
     k = np.concatenate((order[at - 1], order[at % last_k], np.full(last_j + 1, last_k)))
     zz = np.concatenate((z, z, z, z, z[: last_j + 1]))
-    vals = (zz * np.exp(2j * lam * k)).real
+    vals = (zz * turn[k]).real
     return float(vals.max() - vals.min())
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -83,8 +84,9 @@ _KEYS: dict[str, _Key] = {
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
-# Rows of the simulate CSV formatted at a time: the writer's memory is this
-# block, not the length of the trace.
+# Rows of the simulate CSV, and values of a JSON ``_Column`` or chunks of a
+# JSON document, formatted at a time: the writer's memory is this block, not
+# the length of the trace.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -111,11 +113,38 @@ def _rows(header: str, pattern: str, *columns: Sequence[Any]) -> Iterator[str]:
     yield from map(pattern.__mod__, zip(*columns))
 
 
-def _json(cfg: dict[str, Any], body: dict[str, Any]) -> list[str]:
-    """The JSON document of body after a ``meta`` block of the run's keys."""
+class _Column(list):
+    """A column of floats that json's encoder reads as a list, made a block at a time.
+
+    The list itself stays empty: its length is size and its items come from
+    block(i, j), the values i..j-1 as Python floats, _CSV_BLOCK_ROWS at a
+    time.  So a JSON document holds no column whole.
+    """
+
+    def __init__(self, size: int, block: Callable[[int, int], list[float]]) -> None:
+        super().__init__()
+        self.size, self.block = size, block
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[float]:
+        for i in range(0, self.size, _CSV_BLOCK_ROWS):
+            yield from self.block(i, min(i + _CSV_BLOCK_ROWS, self.size))
+
+
+def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[str]:
+    """The JSON document of body after a ``meta`` block of the run's keys, as json.dumps(..., indent=2) writes it.
+
+    The encoder's chunks, which json.dumps would join into one string, are
+    joined _CSV_BLOCK_ROWS at a time instead.
+    """
     meta = {"generated_by": f"drivenqubit {__version__}"}
     meta.update((k, v) for k, v in cfg.items() if k not in ("out", "format"))
-    return [json.dumps({"meta": meta, **body}, indent=2) + "\n"]
+    chunks = json.JSONEncoder(indent=2).iterencode({"meta": meta, **body})
+    while text := "".join(itertools.islice(chunks, _CSV_BLOCK_ROWS)):
+        yield text
+    yield "\n"
 
 
 def _json_value(x: float) -> float | None:
@@ -219,7 +248,10 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
     strobe = propagate_tm(p, QubitState.up(), n_strobe) if n_strobe >= 1 else None
 
     if cfg["format"] == "json":
-        body: dict[str, Any] = {"t": (ts.times() / scale).tolist(), "P_up": ts.values.tolist()}
+        body: dict[str, Any] = {
+            "t": _Column(len(ts), lambda i, j: _times(ts, scale, i, j)),
+            "P_up": _Column(len(ts), lambda i, j: ts.values[i:j].tolist()),
+        }
         if strobe is not None:
             body["P_up_tm"] = {"t": (strobe.times() / scale).tolist(), "values": strobe.values.tolist()}
         return _json(cfg, body)
@@ -232,6 +264,11 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
         if 0 <= idx < ts.values.size:
             marks[idx] = value
     return _trace_csv(ts, scale, marks)
+
+
+def _times(ts: TimeSeries, scale: float, i: int, j: int) -> list[float]:
+    """Times i..j-1 of ts divided by scale, as ``ts.times() / scale`` has them."""
+    return ((ts.t0 + ts.dt * np.arange(i, j)) / scale).tolist()
 
 
 def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> Iterator[str]:
@@ -252,8 +289,7 @@ def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> 
     k = 0
     for i in range(0, ts.values.size, _CSV_BLOCK_ROWS):
         j = min(i + _CSV_BLOCK_ROWS, ts.values.size)
-        t = ((ts.t0 + ts.dt * np.arange(i, j)) / scale).tolist()
-        rows = list(map(pattern.__mod__, zip(t, ts.values[i:j].tolist())))
+        rows = list(map(pattern.__mod__, zip(_times(ts, scale, i, j), ts.values[i:j].tolist())))
         while k < len(strobe_rows) and strobe_rows[k] < j:
             idx = strobe_rows[k]
             rows[idx - i] = rows[idx - i][:-1] + "%.17g\n" % marks[idx]

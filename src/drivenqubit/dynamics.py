@@ -15,24 +15,28 @@ at the substep midpoint.  Every factor is exactly unitary up to rounding
 and has the SU(2) form [[a, b], [-conj(b), conj(a)]]; the
 time-discretization error is second order in the substep.
 
-Factors are composed as (a, b) pairs by a vectorised log-depth scan in two
-helpers.  The walker ``_walk`` carries a state through n substeps in blocks
-of at most ``_CHUNK`` factors; it serves ``evolution_operator``,
-``propagate_linear_sweep`` and ``propagate_exact`` off the period grid.
-The sampler ``_sample`` fills a trace from one cycle's prefixes and the
-closed-form power U^k of the cycle: for ``propagate_exact`` on every
-period-aligned grid (H(t + T) = H(t), so one period serves all), and once
-per cycle for ``propagate_tm`` and ``stroboscopic_exact``.  No cycle is
-powered by repeated multiplication.  A period-aligned ``propagate_exact``
-series also carries ``_periodic_form``, the O(steps_per_period) form of
-its samples that ``analysis.extract_frequency`` reads.  ``_check_norm``
-holds the one 1e-10 norm bound, and ``_substep_count`` the run limits of
-every time grid.
+Factors are composed as (a, b) pairs by a vectorised log-depth scan,
+``_running_products``: a doubling scan up to 256 factors (one period of a
+scan cell), an odd-even scan above.  The walker ``_walk`` carries a state
+through n substeps in blocks of at most ``_CHUNK`` factors; it serves
+``evolution_operator``, ``propagate_linear_sweep`` and ``propagate_exact``
+off the period grid.  The sampler ``_sample`` fills a trace from one
+cycle's prefixes and the closed-form power U^k of the cycle: for
+``propagate_exact`` on every period-aligned grid (H(t + T) = H(t), so one
+period serves all), and once per cycle for ``propagate_tm`` and
+``stroboscopic_exact``.  No cycle is powered by repeated multiplication.
+A period-aligned ``propagate_exact`` series carries ``_periodic_form``,
+the O(steps_per_period) form of its samples that
+``analysis.extract_frequency`` reads, and ``_sample`` fills its trace on
+the first read of ``values``, so a run read only through its form (a scan
+cell) writes no trace.  ``_check_norm`` holds the one 1e-10 norm bound,
+and ``_substep_count`` the run limits of every time grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,6 +64,10 @@ _NORM_TOL = 1e-12
 # substeps, or whole periods of samples), so no run builds its whole substep
 # table; it is also the largest steps_per_period, so one period fits a block.
 _CHUNK = 1 << 16
+
+# Running products of at most this many factors take the doubling scan, whose
+# O(n log n) work costs fewer numpy calls than the odd-even scan at this size.
+_DOUBLING_MAX = 256
 
 # Largest trace propagate_exact records (0.8 GB of float64); a run of this
 # many substeps or more is a ConfigError, raised before anything is allocated.
@@ -205,7 +213,10 @@ class TimeSeries:
 
     ``_form`` is the one-period ``_Form`` of the samples when
     ``propagate_exact`` ran on a period-aligned grid, and None on every
-    other series; ``analysis.extract_frequency`` reads it.
+    other series; ``analysis.extract_frequency`` reads it.  Such a series
+    writes its samples on the first read of ``values`` and keeps them
+    (read-only, the same array on every read); ``len``, ``t_end``,
+    ``times()`` and the form do not write them.
     """
 
     t0: float
@@ -232,16 +243,39 @@ class TimeSeries:
             raise ConfigError("probabilities leave [0, 1] by more than 1e-9")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_size", arr.size)
+
+    @classmethod
+    def _deferred(cls, t0: float, dt: float, size: int, form: _Form, fill: Callable[[], np.ndarray]) -> "TimeSeries":
+        """A series of size samples whose values are fill() on first read, with the one-period form.
+
+        The samples are finite exactly when the form is, so the check of
+        the values runs on the form, with the same error.
+        """
+        if not (math.isfinite(form.lam) and np.isfinite(form.mean).all() and np.isfinite(form.swing).all()):
+            raise ConfigError("values contain non-finite entries")
+        ts = object.__new__(cls)
+        for name, value in (("t0", t0), ("dt", dt), ("_form", form), ("_size", size), ("_fill", fill)):
+            object.__setattr__(ts, name, value)
+        return ts
+
+    def __getattr__(self, name: str):
+        # Normal lookup found nothing: on a deferred series, values before their first read.
+        fill = self.__dict__.pop("_fill", None) if name == "values" else None
+        if fill is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "values", fill())
+        return self.values
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        return self._size
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.size)
+        return self.t0 + self.dt * np.arange(self._size)
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.dt * (self.values.size - 1)
+        return self.t0 + self.dt * (self._size - 1)
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -281,7 +315,7 @@ def _step_entries(eps_mid: np.ndarray, delta: float, h: float) -> tuple[np.ndarr
     r = np.hypot(a, b)
     theta = h * r
     # sin(h r)/r -> h as r -> 0 (possible only for delta = 0 at eps_mid = 0).
-    s = np.where(r > 0.0, np.sin(theta) / np.where(r > 0.0, r, 1.0), h)
+    s = np.divide(np.sin(theta), r, out=np.full_like(r, h), where=r > 0.0)
     u11 = np.cos(theta) - 1j * (s * b)
     u12 = (-1j * a) * s
     return u11, u12
@@ -312,14 +346,24 @@ def _unitary(a: complex, b: complex) -> Unitary2:
 def _running_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running products W_1..W_n = F_1, F_2 F_1, ..., F_n...F_1 of factors (a, b).
 
-    Odd-even scan: the products of neighbouring pairs are scanned
-    recursively, which gives every odd index, and each even index takes
-    one more factor.  The work is O(n) vectorised operations and every
-    W_j is a product of at most 2 log2(n) rounded factors, where the
-    sequential product of j factors rounds j times.
+    Up to _DOUBLING_MAX factors, a doubling (Hillis-Steele) scan: the step
+    of span d composes every entry i >= d with entry i - d, so after the
+    steps d = 1, 2, 4, ... entry i holds all factors up to i.  That is
+    ceil(log2 n) vectorised compositions, each W_j a product of at most
+    ceil(log2 n) + 1 rounded factors.  Longer runs take an odd-even scan:
+    the products of neighbouring pairs are scanned recursively, which gives
+    every odd index, and each even index takes one more factor.  Its work
+    is O(n) vectorised operations, and W_j is a product of at most
+    2 log2(n) rounded factors, where the sequential product of j factors
+    rounds j times.
     """
     n = a.size
-    if n == 1:
+    if n <= _DOUBLING_MAX:
+        a, b = a.copy(), b.copy()
+        d = 1
+        while d < n:
+            a[d:], b[d:] = _compose(a[d:], b[d:], a[:-d], b[:-d])
+            d *= 2
         return a, b
     qa, qb = _running_products(*_compose(a[1::2], b[1::2], a[:-1:2], b[:-1:2]))
     wa = np.empty_like(a)
@@ -418,6 +462,13 @@ def _sample(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex, out: np.
         _up_probability(wa, wb, u, d, grid[k0 : k0 + len(u)])
 
 
+def _sampled(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex, size: int) -> np.ndarray:
+    """The first size samples ``_sample`` writes from these prefixes, cycle and state, made ``_frozen``."""
+    out = np.empty(size)
+    _sample(wa, wb, ua, ub, u0, d0, out)
+    return _frozen(out)
+
+
 def _periodic_form(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex) -> _Form:
     """The ``_Form`` of the samples ``_sample`` writes from the same prefixes, cycle and state.
 
@@ -439,10 +490,9 @@ def _stroboscope(psi0: QubitState, pre, cycle, n_cycles: int, t0: float, dt: flo
 
     The state after k cycles is the closed-form power of cycle, so rounding does not limit n_cycles.
     """
-    out = np.empty(_count("n_cycles", n_cycles, 1, _MAX_SAMPLES - 1) + 1)
+    size = _count("n_cycles", n_cycles, 1, _MAX_SAMPLES - 1) + 1
     u0, d0 = _apply(*pre, psi0.up_amp, psi0.down_amp)
-    _sample(np.ones(1, complex), np.zeros(1, complex), *cycle, u0, d0, out)
-    return TimeSeries(t0=t0, dt=dt, values=_frozen(out))
+    return TimeSeries(t0=t0, dt=dt, values=_sampled(np.ones(1, complex), np.zeros(1, complex), *cycle, u0, d0, size))
 
 
 def _steps_per_period(value) -> int:
@@ -524,33 +574,38 @@ def propagate_exact(
     On a period-aligned grid the series also keeps the one-period form of
     its samples, P(kT + jh) = A_j + Re(B_j e^{2ik lambda}) with A_j and B_j
     from a_j = [W_j psi0]_up and b_j = [W_j g]_up, g = (U_T - cos lambda I)
-    psi0 / sin lambda (zero when U_T = +-I).  It costs O(steps_per_period),
-    leaves the samples as they are, and lets ``extract_frequency`` take
-    the boxcar amplitude and the spectrum in closed form.
+    psi0 / sin lambda (zero when U_T = +-I).  It costs O(steps_per_period)
+    and lets ``extract_frequency`` take the boxcar amplitude and the
+    spectrum in closed form.  The samples themselves are written on the
+    first read of ``values``, from the same prefixes and U_T; ``len(ts)``,
+    ``ts.t_end`` and ``ts.times()`` do not write them, so a caller that
+    reads only the form never pays for the trace.  The norm check of U_T
+    and the finiteness check of the samples (on the form, which is finite
+    exactly when they are) still run here.
 
     Raises
     ------
     QuadratureError
         If norm^2 drifts from 1 by more than 1e-10: over one period U_T
         when one period is powered, else the final state.
+    ConfigError
+        If the samples are not finite (a drive that overflows).
     """
     n, aligned = _substep_count(p, t_end, steps_per_period)
     h = t_end / n
     u0, d0 = psi0.up_amp, psi0.down_amp
-    out = np.empty(n + 1)
-    form = None
     if aligned:
         t_mid = h * (np.arange(steps_per_period) + 0.5)
         wa, wb = _running_products(*_step_entries(drive_epsilon(t_mid, p), p.delta, h))
         # Prefixes W_0 = I, ..., W_{spp-1} (the samples within a period), then U_T = W_spp.
         prefixes = np.concatenate(([1.0 + 0.0j], wa[:-1])), np.concatenate(([0.0j], wb[:-1]))
         cycle = complex(wa[-1]), complex(wb[-1])
-        _sample(*prefixes, *cycle, u0, d0, out)
         form = _periodic_form(*prefixes, *cycle, u0, d0)
-    else:
-        out[0] = u0.real * u0.real + u0.imag * u0.imag
-        _walk(lambda t: drive_epsilon(t, p), p.delta, 0.0, h, n, u0, d0, out[1:])
-    return TimeSeries(t0=0.0, dt=h, values=_frozen(out), _form=form)
+        return TimeSeries._deferred(0.0, h, n + 1, form, lambda: _sampled(*prefixes, *cycle, u0, d0, n + 1))
+    out = np.empty(n + 1)
+    out[0] = u0.real * u0.real + u0.imag * u0.imag
+    _walk(lambda t: drive_epsilon(t, p), p.delta, 0.0, h, n, u0, d0, out[1:])
+    return TimeSeries(t0=0.0, dt=h, values=_frozen(out))
 
 
 def propagate_linear_sweep(

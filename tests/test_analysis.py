@@ -1,6 +1,7 @@
 """Trace-analysis checks: spectral extraction, regime map, scans, widths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +383,32 @@ def test_scan_flags_capped_runs():
         ("epsilon0", 5.0), ("amplitude", np.array([34.95])), ("omega", np.array([5.0])), steps_per_period=16
     )
     assert "below_resolution" in res.flags[0][0]
+
+
+def _no_fill(*args):
+    raise AssertionError("a trace was filled")
+
+
+def test_scan_and_width_fill_no_trace(monkeypatch):
+    # Every cell and width point reads only the one-period form of its run.
+    monkeypatch.setattr(dynamics, "_sample", _no_fill)
+    res = scan_resonance_map(("omega", 3.0), ("epsilon0", [8.0, 9.2]), ("amplitude", [12.0, 14.0]), steps_per_period=64)
+    assert np.all(np.isfinite(res.omega_est)) and np.all(np.isfinite(res.amplitude))
+    assert not any(flag.startswith("error:") for row in res.flags for cell in row for flag in cell)
+    width = measure_resonance_width(_p(5.0, 8.0, 5.0), 1, np.linspace(4.2, 5.8, 5))
+    assert 0.0 < width < 0.8
+
+
+def test_capped_scan_cell_memory_is_its_one_period_form():
+    # 5000 periods of 128 steps: the trace alone would take 640 001 samples, 5.1 MB.
+    tracemalloc.start()
+    try:
+        res = scan_resonance_map(("omega", 5.0), ("epsilon0", [5.0]), ("amplitude", [34.95]), steps_per_period=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "below_resolution" in res.flags[0][0]
+    assert peak < 2**20
 
 
 def test_scan_ridge_peaks_at_multiphoton_resonance():

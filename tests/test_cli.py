@@ -185,6 +185,47 @@ def test_simulate_csv_memory_is_the_trace_and_one_block(tmp_path):
     assert peak < 16 * rows + 4 * 2**20
 
 
+@pytest.mark.parametrize("amp", [30.0, 2.0], ids=["with-strobe", "without-strobe"])
+def test_simulate_json_is_json_dumps_of_the_trace(tmp_path, amp):
+    # 5 121 rows, one full block and a partial one; at A <= eps0 there is no strobe column.
+    target = tmp_path / "trace.json"
+    argv = [
+        "simulate", "--eps0", "5", "--amp", repr(amp), "--omega", "5", "--cycles", "80",
+        "--steps-per-period", "64", "--delta", "2", "--format", "json", "--out", str(target),
+    ]
+    assert main(argv) == 0
+    text = target.read_text(encoding="utf-8")
+    p = DriveParams(delta=1.0, epsilon0=5.0, amplitude=amp, omega=5.0)
+    ts = propagate_exact(p, QubitState.up(), 80 * p.period, steps_per_period=64)
+    assert len(ts) > _CSV_BLOCK_ROWS and len(ts) % _CSV_BLOCK_ROWS
+    body = {"meta": json.loads(text)["meta"], "t": (ts.times() / 2.0).tolist(), "P_up": ts.values.tolist()}
+    if amp > 5.0:
+        strobe = propagate_tm(p, QubitState.up(), int((ts.t_end - crossing_times(p)[1]) // p.period))
+        body["P_up_tm"] = {"t": (strobe.times() / 2.0).tolist(), "values": strobe.values.tolist()}
+    assert text == json.dumps(body, indent=2) + "\n"
+
+
+def test_simulate_json_memory_is_the_trace_and_one_block(tmp_path):
+    # 128 001 rows.  The document as lists and one string would take about
+    # 310 bytes a row; the trace array takes 8.
+    rows = 2000 * 64 + 1
+    target = tmp_path / "trace.json"
+    argv = [
+        "simulate", "--eps0", "5", "--amp", "30", "--omega", "5",
+        "--cycles", "2000", "--steps-per-period", "64", "--format", "json", "--out", str(target),
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(target, encoding="utf-8") as fh:
+        assert len(json.load(fh)["P_up"]) == rows
+    assert peak < 16 * rows + 4 * 2**20
+
+
 def test_closed_stdout_ends_the_run_quietly():
     # The reader takes one line and closes the pipe, as `| head -1` does.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}

@@ -467,6 +467,57 @@ def test_closed_form_power_rejects_a_leaky_pair():
         dynamics._powers(ua * (1.0 + 1e-9), ub, 1.0 + 0.0j, 0.0j, np.arange(3))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    epsilon0=st.floats(0.0, 20.0),
+    amplitude=st.floats(0.0, 30.0),
+    omega=st.floats(0.5, 8.0),
+    steps=st.integers(16, 1024),
+    periods=st.integers(0, 40),
+    extra=st.integers(0, 1023),
+)
+def test_deferred_samples_are_the_eager_fill(epsilon0, amplitude, omega, steps, periods, extra):
+    # A period-aligned run writes its samples on the first read of values,
+    # from the prefixes and cycle of one period, bit for bit as an eager
+    # _sample fill of them; len, t_end and times() do not write them.
+    p = DriveParams(delta=1.0, epsilon0=epsilon0, amplitude=amplitude, omega=omega)
+    fills = []
+    sample = dynamics._sample
+    duration = max(1, periods * steps + extra % steps) / steps * p.period
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_sample", lambda *args: fills.append(sample(*args)))
+        ts = propagate_exact(p, QubitState.up(), duration, steps_per_period=steps)
+        if ts._form is None:
+            return  # the ratio fell off the period grid: the walker filled it
+        n = len(ts) - 1
+        assert ts.t_end == n * ts.dt and ts.times().size == n + 1
+        assert fills == []
+        values = ts.values
+        assert ts.values is values and len(fills) == 1
+    assert not values.flags.writeable
+    h = ts.dt
+    wa, wb = dynamics._running_products(*dynamics._step_entries(drive_epsilon(h * (np.arange(steps) + 0.5), p), p.delta, h))
+    out = np.empty(n + 1)
+    sample(np.append(1.0 + 0.0j, wa[:-1]), np.append(0.0j, wb[:-1]), complex(wa[-1]), complex(wb[-1]), 1.0 + 0.0j, 0.0j, out)
+    assert np.array_equal(values, dynamics._frozen(out))
+
+
+def test_aligned_run_errors_raise_before_any_sample(monkeypatch):
+    # The norm check of the cycle and the finiteness check of the samples
+    # run when propagate_exact is called, not on the first read of values.
+    monkeypatch.setattr(dynamics, "_sample", _no_sample)
+    exact = dynamics._step_entries
+    with monkeypatch.context() as leaky:
+        leaky.setattr(dynamics, "_step_entries", lambda *args: tuple(x * (1.0 + 1e-9) for x in exact(*args)))
+        with pytest.raises(QuadratureError, match="norm drifted"):
+            propagate_exact(_P, QubitState.up(), 3.0 * _P.period, steps_per_period=16)
+    # eps0 + A overflows to inf at the top of the cosine, and its factors to NaN.
+    huge = DriveParams(delta=1.0, epsilon0=1e308, amplitude=1e308, omega=1.0)
+    for periods in (3.0, 0.25):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="non-finite entries"):
+            propagate_exact(huge, QubitState.up(), periods * huge.period, steps_per_period=16)
+
+
 def test_norm_guard_on_both_grids(monkeypatch):
     exact = dynamics._step_entries
     monkeypatch.setattr(dynamics, "_step_entries", lambda *args: tuple(x * (1.0 + 1e-9) for x in exact(*args)))
@@ -503,6 +554,10 @@ _P = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
 
 def _no_walk(*args, **kwargs):
     raise AssertionError("the walker was reached")
+
+
+def _no_sample(*args):
+    raise AssertionError("a sample was written")
 
 
 @pytest.mark.parametrize(
