@@ -169,7 +169,8 @@ def extract_frequency(
     ``drive_period`` is given), mean-subtracted, Hann-windowed, and
     Fourier-transformed; the strongest non-DC bin is refined by
     quadratic interpolation of the log magnitude.  ``band``, if given,
-    restricts the peak search to angular frequencies in [lo, hi].
+    restricts the peak search to angular frequencies in [lo, hi]: a pair of
+    finite numbers (not bools) with 0 <= lo < hi, else ConfigError.
 
     A series from ``propagate_exact`` on a period-aligned grid carries the
     one-period form of its samples, P(k m + j) = A_j + Re(B_j e^{2ik lambda})
@@ -201,9 +202,10 @@ def extract_frequency(
     if size < _MIN_SAMPLES:
         raise InsufficientDataError(f"only {size} samples remain after coarse-graining")
     if band is not None:
-        lo, hi = float(band[0]), float(band[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
+        pair = isinstance(band, (tuple, list)) and len(band) == 2 and all(map(_is_number, band))
+        if not (pair and 0.0 <= band[0] < band[1]):
             raise ConfigError(f"band must satisfy 0 <= lo < hi, got {band!r}")
+        lo, hi = band
 
     form = ts._form
     if form is not None and band is None and width == form.mean.size:

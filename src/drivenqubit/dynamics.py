@@ -20,23 +20,23 @@ Factors are composed as (a, b) pairs by a vectorised log-depth scan,
 scan cell), an odd-even scan above.  The walker ``_walk`` carries a state
 through n substeps in blocks of at most ``_CHUNK`` factors; it serves
 ``evolution_operator``, ``propagate_linear_sweep`` and ``propagate_exact``
-off the period grid.  The sampler ``_sample`` fills a trace from one
-cycle's prefixes and the closed-form power U^k of the cycle: for
+off the period grid.  Every other sample comes from a one-period form,
+``_periodic_form``: one cycle's prefixes and eigenphase give
+P(k m + j) = A_j + Re(B_j e^{2ik lambda}) (Shirley, Phys. Rev. 138, B979
+(1965)), and ``_form_values`` writes its samples.  It serves
 ``propagate_exact`` on every period-aligned grid (H(t + T) = H(t), so one
-period serves all), and once per cycle for ``propagate_tm`` and
-``stroboscopic_exact``.  No cycle is powered by repeated multiplication.
-A period-aligned ``propagate_exact`` series carries ``_periodic_form``,
-the O(steps_per_period) form of its samples that
-``analysis.extract_frequency`` reads, and ``_sample`` fills its trace on
-the first read of ``values``, so a run read only through its form (a scan
-cell) writes no trace.  ``_check_norm`` holds the one 1e-10 norm bound,
-and ``_substep_count`` the run limits of every time grid.
+period serves all) and, with m = 1, ``propagate_tm`` and
+``stroboscopic_exact``; no cycle is powered by repeated multiplication.
+A period-aligned ``propagate_exact`` series keeps its form, which
+``analysis.extract_frequency`` reads, and writes its samples on the first
+read of ``values``, so a run read only through its form (a scan cell)
+writes no trace.  ``_check_norm`` holds the one 1e-10 norm bound, and
+``_substep_count`` the run limits of every time grid.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -214,9 +214,9 @@ class TimeSeries:
     ``_form`` is the one-period ``_Form`` of the samples when
     ``propagate_exact`` ran on a period-aligned grid, and None on every
     other series; ``analysis.extract_frequency`` reads it.  Such a series
-    writes its samples on the first read of ``values`` and keeps them
-    (read-only, the same array on every read); ``len``, ``t_end``,
-    ``times()`` and the form do not write them.
+    writes its samples from the form (``_form_values``) on the first read
+    of ``values`` and keeps them (read-only, the same array on every
+    read); ``len``, ``t_end``, ``times()`` and the form do not write them.
     """
 
     t0: float
@@ -246,8 +246,8 @@ class TimeSeries:
         object.__setattr__(self, "_size", arr.size)
 
     @classmethod
-    def _deferred(cls, t0: float, dt: float, size: int, form: _Form, fill: Callable[[], np.ndarray]) -> "TimeSeries":
-        """A series of size samples whose values are fill() on first read, with the one-period form.
+    def _deferred(cls, t0: float, dt: float, size: int, form: _Form) -> "TimeSeries":
+        """A series of size samples with the one-period form, whose values ``_form_values`` writes on first read.
 
         The samples are finite exactly when the form is, so the check of
         the values runs on the form, with the same error.
@@ -255,16 +255,15 @@ class TimeSeries:
         if not (math.isfinite(form.lam) and np.isfinite(form.mean).all() and np.isfinite(form.swing).all()):
             raise ConfigError("values contain non-finite entries")
         ts = object.__new__(cls)
-        for name, value in (("t0", t0), ("dt", dt), ("_form", form), ("_size", size), ("_fill", fill)):
-            object.__setattr__(ts, name, value)
+        ts.__dict__.update(t0=t0, dt=dt, _form=form, _size=size)
         return ts
 
     def __getattr__(self, name: str):
         # Normal lookup found nothing: on a deferred series, values before their first read.
-        fill = self.__dict__.pop("_fill", None) if name == "values" else None
-        if fill is None:
+        form = self.__dict__.get("_form") if name == "values" else None
+        if form is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "values", fill())
+        object.__setattr__(self, "values", _form_values(form, self._size))
         return self.values
 
     def __len__(self) -> int:
@@ -380,13 +379,6 @@ def _apply(a, b, u, d):
     return a * u + b * d, -b.conjugate() * u + a.conjugate() * d
 
 
-def _up_probability(a, b, u, d, out: np.ndarray) -> None:
-    """out = |a u + b d|^2, the up population of (u, d) after (a, b); broadcasts."""
-    amp = a * u + b * d
-    np.square(amp.real, out=out)
-    out += np.square(amp.imag)
-
-
 def _check_norm(u: complex, d: complex, span: str = "") -> None:
     """Raise QuadratureError if |u|^2 + |d|^2 drifts from 1 by more than 1e-10 (over span)."""
     norm2 = u.real * u.real + u.imag * u.imag + d.real * d.real + d.imag * d.imag
@@ -404,7 +396,8 @@ def _walk(eps_of, delta: float, t_start: float, h: float, n: int, u: complex, d:
         t_mid = t_start + h * (np.arange(i0, min(i0 + _CHUNK, n)) + 0.5)
         wa, wb = _running_products(*_step_entries(eps_of(t_mid), delta, h))
         if out is not None:
-            _up_probability(wa, wb, u, d, out[i0 : i0 + wa.size])
+            amp = wa * u + wb * d
+            out[i0 : i0 + wa.size] = amp.real * amp.real + amp.imag * amp.imag
         u, d = _apply(complex(wa[-1]), complex(wb[-1]), u, d)
     _check_norm(u, d)
     return u, d
@@ -431,49 +424,14 @@ def _rotation(ua: complex, ub: complex, u0: complex, d0: complex) -> tuple[float
     return lam, gu, gd
 
 
-def _powers(ua: complex, ub: complex, u0: complex, d0: complex, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States (u_k, d_k) = U^k (u0, d0) for the one-cycle SU(2) pair U = (ua, ub), by ``_rotation``.
-
-    Exactly unitary however large k is, where repeated multiplication
-    would round k times.
-    """
-    lam, gu, gd = _rotation(ua, ub, u0, d0)
-    c, s = np.cos(k * lam), np.sin(k * lam)
-    return c * u0 + s * gu, c * d0 + s * gd
-
-
-def _sample(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex, out: np.ndarray) -> None:
-    """Fill out[k m + j] = P_up of W_j U^k (u0, d0) for every index of out.
-
-    (wa, wb) are the m <= _CHUNK prefixes W_0 = I, ..., W_{m-1} of one cycle
-    U = (ua, ub); rows of cycles are written in blocks of at most _CHUNK samples.
-    """
-    m = wa.size
-    cycles, r = divmod(out.size - 1, m)
-    grid = out[: cycles * m].reshape(cycles, m)
-    rows = _CHUNK // m
-    for k0 in range(0, cycles + 1, rows):
-        k = np.arange(k0, min(k0 + rows, cycles + 1))
-        u, d = _powers(ua, ub, u0, d0, k[:, None])
-        if k[-1] == cycles:
-            # The last cycle boundary and the partial cycle after it.
-            _up_probability(wa[: r + 1], wb[: r + 1], u[-1], d[-1], out[cycles * m :])
-            u, d = u[:-1], d[:-1]
-        _up_probability(wa, wb, u, d, grid[k0 : k0 + len(u)])
-
-
-def _sampled(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex, size: int) -> np.ndarray:
-    """The first size samples ``_sample`` writes from these prefixes, cycle and state, made ``_frozen``."""
-    out = np.empty(size)
-    _sample(wa, wb, ua, ub, u0, d0, out)
-    return _frozen(out)
-
-
 def _periodic_form(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex) -> _Form:
-    """The ``_Form`` of the samples ``_sample`` writes from the same prefixes, cycle and state.
+    """The ``_Form`` of P_up(W_j U^k psi0) for the prefixes W_j = (wa[j], wb[j]) of one cycle U = (ua, ub).
 
-    With a_j = [W_j psi0]_up and b_j = [W_j g]_up (``_rotation``), sample
-    k m + j is |cos(k lambda) a_j + sin(k lambda) b_j|^2 = mean_j +
+    Sample k m + j (m = wa.size) is the up population after W_j and k
+    cycles from psi0 = (u0, d0).  U^k psi0 = cos(k lambda) psi0 +
+    sin(k lambda) g (``_rotation``), exactly unitary however large k is, so
+    with a_j = [W_j psi0]_up and b_j = [W_j g]_up the sample is
+    |cos(k lambda) a_j + sin(k lambda) b_j|^2 = mean_j +
     Re(swing_j e^{2 i k lambda}), mean_j = (|a_j|^2 + |b_j|^2)/2 and
     swing_j = (|a_j|^2 - |b_j|^2)/2 - i Re(a_j conj(b_j)).
     """
@@ -485,14 +443,30 @@ def _periodic_form(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex) -
     return _Form(mean, swing, lam)
 
 
+def _form_values(form: _Form, size: int) -> np.ndarray:
+    """Samples 0..size-1 of the form, made ``_frozen``, written in rows of periods of at most _CHUNK samples."""
+    m = form.mean.size
+    out = np.empty(size)
+    rows = _CHUNK // m
+    for i0 in range(0, size, rows * m):
+        k = np.arange(i0 // m, min(i0 // m + rows, -(-size // m)))
+        phase = (2.0 * form.lam) * k[:, None]
+        block = np.cos(phase) * form.swing.real
+        block -= np.sin(phase) * form.swing.imag
+        block += form.mean
+        out[i0 : i0 + block.size] = block.reshape(-1)[: size - i0]
+    return _frozen(out)
+
+
 def _stroboscope(psi0: QubitState, pre, cycle, n_cycles: int, t0: float, dt: float) -> TimeSeries:
     """P_up of psi0 after the SU(2) pair pre and then k = 0..n_cycles cycles, from t0, dt apart.
 
-    The state after k cycles is the closed-form power of cycle, so rounding does not limit n_cycles.
+    They come from the one-sample form of cycle (W_0 = I), so rounding does not limit n_cycles.
     """
     size = _count("n_cycles", n_cycles, 1, _MAX_SAMPLES - 1) + 1
     u0, d0 = _apply(*pre, psi0.up_amp, psi0.down_amp)
-    return TimeSeries(t0=t0, dt=dt, values=_sampled(np.ones(1, complex), np.zeros(1, complex), *cycle, u0, d0, size))
+    form = _periodic_form(np.ones(1, complex), np.zeros(1, complex), *cycle, u0, d0)
+    return TimeSeries(t0=t0, dt=dt, values=_form_values(form, size))
 
 
 def _steps_per_period(value) -> int:
@@ -561,27 +535,24 @@ def propagate_exact(
     When n is an integer the grid is period-aligned: h = T/steps_per_period
     and H(t + T) = H(t), so every period applies the same factors.  Only
     one period's factors F_1..F_spp are built; their running products W_j
-    (W_0 = I) give U_T = W_spp.  U_T is in SU(2) form with eigenphases
-    +-lambda (cos lambda = Re u11, sin lambda = hypot(Im u11, |u12|)), so
-    the period-boundary states follow in closed form,
-    psi_k = U_T^k psi0 = cos(k lambda) psi0
-    + sin(k lambda) (U_T - cos lambda I) psi0 / sin lambda, exactly unitary
-    for every k, and P_up(kT + jh) = |[W_j psi_k]_up|^2.  A partial last
-    period uses the first r prefixes.  U_T is never powered by repeated
-    multiplication, whose rounding compounds over the periods.  Every
-    other run composes all n factors block by block with the same scan.
+    (W_0 = I) give U_T = W_spp, in SU(2) form with eigenphases +-lambda
+    (cos lambda = Re u11, sin lambda = hypot(Im u11, |u12|)).  Then
+    U_T^k psi0 = cos(k lambda) psi0 + sin(k lambda) g, g = (U_T -
+    cos lambda I) psi0 / sin lambda (zero when U_T = +-I), exactly unitary
+    for every k, and every sample follows from the one-period form
+    P(kT + jh) = A_j + Re(B_j e^{2ik lambda}), with A_j and B_j from
+    a_j = [W_j psi0]_up and b_j = [W_j g]_up; a partial last period takes
+    its first entries.  U_T is never powered by repeated multiplication,
+    whose rounding compounds over the periods.  Every other run composes
+    all n factors block by block with the same scan.
 
-    On a period-aligned grid the series also keeps the one-period form of
-    its samples, P(kT + jh) = A_j + Re(B_j e^{2ik lambda}) with A_j and B_j
-    from a_j = [W_j psi0]_up and b_j = [W_j g]_up, g = (U_T - cos lambda I)
-    psi0 / sin lambda (zero when U_T = +-I).  It costs O(steps_per_period)
-    and lets ``extract_frequency`` take the boxcar amplitude and the
-    spectrum in closed form.  The samples themselves are written on the
-    first read of ``values``, from the same prefixes and U_T; ``len(ts)``,
-    ``ts.t_end`` and ``ts.times()`` do not write them, so a caller that
-    reads only the form never pays for the trace.  The norm check of U_T
-    and the finiteness check of the samples (on the form, which is finite
-    exactly when they are) still run here.
+    The series keeps this form, O(steps_per_period), from which
+    ``extract_frequency`` takes the boxcar amplitude and the spectrum in
+    closed form, and writes its samples from it on the first read of
+    ``values``; ``len(ts)``, ``ts.t_end`` and ``ts.times()`` do not write
+    them, so a caller that reads only the form never pays for the trace.
+    The norm check of U_T and the finiteness check of the samples (on the
+    form, which is finite exactly when they are) still run here.
 
     Raises
     ------
@@ -599,9 +570,8 @@ def propagate_exact(
         wa, wb = _running_products(*_step_entries(drive_epsilon(t_mid, p), p.delta, h))
         # Prefixes W_0 = I, ..., W_{spp-1} (the samples within a period), then U_T = W_spp.
         prefixes = np.concatenate(([1.0 + 0.0j], wa[:-1])), np.concatenate(([0.0j], wb[:-1]))
-        cycle = complex(wa[-1]), complex(wb[-1])
-        form = _periodic_form(*prefixes, *cycle, u0, d0)
-        return TimeSeries._deferred(0.0, h, n + 1, form, lambda: _sampled(*prefixes, *cycle, u0, d0, n + 1))
+        form = _periodic_form(*prefixes, complex(wa[-1]), complex(wb[-1]), u0, d0)
+        return TimeSeries._deferred(0.0, h, n + 1, form)
     out = np.empty(n + 1)
     out[0] = u0.real * u0.real + u0.imag * u0.imag
     _walk(lambda t: drive_epsilon(t, p), p.delta, 0.0, h, n, u0, d0, out[1:])

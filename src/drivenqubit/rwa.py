@@ -84,8 +84,11 @@ def rwa_width(omega_osc: float, n: int) -> float:
     """Resonance width scale delta_omega = Omega/|n| (a scale, not a sharp FWHM).
 
     Raises ValueError for n = 0: the zero-photon resonance has no
-    detuning slope, so no width scale is defined there.
+    detuning slope, so no width scale is defined there; and for an n that
+    is not an int, or is a bool.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"photon index must be an integer, got {n!r}")
     if n == 0:
         raise ValueError("width is not applicable for n = 0 (no detuning scale)")
     if not (math.isfinite(omega_osc) and omega_osc >= 0.0):

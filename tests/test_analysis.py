@@ -94,6 +94,10 @@ def test_extract_frequency_validation():
         extract_frequency(ts, band=(1.0, 1.0))
     with pytest.raises(ConfigError):
         extract_frequency(ts, band=(-0.5, 1.0))
+    # A band is a pair of finite numbers, not bools.
+    for band in ((0.0,), (0.0, "x"), (False, True)):
+        with pytest.raises(ConfigError, match="band must satisfy"):
+            extract_frequency(ts, band=band)
     with pytest.raises(ConfigError):
         extract_frequency(ts, drive_period=0.0)
 
@@ -261,11 +265,11 @@ def test_closed_form_extraction_when_the_period_is_plus_minus_identity(sign):
     norm = np.hypot(np.abs(a), np.abs(b))
     wa, wb = a / norm, b / norm
     u0, d0 = 0.6 + 0.0j, 0.8j
-    out = np.empty(30 * steps + 11)
-    dynamics._sample(wa, wb, complex(sign), 0j, u0, d0, out)
+    # U_T^k psi0 = (+-1)^k psi0, so every period repeats |wa_j u0 + wb_j d0|^2.
+    trace = np.resize(np.abs(wa * u0 + wb * d0) ** 2, 30 * steps + 11)
     form = dynamics._periodic_form(wa, wb, complex(sign), 0j, u0, d0)
     assert form.lam == (0.0 if sign > 0 else math.pi)
-    ts = TimeSeries(0.0, 0.1, dynamics._frozen(out), _form=form)
+    ts = TimeSeries(0.0, 0.1, trace, _form=form)
     closed = extract_frequency(ts, drive_period=steps * 0.1)
     plain = extract_frequency(_fft_copy(ts), drive_period=steps * 0.1)
     assert math.isfinite(closed.omega_est)
@@ -391,7 +395,7 @@ def _no_fill(*args):
 
 def test_scan_and_width_fill_no_trace(monkeypatch):
     # Every cell and width point reads only the one-period form of its run.
-    monkeypatch.setattr(dynamics, "_sample", _no_fill)
+    monkeypatch.setattr(dynamics, "_form_values", _no_fill)
     res = scan_resonance_map(("omega", 3.0), ("epsilon0", [8.0, 9.2]), ("amplitude", [12.0, 14.0]), steps_per_period=64)
     assert np.all(np.isfinite(res.omega_est)) and np.all(np.isfinite(res.amplitude))
     assert not any(flag.startswith("error:") for row in res.flags for cell in row for flag in cell)

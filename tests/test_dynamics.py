@@ -1,6 +1,7 @@
 """Propagator checks: closed-form limits, unitarity, convergence order."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -414,14 +415,12 @@ _GENERIC_PAIR = (complex(0.48, -0.64), complex(0.36, 0.48))
     ids=["identity", "minus-identity", "generic"],
 )
 def test_closed_form_power_matches_matrix_power(pair):
-    ua, ub = pair
-    k = np.array([0, 1, 7, 1000])
-    u0, d0 = 0.6 + 0.0j, 0.8j
-    u, d = dynamics._powers(ua, ub, u0, d0, k)
-    m = dynamics._unitary(ua, ub).as_matrix()
-    for i, ki in enumerate(k):
-        expected = np.linalg.matrix_power(m, int(ki)) @ np.array([u0, d0])
-        assert np.max(np.abs(np.array([u[i], d[i]]) - expected)) <= 1e-12
+    # A stroboscope of 1000 cycles: P_up of U^k psi0 from the one-sample form, for two states.
+    m = dynamics._unitary(*pair).as_matrix()
+    for psi0 in (QubitState(0.6, 0.8j), QubitState(0.8, -0.6)):
+        ts = dynamics._stroboscope(psi0, (1.0 + 0.0j, 0.0j), pair, 1000, 0.0, 1.0)
+        expected = [abs((np.linalg.matrix_power(m, k) @ psi0.as_vector())[0]) ** 2 for k in range(1001)]
+        assert np.max(np.abs(ts.values - expected)) <= 1e-12
 
 
 def test_aligned_runs_carry_their_one_period_form():
@@ -441,30 +440,45 @@ def test_aligned_runs_carry_their_one_period_form():
     assert "_form" not in repr(ts)
 
 
+def test_period_aligned_series_pickles_read_or_unread():
+    # An unread series pickles its form, not a trace; both come back with the form and the same values.
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    unread = propagate_exact(p, QubitState.up(), 10 * p.period, steps_per_period=64)
+    read = propagate_exact(p, QubitState.up(), 10 * p.period, steps_per_period=64)
+    assert read.values.size == 641 and len(pickle.dumps(unread)) < read.values.nbytes
+    for ts in (pickle.loads(pickle.dumps(unread)), pickle.loads(pickle.dumps(read))):
+        assert len(ts) == 641 and ts._form is not None and ts._form.lam == read._form.lam
+        assert np.array_equal(ts._form.swing, read._form.swing)
+        assert np.array_equal(ts.values, read.values)
+    assert np.array_equal(unread.values, read.values)
+
+
 @pytest.mark.parametrize(
     "pair",
     [(1.0 + 0.0j, 0.0j), (-1.0 + 0.0j, 0.0j), _GENERIC_PAIR],
     ids=["identity", "minus-identity", "generic"],
 )
 def test_periodic_form_reproduces_the_sampler(pair):
+    # Random prefixes W_j of a cycle U: sample k m + j is P_up of W_j U^k psi0, the last period partial.
     rng = np.random.default_rng(3)
     a = rng.normal(size=24) + 1j * rng.normal(size=24)
     b = rng.normal(size=24) + 1j * rng.normal(size=24)
     norm = np.hypot(np.abs(a), np.abs(b))
     wa, wb = a / norm, b / norm
-    u0, d0 = 0.6 + 0.0j, 0.8j
-    out = np.empty(24 * 40 + 5)
-    dynamics._sample(wa, wb, *pair, u0, d0, out)
-    form = dynamics._periodic_form(wa, wb, *pair, u0, d0)
-    k, j = np.divmod(np.arange(out.size), 24)
-    model = form.mean[j] + (form.swing[j] * np.exp(2j * k * form.lam)).real
-    assert np.max(np.abs(model - out)) <= 1e-12
+    psi0 = np.array([0.6, 0.8j])
+    values = dynamics._form_values(dynamics._periodic_form(wa, wb, *pair, *psi0), 24 * 1000 + 5)
+    prefixes = np.array([dynamics._unitary(x, y).as_matrix() for x, y in zip(wa, wb)])
+    cycle = dynamics._unitary(*pair).as_matrix()
+    for k in range(1001):
+        expected = np.abs((prefixes @ (np.linalg.matrix_power(cycle, k) @ psi0))[:, 0]) ** 2
+        row = values[24 * k : 24 * k + 24]
+        assert np.max(np.abs(row - expected[: row.size])) <= 1e-12
 
 
 def test_closed_form_power_rejects_a_leaky_pair():
     ua, ub = _GENERIC_PAIR
     with pytest.raises(QuadratureError, match="norm drifted"):
-        dynamics._powers(ua * (1.0 + 1e-9), ub, 1.0 + 0.0j, 0.0j, np.arange(3))
+        dynamics._periodic_form(np.ones(1, complex), np.zeros(1, complex), ua * (1.0 + 1e-9), ub, 1.0 + 0.0j, 0.0j)
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,15 +491,21 @@ def test_closed_form_power_rejects_a_leaky_pair():
     extra=st.integers(0, 1023),
 )
 def test_deferred_samples_are_the_eager_fill(epsilon0, amplitude, omega, steps, periods, extra):
-    # A period-aligned run writes its samples on the first read of values,
-    # from the prefixes and cycle of one period, bit for bit as an eager
-    # _sample fill of them; len, t_end and times() do not write them.
+    # A period-aligned run writes its samples from its one-period form on
+    # the first read of values, bit for bit as an eager _form_values of the
+    # form, and within 1e-11 of the walker on the same grid; len, t_end and
+    # times() do not write them.
     p = DriveParams(delta=1.0, epsilon0=epsilon0, amplitude=amplitude, omega=omega)
     fills = []
-    sample = dynamics._sample
+    write = dynamics._form_values
+
+    def recorded(form, size):
+        fills.append(write(form, size))
+        return fills[-1]
+
     duration = max(1, periods * steps + extra % steps) / steps * p.period
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_sample", lambda *args: fills.append(sample(*args)))
+        patch.setattr(dynamics, "_form_values", recorded)
         ts = propagate_exact(p, QubitState.up(), duration, steps_per_period=steps)
         if ts._form is None:
             return  # the ratio fell off the period grid: the walker filled it
@@ -495,17 +515,16 @@ def test_deferred_samples_are_the_eager_fill(epsilon0, amplitude, omega, steps, 
         values = ts.values
         assert ts.values is values and len(fills) == 1
     assert not values.flags.writeable
-    h = ts.dt
-    wa, wb = dynamics._running_products(*dynamics._step_entries(drive_epsilon(h * (np.arange(steps) + 0.5), p), p.delta, h))
-    out = np.empty(n + 1)
-    sample(np.append(1.0 + 0.0j, wa[:-1]), np.append(0.0j, wb[:-1]), complex(wa[-1]), complex(wb[-1]), 1.0 + 0.0j, 0.0j, out)
-    assert np.array_equal(values, dynamics._frozen(out))
+    assert np.array_equal(values, write(ts._form, n + 1))
+    walked = np.ones(n + 1)
+    dynamics._walk(lambda t: drive_epsilon(t, p), p.delta, 0.0, ts.dt, n, 1.0 + 0.0j, 0.0j, walked[1:])
+    assert np.max(np.abs(values - walked)) <= 1e-11
 
 
 def test_aligned_run_errors_raise_before_any_sample(monkeypatch):
     # The norm check of the cycle and the finiteness check of the samples
     # run when propagate_exact is called, not on the first read of values.
-    monkeypatch.setattr(dynamics, "_sample", _no_sample)
+    monkeypatch.setattr(dynamics, "_form_values", _no_sample)
     exact = dynamics._step_entries
     with monkeypatch.context() as leaky:
         leaky.setattr(dynamics, "_step_entries", lambda *args: tuple(x * (1.0 + 1e-9) for x in exact(*args)))

@@ -14,7 +14,7 @@ import pytest
 import drivenqubit
 
 _PACKAGE = Path(drivenqubit.__file__).parent
-_PRIVATE = {"_apply", "_powers", "_frozen", "_walk", "_sample", "_CHUNK", "_substep_count"}
+_PRIVATE = {"_apply", "_form_values", "_frozen", "_walk", "_CHUNK", "_substep_count"}
 _MODULES = [
     importlib.import_module(f"drivenqubit.{name}")
     for name in ("analysis", "dynamics", "errors", "rwa", "specfun", "transfer_matrix")

@@ -85,6 +85,12 @@ def test_rwa_width_scale():
         rwa_width(-0.1, 1)
 
 
+@pytest.mark.parametrize("n", [True, 2.5, 2.0, "2"])
+def test_rwa_width_requires_an_integer_photon_index(n):
+    with pytest.raises(ValueError, match="photon index must be an integer"):
+        rwa_width(0.4, n)
+
+
 def test_cdt_amplitudes_sit_on_j0_zeros():
     omega = 5.0
     amps = cdt_amplitudes(omega, 6)
