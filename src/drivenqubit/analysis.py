@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (
-    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _count, _is_number, _positive, _steps_per_period,
+    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _count, _is_number, _positive, _real_array, _steps_per_period,
     _stroboscope, evolution_operator, propagate_exact,
 )
 from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
@@ -195,7 +195,10 @@ def extract_frequency(
         raise InsufficientDataError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     width = 1
     if drive_period is not None:
-        width = max(1, int(round(_positive("drive_period", drive_period) / ts.dt)))
+        ratio = _positive("drive_period", drive_period) / ts.dt
+        if not ratio < n:  # inf included, which no boxcar width can round to
+            raise InsufficientDataError(f"trace of {n} samples is shorter than one drive period ({ratio:.6g} samples)")
+        width = max(1, int(round(ratio)))
         if width >= 2 and n < 2 * width:
             raise InsufficientDataError(f"trace of {n} samples is too short for a {width}-sample boxcar")
     size = n - width + 1
@@ -476,13 +479,7 @@ def _estimate_cell(
 def _validate_axis(name: str, grid: np.ndarray) -> np.ndarray:
     if name not in _SCAN_PARAMETERS:
         raise ConfigError(f"unknown scan parameter {name!r}; expected one of {_SCAN_PARAMETERS}")
-    try:
-        arr = np.asarray(grid)
-    except ValueError as exc:  # a ragged grid
-        raise ConfigError(f"axis {name!r} must be a nonempty 1-D grid") from exc
-    if arr.dtype.kind not in "iuf":
-        raise ConfigError(f"axis {name!r} must hold integers or floats, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+    arr = _real_array(f"axis {name!r}", grid)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"axis {name!r} must be a nonempty 1-D grid")
     if not np.all(np.isfinite(arr)):

@@ -137,11 +137,11 @@ def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[str]:
     """The JSON document of body after a ``meta`` block of the run's keys, as json.dumps(..., indent=2) writes it.
 
     The encoder's chunks, which json.dumps would join into one string, are
-    joined _CSV_BLOCK_ROWS at a time instead.
+    joined _CSV_BLOCK_ROWS at a time instead.  An inf or NaN is a ValueError (exit 4), never non-JSON text.
     """
     meta = {"generated_by": f"drivenqubit {__version__}"}
     meta.update((k, v) for k, v in cfg.items() if k not in ("out", "format"))
-    chunks = json.JSONEncoder(indent=2).iterencode({"meta": meta, **body})
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode({"meta": meta, **body})
     while text := "".join(itertools.islice(chunks, _CSV_BLOCK_ROWS)):
         yield text
     yield "\n"

@@ -13,7 +13,8 @@ Propagation uses an exponential-midpoint rule: each substep applies the
 closed-form exponential of the traceless Hermitian 2x2 Hamiltonian frozen
 at the substep midpoint.  Every factor is exactly unitary up to rounding
 and has the SU(2) form [[a, b], [-conj(b), conj(a)]]; the
-time-discretization error is second order in the substep.
+time-discretization error is second order in the substep.  ``Unitary2``
+holds only that form; its constructor checks it.
 
 Factors are composed as (a, b) pairs by a vectorised log-depth scan,
 ``_running_products``: a doubling scan up to 256 factors (one period of a
@@ -30,14 +31,15 @@ period serves all) and, with m = 1, ``propagate_tm`` and
 A period-aligned ``propagate_exact`` series keeps its form, which
 ``analysis.extract_frequency`` reads, and writes its samples on the first
 read of ``values``, so a run read only through its form (a scan cell)
-writes no trace.  ``_check_norm`` holds the one 1e-10 norm bound, and
-``_substep_count`` the run limits of every time grid.
+writes no trace.  Every computed series, copies and unpickled ones
+included, comes from ``TimeSeries._computed``.  ``_check_norm`` holds the
+one 1e-10 norm bound, and ``_substep_count`` the run limits of every grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +90,17 @@ def _is_number(value) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    """values as a new float array if it holds ints or floats (no bools, strings or ragged lists), else ConfigError."""
+    try:
+        arr = np.array(values)
+    except ValueError as exc:  # a ragged list
+        raise ConfigError(f"{name} must hold integers or floats in a regular array") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def _positive(name: str, value) -> float:
@@ -171,7 +184,7 @@ class QubitState:
 
 @dataclass(frozen=True)
 class Unitary2:
-    """A 2x2 unitary stored entrywise; construction rejects non-unitary input."""
+    """An SU(2) matrix [[a, b], [-conj(b), conj(a)]], |a|^2 + |b|^2 = 1, stored entrywise; no other is built."""
 
     u11: complex
     u12: complex
@@ -179,21 +192,16 @@ class Unitary2:
     u22: complex
 
     def __post_init__(self) -> None:
-        a, b, c, d = complex(self.u11), complex(self.u12), complex(self.u21), complex(self.u22)
-        object.__setattr__(self, "u11", a)
-        object.__setattr__(self, "u12", b)
-        object.__setattr__(self, "u21", c)
-        object.__setattr__(self, "u22", d)
-        # The three distinct entries of |U^H U - I| (the fourth mirrors the
-        # off-diagonal one); NaN or inf fails every comparison below.
-        dev = (
-            abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
-            abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
-            abs(a.conjugate() * b + c.conjugate() * d),
-        )
-        if not (dev[0] <= _UNITARY_TOL and dev[1] <= _UNITARY_TOL and dev[2] <= _UNITARY_TOL):
-            worst = next(x for x in dev if not x <= _UNITARY_TOL)
-            raise ConfigError(f"matrix is not unitary within {_UNITARY_TOL}: deviation {worst:g}")
+        a, b, c, d = map(complex, (self.u11, self.u12, self.u21, self.u22))
+        self.__dict__.update(u11=a, u12=b, u21=c, u22=d)
+        # Each condition within 1e-10; NaN or inf fails the comparison.
+        for dev in (
+            abs(c + b.conjugate()),
+            abs(d - a.conjugate()),
+            abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0),
+        ):
+            if not dev <= _UNITARY_TOL:
+                raise ConfigError(f"matrix is not special-unitary within {_UNITARY_TOL}: deviation {dev:g}")
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=complex)
@@ -207,34 +215,29 @@ class _Form(NamedTuple):
     lam: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TimeSeries:
-    """Uniformly sampled up-state probability P_up(t0 + k*dt), k = 0..len-1.
+    """Uniformly sampled up-state probability P_up(t0 + k*dt), k = 0..len-1; read-only.
 
-    ``_form`` is the one-period ``_Form`` of the samples when
-    ``propagate_exact`` ran on a period-aligned grid, and None on every
-    other series; ``analysis.extract_frequency`` reads it.  Such a series
-    writes its samples from the form (``_form_values``) on the first read
-    of ``values`` and keeps them (read-only, the same array on every
-    read); ``len``, ``t_end``, ``times()`` and the form do not write them.
+    ``TimeSeries(t0, dt, values)`` copies values, a nonempty 1-D array of
+    ints or floats in [0, 1] (to 1e-9).  Every series the package computes,
+    copies and unpickled ones included (``__reduce__``), comes from
+    ``_computed``, so its values and form stay read-only.
+
+    ``_form`` is the one-period ``_Form`` of a period-aligned
+    ``propagate_exact`` run (else None), which ``analysis.extract_frequency``
+    reads; such a series writes its samples from it (``_form_values``) on
+    the first read of ``values`` and keeps them.  ``len``, ``t_end``,
+    ``times()`` and ``repr`` do not write them.
     """
 
     t0: float
     dt: float
     values: np.ndarray
-    _form: _Form | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        _positive("dt", self.dt)
-        arr = self.values
-        # A read-only float64 array that owns its data, as every propagator
-        # hands over, is adopted as is; any other input is copied, so a
-        # caller who changes its array later cannot change the series.
-        if not (
-            isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
-            and arr.flags.owndata and not arr.flags.writeable
-        ):
-            arr = np.array(arr, dtype=float)
+        dt = _positive("dt", self.dt)
+        arr = _real_array("values", self.values)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigError("values must be a nonempty 1-D array")
         if not np.all(np.isfinite(arr)):
@@ -242,29 +245,43 @@ class TimeSeries:
         if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
             raise ConfigError("probabilities leave [0, 1] by more than 1e-9")
         arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_size", arr.size)
+        self.__dict__.update(dt=dt, values=arr, _form=None, _size=arr.size)
 
     @classmethod
-    def _deferred(cls, t0: float, dt: float, size: int, form: _Form) -> "TimeSeries":
-        """A series of size samples with the one-period form, whose values ``_form_values`` writes on first read.
+    def _computed(cls, t0: float, dt: float, size: int, form: _Form | None = None, values=None) -> "TimeSeries":
+        """A series of size samples: values adopted without a copy, or written from form on first read, or both.
 
-        The samples are finite exactly when the form is, so the check of
-        the values runs on the form, with the same error.
+        The arrays are made read-only.  The samples are finite exactly when
+        the form is, so the check runs on the form when there is one.
         """
-        if not (math.isfinite(form.lam) and np.isfinite(form.mean).all() and np.isfinite(form.swing).all()):
+        if form is None:
+            finite = np.isfinite(values).all()
+        else:
+            finite = math.isfinite(form.lam) and np.isfinite(form.mean).all() and np.isfinite(form.swing).all()
+            form.mean.flags.writeable = form.swing.flags.writeable = False
+        if not finite:
             raise ConfigError("values contain non-finite entries")
         ts = object.__new__(cls)
         ts.__dict__.update(t0=t0, dt=dt, _form=form, _size=size)
+        if values is not None:
+            values.flags.writeable = False
+            ts.__dict__["values"] = values
         return ts
 
+    def __reduce__(self):
+        return type(self)._computed, (self.t0, self.dt, self._size, self._form, self.__dict__.get("values"))
+
     def __getattr__(self, name: str):
-        # Normal lookup found nothing: on a deferred series, values before their first read.
+        # Normal lookup found nothing: on a period-aligned series, values before their first read.
         form = self.__dict__.get("_form") if name == "values" else None
         if form is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "values", _form_values(form, self._size))
-        return self.values
+        values = self.__dict__["values"] = _form_values(form, self._size)
+        values.flags.writeable = False
+        return values
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(t0={self.t0!r}, dt={self.dt!r}, {self._size} samples)"
 
     def __len__(self) -> int:
         return self._size
@@ -275,13 +292,6 @@ class TimeSeries:
     @property
     def t_end(self) -> float:
         return self.t0 + self.dt * (self._size - 1)
-
-
-def _frozen(values: np.ndarray) -> np.ndarray:
-    """Probabilities clipped to [0, 1] in place and made read-only, so a TimeSeries adopts them without a copy."""
-    np.clip(values, 0.0, 1.0, out=values)
-    values.flags.writeable = False
-    return values
 
 
 def drive_epsilon(t, p: DriveParams):
@@ -439,12 +449,11 @@ def _periodic_form(wa, wb, ua: complex, ub: complex, u0: complex, d0: complex) -
     a, b = wa * u0 + wb * d0, wa * gu + wb * gd
     aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
     mean, swing = 0.5 * (aa + bb), 0.5 * (aa - bb) - 1j * (a * b.conjugate()).real
-    mean.flags.writeable = swing.flags.writeable = False
     return _Form(mean, swing, lam)
 
 
 def _form_values(form: _Form, size: int) -> np.ndarray:
-    """Samples 0..size-1 of the form, made ``_frozen``, written in rows of periods of at most _CHUNK samples."""
+    """Samples 0..size-1 of the form, clipped to [0, 1], written in rows of periods of at most _CHUNK samples."""
     m = form.mean.size
     out = np.empty(size)
     rows = _CHUNK // m
@@ -455,7 +464,7 @@ def _form_values(form: _Form, size: int) -> np.ndarray:
         block -= np.sin(phase) * form.swing.imag
         block += form.mean
         out[i0 : i0 + block.size] = block.reshape(-1)[: size - i0]
-    return _frozen(out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _stroboscope(psi0: QubitState, pre, cycle, n_cycles: int, t0: float, dt: float) -> TimeSeries:
@@ -466,7 +475,7 @@ def _stroboscope(psi0: QubitState, pre, cycle, n_cycles: int, t0: float, dt: flo
     size = _count("n_cycles", n_cycles, 1, _MAX_SAMPLES - 1) + 1
     u0, d0 = _apply(*pre, psi0.up_amp, psi0.down_amp)
     form = _periodic_form(np.ones(1, complex), np.zeros(1, complex), *cycle, u0, d0)
-    return TimeSeries(t0=t0, dt=dt, values=_form_values(form, size))
+    return TimeSeries._computed(t0, dt, size, values=_form_values(form, size))
 
 
 def _steps_per_period(value) -> int:
@@ -571,11 +580,11 @@ def propagate_exact(
         # Prefixes W_0 = I, ..., W_{spp-1} (the samples within a period), then U_T = W_spp.
         prefixes = np.concatenate(([1.0 + 0.0j], wa[:-1])), np.concatenate(([0.0j], wb[:-1]))
         form = _periodic_form(*prefixes, complex(wa[-1]), complex(wb[-1]), u0, d0)
-        return TimeSeries._deferred(0.0, h, n + 1, form)
+        return TimeSeries._computed(0.0, h, n + 1, form=form)
     out = np.empty(n + 1)
     out[0] = u0.real * u0.real + u0.imag * u0.imag
     _walk(lambda t: drive_epsilon(t, p), p.delta, 0.0, h, n, u0, d0, out[1:])
-    return TimeSeries(t0=0.0, dt=h, values=_frozen(out))
+    return TimeSeries._computed(0.0, h, n + 1, values=np.clip(out, 0.0, 1.0, out=out))
 
 
 def propagate_linear_sweep(

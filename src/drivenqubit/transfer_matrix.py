@@ -377,21 +377,14 @@ _DEGENERATE_TOL = 1e-12
 def decompose_full_cycle(u: Unitary2) -> FullCycleDecomposition:
     """Factor a special-unitary cycle matrix into xy-rotation x z-rotation.
 
-    Accepts matrices of the form [[u11, u12], [-conj(u12), conj(u11)]]
-    (every composed cycle matrix has this det = 1 form).  Returns
+    Every ``Unitary2`` has the form [[u11, u12], [-conj(u12), conj(u11)]]
+    (det = 1; its constructor refuses any other matrix), so u11 and u12
+    determine it.  Returns
     zeta_fc = 2*arcsin|u12| in [0, pi], theta_fc = -2*arg(u11) in
     (-2pi, 2pi], and the azimuth phi_fc = arg(u12) + arg(u11).  At the
     degenerate points |u12| in {0, 1} the azimuth is set to 0 and the
     whole phase is carried by theta_fc.
     """
-    if (
-        abs(u.u22 - u.u11.conjugate()) > 1e-9
-        or abs(u.u21 + u.u12.conjugate()) > 1e-9
-    ):
-        raise ConfigError(
-            "matrix is not in special-unitary form [[a, b], [-conj(b), conj(a)]]; "
-            "strip any global phase before decomposing"
-        )
     m = min(1.0, abs(u.u12))
     zeta = 2.0 * math.asin(m)
     if m <= _DEGENERATE_TOL:

@@ -83,6 +83,10 @@ def test_insufficient_data_paths():
     with pytest.raises(InsufficientDataError):
         # 40-sample boxcar needs at least 80 samples.
         extract_frequency(short, drive_period=2.0)
+    for period in (1e300, 1e308):
+        # A drive period longer than the trace, even one whose width overflows to inf.
+        with pytest.raises(InsufficientDataError, match="shorter than one drive period"):
+            extract_frequency(short, drive_period=period)
     with pytest.raises(InsufficientDataError):
         # Band entirely above Nyquist holds no bins.
         extract_frequency(_sine_series(0.37), band=(100.0, 200.0))
@@ -269,7 +273,7 @@ def test_closed_form_extraction_when_the_period_is_plus_minus_identity(sign):
     trace = np.resize(np.abs(wa * u0 + wb * d0) ** 2, 30 * steps + 11)
     form = dynamics._periodic_form(wa, wb, complex(sign), 0j, u0, d0)
     assert form.lam == (0.0 if sign > 0 else math.pi)
-    ts = TimeSeries(0.0, 0.1, trace, _form=form)
+    ts = TimeSeries._computed(0.0, 0.1, trace.size, form=form, values=trace)
     closed = extract_frequency(ts, drive_period=steps * 0.1)
     plain = extract_frequency(_fft_copy(ts), drive_period=steps * 0.1)
     assert math.isfinite(closed.omega_est)

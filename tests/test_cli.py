@@ -464,6 +464,13 @@ def test_cdt_lists_twenty_amplitudes(capsys):
     assert first == pytest.approx(5.0 * bessel_j0_zero(1), rel=1e-14)
 
 
+def test_json_output_refuses_infinite_numbers(capsys):
+    # omega * j_{0,k} overflows: JSON has no Infinity, so the run fails and writes nothing.
+    code, out, err = _run(capsys, ["cdt", "--omega", "1e308", "--format", "json"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numerical error:") and err.endswith("\n") and err.count("\n") == 1
+
+
 def test_cdt_delta_rescales_amplitudes(capsys):
     _, base, _ = _run(capsys, ["cdt", "--omega", "5"])
     _, scaled, _ = _run(capsys, ["cdt", "--omega", "5", "--delta", "2"])

@@ -1,5 +1,6 @@
 """Propagator checks: closed-form limits, unitarity, convergence order."""
 
+import copy
 import math
 import pickle
 import tracemalloc
@@ -453,6 +454,42 @@ def test_period_aligned_series_pickles_read_or_unread():
     assert np.array_equal(unread.values, read.values)
 
 
+def _series(kind):
+    p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    if kind == "eager":
+        return propagate_exact(p, QubitState.up(), 10.1 * p.period, steps_per_period=64)
+    ts = propagate_exact(p, QubitState.up(), 10 * p.period, steps_per_period=64)
+    if kind == "read":
+        assert ts.values.size == 641
+    return ts
+
+
+@pytest.mark.parametrize("kind", ["eager", "unread", "read"])
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda ts: pickle.loads(pickle.dumps(ts)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_copies_and_pickles_stay_read_only(duplicate, kind):
+    ts = _series(kind)
+    dup = duplicate(ts)
+    assert type(dup) is TimeSeries and (dup.t0, dup.dt, len(dup)) == (ts.t0, ts.dt, len(ts))
+    assert not dup.values.flags.writeable
+    assert np.array_equal(dup.values, ts.values)
+    assert (dup._form is None) == (kind == "eager")
+    if dup._form is not None:
+        assert not dup._form.mean.flags.writeable and not dup._form.swing.flags.writeable
+        assert dup._form.lam == ts._form.lam
+        assert np.array_equal(dup._form.mean, ts._form.mean) and np.array_equal(dup._form.swing, ts._form.swing)
+
+
+def test_repr_writes_no_trace(monkeypatch):
+    monkeypatch.setattr(dynamics, "_form_values", _no_sample)
+    p = DriveParams(delta=1.0, epsilon0=5.0, amplitude=34.95, omega=5.0)
+    ts = propagate_exact(p, QubitState.up(), 5000 * p.period, steps_per_period=128)
+    assert repr(ts) == f"TimeSeries(t0=0.0, dt={ts.dt!r}, 640001 samples)"
+
+
 @pytest.mark.parametrize(
     "pair",
     [(1.0 + 0.0j, 0.0j), (-1.0 + 0.0j, 0.0j), _GENERIC_PAIR],
@@ -627,6 +664,13 @@ def test_unitary_rejects_non_unitary():
         Unitary2(1.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("entries", [(0.0, 1.0, 1.0, 0.0), (1j, 0.0, 0.0, 1j)], ids=["det-minus-one", "global-phase"])
+def test_unitary_must_be_special_unitary(entries):
+    # Unitary, but not of the form [[a, b], [-conj(b), conj(a)]].
+    with pytest.raises(ConfigError, match="not special-unitary"):
+        Unitary2(*entries)
+
+
 _ROTATION = (complex(0.6, 0.0), complex(0.0, 0.8), complex(0.0, 0.8), complex(0.6, 0.0))
 
 
@@ -661,6 +705,11 @@ def test_timeseries_rejects_bad_values():
         TimeSeries(0.0, -0.1, np.array([0.5, 0.5]))
     with pytest.raises(ConfigError):
         TimeSeries(0.0, 0.1, np.array([]))
+    # Values hold integers or floats, as the scan grids do.
+    for values in ("abc", [0.5, 1j], np.array([True, False]), ["0.5", "0.25"], [[0.5], [0.5, 0.5]], [None, 0.5]):
+        with pytest.raises(ConfigError):
+            TimeSeries(0.0, 0.1, values)
+    assert np.array_equal(TimeSeries(0, 1, [0, 1]).values, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("steps_per_period", [32.0, 16.5, True, "32"])

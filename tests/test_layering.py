@@ -1,6 +1,6 @@
 """Layering: the package re-exports exactly the modules' __all__, the SU(2) state helpers, block
-size and run limits of dynamics stay private to it, the CLI imports no scipy.integrate, and no
-module or test imports a name it does not use."""
+size and run limits of dynamics stay private to it, only dynamics builds computed series, the CLI
+imports no scipy.integrate, and no module or test imports a name it does not use."""
 
 import ast
 import importlib
@@ -14,7 +14,7 @@ import pytest
 import drivenqubit
 
 _PACKAGE = Path(drivenqubit.__file__).parent
-_PRIVATE = {"_apply", "_form_values", "_frozen", "_walk", "_CHUNK", "_substep_count"}
+_PRIVATE = {"_apply", "_form_values", "_walk", "_CHUNK", "_substep_count"}
 _MODULES = [
     importlib.import_module(f"drivenqubit.{name}")
     for name in ("analysis", "dynamics", "errors", "rwa", "specfun", "transfer_matrix")
@@ -42,6 +42,15 @@ def test_no_module_imports_the_state_helpers(module):
     tree = ast.parse((_PACKAGE / module).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & _PRIVATE
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in _PACKAGE.glob("*.py") if path.name != "dynamics.py"))
+def test_only_dynamics_builds_computed_series(module):
+    # Every computed TimeSeries comes from dynamics' propagators, so no other module names its private constructor.
+    tree = ast.parse((_PACKAGE / module).read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_computed" not in names
 
 
 def test_cli_import_loads_no_scipy_integrate():
