@@ -48,6 +48,7 @@ from .transfer_matrix import (
     full_cycle_matrix,
     propagate_tm,
     tm_fast_resonance_check,
+    tm_slow_frequency,
     tm_slow_resonance_lhs,
 )
 
@@ -321,7 +322,7 @@ def cmd_predict(cfg: dict[str, Any]) -> Iterable[str]:
             "zeta_fc": deco.zeta_fc,
             "theta_fc": deco.theta_fc,
             "phi_fc": deco.phi_fc,
-            "omega_osc": p.omega * deco.zeta_fc / (2.0 * math.pi) * scale,
+            "omega_osc": tm_slow_frequency(p) * scale,
             "resonance_residual": residual,
         },
         "slow": {

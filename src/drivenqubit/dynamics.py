@@ -219,8 +219,9 @@ class _Form(NamedTuple):
 class TimeSeries:
     """Uniformly sampled up-state probability P_up(t0 + k*dt), k = 0..len-1; read-only.
 
-    ``TimeSeries(t0, dt, values)`` copies values, a nonempty 1-D array of
-    ints or floats in [0, 1] (to 1e-9).  Every series the package computes,
+    ``TimeSeries(t0, dt, values)`` takes a finite number t0 and a
+    positive dt, and copies values, a nonempty 1-D array of ints or floats
+    in [0, 1] (to 1e-9).  Every series the package computes,
     copies and unpickled ones included (``__reduce__``), comes from
     ``_computed``, so its values and form stay read-only.
 
@@ -236,6 +237,8 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if not _is_number(self.t0):
+            raise ConfigError(f"t0 must be a finite number, got {self.t0!r}")
         dt = _positive("dt", self.dt)
         arr = _real_array("values", self.values)
         if arr.ndim != 1 or arr.size == 0:

@@ -36,10 +36,12 @@ end: the half-period integrals end at the crossings, and a crossing
 window is folded about its crossing.
 
 cycle_phases is the one source of theta_tilde_1, theta_tilde_2, f_1 and
-f_2: full_cycle_matrix and propagate_tm read them from it (two
-quadratures per call), and the slow-crossing condition and the
-fast-crossing frequency use only their closed parts (no quadrature).
-Windowed band integrals belong to full_cycle_matrix_windowed alone.
+f_2 (two quadratures per call): full_cycle_matrix and propagate_tm read
+them from it, and the slow-crossing condition and the fast-crossing
+frequency use only their closed parts (no quadrature).  full_cycle_matrix
+keeps its last point's cycle: one entry, keyed by the DriveParams value,
+with raised errors not kept.  Windowed band integrals belong to
+full_cycle_matrix_windowed alone.
 
 A note on the closed-form rotation angle: expanding |g12| of the cycle
 product gives sin(zeta_FC/2) = 2 sin(chi/2) cos(chi/2) |cos(...)|; the
@@ -50,6 +52,7 @@ matrix itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -172,14 +175,18 @@ def sweep_rate(p: DriveParams) -> float:
     return p.omega * math.sqrt(p.amplitude**2 - p.epsilon0**2)
 
 
+def _mixing_angle(delta: float, v: float) -> float:
+    """chi with sin^2(chi/2) = 1 - exp(-pi*delta^2/(2v)) at sweep rate v."""
+    p_flip = -math.expm1(-math.pi * delta**2 / (2.0 * v))
+    return 2.0 * math.asin(min(1.0, math.sqrt(p_flip)))
+
+
 def lz_mixing_angle(p: DriveParams) -> float:
     """Mixing angle chi with sin^2(chi/2) = 1 - exp(-pi*delta^2/(2v)).
 
     The sweep rates of the two crossings are equal, so chi is shared.
     """
-    v = sweep_rate(p)
-    p_flip = -math.expm1(-math.pi * p.delta**2 / (2.0 * v))
-    return 2.0 * math.asin(min(1.0, math.sqrt(p_flip)))
+    return _mixing_angle(p.delta, sweep_rate(p))
 
 
 def lz_crossing(p: DriveParams) -> LzCrossing:
@@ -188,7 +195,7 @@ def lz_crossing(p: DriveParams) -> LzCrossing:
     delta_adiab = p.delta**2 / (4.0 * v)
     theta_s = stokes_phase(delta_adiab)
     return LzCrossing(
-        chi=lz_mixing_angle(p),
+        chi=_mixing_angle(p.delta, v),
         theta_lz_1=math.pi - theta_s,
         theta_lz_2=theta_s,
         sweep_rate=v,
@@ -338,10 +345,26 @@ def _compose_cycle(cr: LzCrossing, th1: float, th2: float) -> tuple[complex, com
     return _compose(*g, *_phase_pair(th1))
 
 
-def full_cycle_matrix(p: DriveParams) -> Unitary2:
-    """One-cycle propagator G_LZ2 G_2 G_LZ1 G_1 from boundary-independent phases."""
+@functools.lru_cache(maxsize=1)
+def _cycle(p: DriveParams) -> Unitary2:
+    """full_cycle_matrix's cycle, kept for the last point only.
+
+    One entry, so a pass over many points holds nothing from earlier
+    points; lru_cache stores no raised error, so a failing point fails on
+    every call.  DriveParams is frozen, with float fields, so equal points
+    hash alike and give the same cycle (0.0 and -0.0 included).
+    """
     ph = cycle_phases(p)
     return _unitary(*_compose_cycle(lz_crossing(p), ph.theta_tilde_1, ph.theta_tilde_2))
+
+
+def full_cycle_matrix(p: DriveParams) -> Unitary2:
+    """One-cycle propagator G_LZ2 G_2 G_LZ1 G_1 from boundary-independent phases.
+
+    The last point's cycle is kept, so a repeat call on an equal point
+    (tm_slow_frequency after full_cycle_matrix, say) runs no quadrature.
+    """
+    return _cycle(p)
 
 
 def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:

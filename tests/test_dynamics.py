@@ -709,6 +709,11 @@ def test_timeseries_rejects_bad_values():
     for values in ("abc", [0.5, 1j], np.array([True, False]), ["0.5", "0.25"], [[0.5], [0.5, 0.5]], [None, 0.5]):
         with pytest.raises(ConfigError):
             TimeSeries(0.0, 0.1, values)
+    # t0 is a finite number: a string would fail only in times(), and NaN
+    # would give a NaN t_end.
+    for t0 in ("a", math.nan, math.inf, None, True, 10**400):
+        with pytest.raises(ConfigError, match="t0"):
+            TimeSeries(t0, 0.1, [0.5] * 40)
     assert np.array_equal(TimeSeries(0, 1, [0, 1]).values, [0.0, 1.0])
 
 

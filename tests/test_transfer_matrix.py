@@ -6,6 +6,8 @@ an independent computation, not against themselves.
 """
 
 import math
+import random
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -206,6 +208,16 @@ def test_quadrature_counts(monkeypatch, call, expected):
     # The CLI predict point is (3, 15, 3), the same as _FAST_ONE_PHOTON.
     # The counter delegates to the module's own rule, so each integral
     # still meets its error bound.
+    # The cycle kept from an earlier test is dropped first, so every call
+    # starts cold.
+    calls = _count_quad(monkeypatch)
+    call(_FAST_ONE_PHOTON)
+    assert len(calls) == expected
+
+
+def _count_quad(monkeypatch):
+    """Clear the kept cycle and count quad calls from here on."""
+    transfer_matrix._cycle.cache_clear()
     calls = []
     rule = transfer_matrix.quad
 
@@ -214,8 +226,81 @@ def test_quadrature_counts(monkeypatch, call, expected):
         return rule(*args, **kwargs)
 
     monkeypatch.setattr(transfer_matrix, "quad", counting_quad)
-    call(_FAST_ONE_PHOTON)
-    assert len(calls) == expected
+    return calls
+
+
+def test_cycle_is_built_once_per_point(monkeypatch):
+    calls = _count_quad(monkeypatch)
+    cycle = full_cycle_matrix(_FAST_ONE_PHOTON)
+    tm_slow_frequency(_FAST_ONE_PHOTON)
+    assert len(calls) == 2
+    # Keyed by value: an equal but distinct point reuses the cycle.
+    twin = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
+    assert twin is not _FAST_ONE_PHOTON
+    assert full_cycle_matrix(twin) is cycle
+    assert len(calls) == 2
+    # One entry: another point replaces it.
+    full_cycle_matrix(_FAST_FIVE_PHOTON)
+    full_cycle_matrix(_FAST_ONE_PHOTON)
+    assert len(calls) == 6
+
+
+# Points for the kept-cycle checks; the last two differ only in the sign
+# of a zero, which compares and hashes equal.
+_KEPT_POINTS = (
+    _FAST_ONE_PHOTON,
+    _FAST_FIVE_PHOTON,
+    _SLOW,
+    DriveParams(delta=1.0, epsilon0=0.0, amplitude=7.0, omega=2.0),
+    DriveParams(delta=1.0, epsilon0=-0.0, amplitude=7.0, omega=2.0, phi=-0.0),
+)
+
+
+def _cold_bytes(p):
+    return transfer_matrix._cycle.__wrapped__(p).as_matrix().tobytes()
+
+
+def test_kept_cycle_matches_cold_bit_for_bit():
+    cold = [_cold_bytes(p) for p in _KEPT_POINTS]
+    assert cold[-1] == cold[-2]
+    rng = random.Random(20)
+    order = [0, 1, 0, 0, 2, 3, 4, 3, 4, 4] + [rng.randrange(len(_KEPT_POINTS)) for _ in range(60)]
+    for i in order:
+        p = _KEPT_POINTS[i]
+        assert full_cycle_matrix(p).as_matrix().tobytes() == cold[i]
+        expected = p.omega * decompose_full_cycle(transfer_matrix._cycle.__wrapped__(p)).zeta_fc / (2.0 * math.pi)
+        assert tm_slow_frequency(p) == expected
+
+
+def test_kept_cycle_is_safe_across_threads():
+    cold = [_cold_bytes(p) for p in _KEPT_POINTS]
+    order = [k % len(_KEPT_POINTS) for k in range(200)]
+
+    def run(shift):
+        return [full_cycle_matrix(_KEPT_POINTS[(i + shift) % len(_KEPT_POINTS)]).as_matrix().tobytes() for i in order]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run, (0, 1)))
+    for shift, got in zip((0, 1), results):
+        assert got == [cold[(i + shift) % len(_KEPT_POINTS)] for i in order]
+
+
+def test_failing_point_fails_on_every_call(monkeypatch):
+    kept = full_cycle_matrix(_FAST_ONE_PHOTON)
+    below = DriveParams(delta=1.0, epsilon0=5.0, amplitude=5.0, omega=1.0)
+    for _ in range(3):
+        with pytest.raises(RegimeError):
+            full_cycle_matrix(below)
+        with pytest.raises(RegimeError):
+            tm_slow_frequency(below)
+    assert full_cycle_matrix(_FAST_ONE_PHOTON) is kept
+    rule = transfer_matrix.quad
+    monkeypatch.setattr(transfer_matrix, "quad", lambda f, a, b: (rule(f, a, b)[0], 1.0))
+    for _ in range(3):
+        with pytest.raises(QuadratureError):
+            full_cycle_matrix(_FAST_FIVE_PHOTON)
+    monkeypatch.setattr(transfer_matrix, "quad", rule)
+    assert full_cycle_matrix(_FAST_FIVE_PHOTON).as_matrix().tobytes() == _cold_bytes(_FAST_FIVE_PHOTON)
 
 
 # The gap integrand at A*omega = 6000, numpy form for the rule and mpmath
