@@ -134,6 +134,140 @@ class _Column(list):
             yield from self.block(i, min(i + _CSV_BLOCK_ROWS, self.size))
 
 
+# ---------------------------------------------------------------------------
+# %.17g text of float blocks
+
+# One formatted value: '%.17g' (at most 24 characters), NUL padding, and its
+# separator in the last byte.  Deleting the NULs of a row of fields gives the
+# row's text.
+_FIELD = 32
+_WORD = np.dtype("<u8")
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = high + low exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _quads() -> np.ndarray:
+    """The text of 0000..9999 as little-endian 32-bit words; entries 10000 on have trailing zeros as NUL."""
+    n = np.arange(10_000, dtype=np.uint16)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1).astype(np.uint8)
+    significant = np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    text = np.concatenate([digits + 48, (digits + 48) * significant])
+    return text.view("<u4").ravel()
+
+
+def _words(texts: Iterable[bytes]) -> np.ndarray:
+    """Texts of at most 24 bytes as three little-endian words each: row k holds word k of every text."""
+    return np.frombuffer(b"".join(t.ljust(24, b"\0") for t in texts), _WORD).reshape(-1, 3).T.copy()
+
+
+# The decimal exponents E that _g17 lays out itself, at index E + 4.  For
+# each: 10**(16 - E) (exact, since 10**k is a double for k <= 22), the mask
+# of the digits before the point, the text inserted after them ("." for
+# E >= 0, "0.0..." in front for E < 0), and the shift in bits of the digits
+# after it.
+_EXPONENTS = range(-4, 17)
+_SCALE = np.array([float(10 ** (16 - e)) for e in _EXPONENTS])
+_SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
+_QUAD_TEXT = _quads()
+_ZEROS = np.frombuffer(b"0" * 8, _WORD)[0]
+_INSERTS = [b"0." + b"0" * (-1 - e) if e < 0 else b"\0" * (e + 1) + b"." * (e < 16) for e in _EXPONENTS]
+_HEAD = _words(b"\xff" * (e + 1) for e in _EXPONENTS)
+_INSERT = _words(_INSERTS)
+_SHIFT = np.array([8 * len(t.strip(b"\0")) for t in _INSERTS], _WORD)
+
+
+def _significands(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, e, n): where ok, values[i] = n[i] * 10**(e[i] - 20) to 17 digits, n in [10**16, 10**17).
+
+    e is the decimal exponent plus 4, the index into the exponent tables.
+    n = round-half-even(v * 10**(20 - e)) is exact: Dekker's two-product
+    gives v * 10**(20 - e) as hi + lo, and hi, above 2**53, is an even
+    integer, so n = hi + rint(lo).  Where ok is False, n is 10**16.
+    """
+    ok = (values >= 1e-4) & (values < 1e17)
+    v = np.where(ok, values, 1.0)
+    e = np.floor(np.log10(v)).astype(np.intp) + 4
+    np.clip(e, 0, len(_EXPONENTS) - 1, out=e)
+    hi = v * _SCALE[e]
+    v_high, v_low = _split(v)
+    s_high, s_low = _SCALE_HIGH[e], _SCALE_LOW[e]
+    lo = ((v_high * s_high - hi) + v_high * s_low + v_low * s_high) + v_low * s_low
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ok &= (n >= 10**16) & (n < 10**17)
+    n[~ok] = 10**16
+    return ok, e, n
+
+
+def _digit_words(n: np.ndarray) -> list[np.ndarray]:
+    """The 17 digits of n as bytes 0-16 of three words, trailing zeros as NUL.
+
+    The first digit, then four 4-digit groups from the table, whose second
+    half (index + 10000) writes the trailing zeros of the last nonzero group
+    and of every group after it as NUL.
+    """
+    head = n // 10**16
+    n = n - head * 10**16
+    g1 = n // 10**12
+    n -= g1 * 10**12
+    g2 = n // 10**8
+    n -= g2 * 10**8
+    g3 = n // 10**4
+    g4 = n - g3 * 10**4 + 10_000
+    zero = g4 == 10_000
+    g3 += zero * 10_000
+    zero &= g3 == 10_000
+    g2 += zero * 10_000
+    zero &= g2 == 10_000
+    g1 += zero * 10_000
+    q1, q2, q3, q4 = (_QUAD_TEXT[g].astype(_WORD) for g in (g1, g2, g3, g4))
+    return [(head.astype(_WORD) + 48) | q1 << 8 | q2 << 40, q2 >> 24 | q3 << 8 | q4 << 40, q4 >> 24]
+
+
+def _g17(x: np.ndarray, seps: bytes) -> np.ndarray:
+    """The ``'%.17g'`` text of a block of floats, one NUL-padded _FIELD-byte field per value.
+
+    ``x`` has one column per byte of ``seps``.  Row i of the result, with its
+    NUL bytes deleted, is the bytes of ``'%.17g' % v`` followed by its
+    column's separator, for each value v of ``x[i]`` in turn.
+
+    A value in [1e-4, 1e17) has a decimal exponent E in [-4, 16], and its
+    text is its 17-digit significand (``_significands``; Gay 1990 for the
+    correctly rounded conversion) with a point put in and the trailing
+    zeros of the fraction dropped.  A significand in [10**16, 10**17) also
+    confirms E, which comes from log10: none of these doubles lies within a
+    relative 5e-17 below 10**E.  Every other value (zero, negative, inf,
+    NaN, out of range, or a significand outside that range) is formatted by
+    ``'%.17g'`` itself.
+    """
+    rows, columns = x.shape
+    values = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    ok, e, n = _significands(values)
+    words = _digit_words(n)
+    # Digits before the point stay (a zero dropped there is put back as
+    # "0"), the insert follows, and the rest moves up by the insert's
+    # length; the point goes only where a fraction digit is left.
+    heads = [_HEAD[k][e] for k in range(3)]
+    moved = [w & ~head for w, head in zip(words, heads)]
+    point = np.uint64(0) - ((moved[0] | moved[1] | moved[2]) != 0)
+    shift = _SHIFT[e]
+    out = np.zeros((rows * columns, _FIELD // 8), _WORD)
+    carry = 0
+    for k in range(3):
+        out[:, k] = (words[k] | _ZEROS) & heads[k] | _INSERT[k][e] & point | moved[k] << shift | carry
+        carry = moved[k] >> (64 - shift)
+    fields = out.view(np.uint8)
+    for i in np.flatnonzero(~ok).tolist():
+        fields[i, :-1] = np.frombuffer((b"%.17g" % values[i]).ljust(_FIELD - 1, b"\0"), np.uint8)
+    fields = fields.reshape(rows, columns * _FIELD)
+    fields[:, _FIELD - 1::_FIELD] = np.frombuffer(seps, np.uint8)
+    return fields
+
+
 def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[str]:
     """The JSON document of body after a ``meta`` block of the run's keys, as json.dumps(..., indent=2) writes it.
 
@@ -250,7 +384,7 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
 
     if cfg["format"] == "json":
         body: dict[str, Any] = {
-            "t": _Column(len(ts), lambda i, j: _times(ts, scale, i, j)),
+            "t": _Column(len(ts), lambda i, j: _times(ts, scale, i, j).tolist()),
             "P_up": _Column(len(ts), lambda i, j: ts.values[i:j].tolist()),
         }
         if strobe is not None:
@@ -267,9 +401,9 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
     return _trace_csv(ts, scale, marks)
 
 
-def _times(ts: TimeSeries, scale: float, i: int, j: int) -> list[float]:
+def _times(ts: TimeSeries, scale: float, i: int, j: int) -> np.ndarray:
     """Times i..j-1 of ts divided by scale, as ``ts.times() / scale`` has them."""
-    return ((ts.t0 + ts.dt * np.arange(i, j)) / scale).tolist()
+    return (ts.t0 + ts.dt * np.arange(i, j)) / scale
 
 
 def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> Iterator[str]:
@@ -280,22 +414,27 @@ def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> 
     index to its strobe value; with marks, every row has a P_up_tm field,
     empty except at those rows, and without (None) there is no such column.
     """
+    size = ts.values.size
     if marks is None:
         yield "t,P_up\n"
-        pattern, marks = "%.17g,%.17g\n", {}
+        seps = b",\n"
     else:
         yield "t,P_up,P_up_tm\n"
-        pattern = "%.17g,%.17g,\n"
-    strobe_rows = sorted(marks)
-    k = 0
-    for i in range(0, ts.values.size, _CSV_BLOCK_ROWS):
-        j = min(i + _CSV_BLOCK_ROWS, ts.values.size)
-        rows = list(map(pattern.__mod__, zip(_times(ts, scale, i, j), ts.values[i:j].tolist())))
-        while k < len(strobe_rows) and strobe_rows[k] < j:
-            idx = strobe_rows[k]
-            rows[idx - i] = rows[idx - i][:-1] + "%.17g\n" % marks[idx]
-            k += 1
-        yield "".join(rows)
+        seps = b",,"
+        strobe_rows = np.array(sorted(marks), dtype=np.intp)
+        strobe_values = np.array([marks[idx] for idx in strobe_rows.tolist()], dtype=np.float64)
+        strobe_fields = _g17(strobe_values[:, None], b"\n")
+    for i in range(0, size, _CSV_BLOCK_ROWS):
+        j = min(i + _CSV_BLOCK_ROWS, size)
+        fields = _g17(np.column_stack([_times(ts, scale, i, j), ts.values[i:j]]), seps)
+        if marks is not None:
+            # The strobe field: a bare end of line, and the value at the marked rows.
+            strobe = np.zeros((j - i, _FIELD), np.uint8)
+            strobe[:, -1] = ord("\n")
+            a, b = np.searchsorted(strobe_rows, [i, j])
+            strobe[strobe_rows[a:b] - i] = strobe_fields[a:b]
+            fields = np.hstack([fields, strobe])
+        yield fields.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def cmd_predict(cfg: dict[str, Any]) -> Iterable[str]:
@@ -458,7 +597,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        _write(cfg["out"], _COMMANDS[args.command].handler(cfg))
+        # An overflow to inf (a --delta of 1e-310, say) is printed as inf in
+        # CSV and refused in JSON; numpy's warnings about it would add lines
+        # to stderr beside that one outcome.
+        with np.errstate(all="ignore"):
+            _write(cfg["out"], _COMMANDS[args.command].handler(cfg))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,12 +7,16 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivenqubit import __version__, dynamics
-from drivenqubit.cli import _COMMANDS, _CSV_BLOCK_ROWS, main
+from drivenqubit.cli import _COMMANDS, _CSV_BLOCK_ROWS, _g17, main
 from drivenqubit.dynamics import DriveParams, QubitState, propagate_exact
 from drivenqubit.errors import QuadratureError
 from drivenqubit.specfun import bessel_j0_zero, bessel_jn
@@ -133,8 +137,17 @@ def test_simulate_strobe_follows_the_crossing_check(capsys):
         ("5", "30", "5", "1", 150),
         ("1", "0.5", "4", "1", 150),
         ("5", "30", "5", "2.5", 150),
+        # P_up falls below 1e-4 in one row: exponent form.
+        ("1", "15", "1", "1", 3),
+        # Every time below 1e-4: exponent form.
+        ("5", "30", "5", "1e20", 3),
+        # Times from t = 1000 on are 1e17 or more: exponent form.
+        ("5", "30", "0.5", "1e-14", 100),
     ],
-    ids=["with-tm", "without-tm", "delta", "with-tm-blocks", "without-tm-blocks", "delta-blocks"],
+    ids=[
+        "with-tm", "without-tm", "delta", "with-tm-blocks", "without-tm-blocks", "delta-blocks",
+        "small-p-up", "small-times", "large-times",
+    ],
 )
 def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, delta, cycles):
     code, out, _ = _run(
@@ -162,6 +175,62 @@ def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, d
             row.append(tm.get(i, ""))
         lines.append(",".join(row))
     assert out == "\n".join(lines) + "\n"
+
+
+def _g17_rows(x, seps):
+    return [row.tobytes().replace(b"\0", b"") for row in _g17(np.asarray(x, dtype=np.float64), seps)]
+
+
+def _percent_17g_rows(x, seps):
+    return [b"".join(b"%.17g" % v + bytes([sep]) for v, sep in zip(row, seps)) for row in x]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.lists(
+            st.lists(st.one_of(st.floats(), st.floats(1e-5, 1e18)), min_size=m, max_size=m),
+            min_size=1, max_size=300,
+        )
+    )
+)
+def test_g17_is_percent_17g(rows):
+    seps = b",;\n"[-len(rows[0]):]
+    assert _g17_rows(rows, seps) == _percent_17g_rows(rows, seps)
+
+
+def _exact_ties():
+    """(E, v) for doubles v = m * 2**(E - 17), m odd, in [10**E, 10**(E + 1)): v * 10**(16 - E) ends in .5."""
+    ties = []
+    for e in range(-4, 17):
+        step = 2.0 ** (e - 17)
+        low = math.ceil(10.0**e / step) | 1
+        high = min(10 ** (e + 1) / step, 2**53)
+        # Above 2**53 * step there is no odd m: at E = 16 every double is an even integer.
+        if e < 16:
+            assert low < high
+        ms = list(range(low, int(high), max(2, int(high - low) // 100 * 2)))
+        ties += [(e, m * step) for m in ms + [int(high) - 1 - int(high) % 2] if low <= m < high]
+    return ties
+
+
+def test_g17_fixed_cases():
+    ties = _exact_ties()
+    for e, v in ties:
+        assert Fraction(10) ** e <= Fraction(v) < Fraction(10) ** (e + 1)
+        assert (Fraction(v) * Fraction(10) ** (16 - e)).denominator == 2
+    powers = [float(f"1e{k}") for k in range(-5, 18)]
+    around = [np.nextafter(p, side) for p in powers for side in (0.0, math.inf)]
+    x = [[v] for _, v in ties] + [[v] for v in powers + around + [1.0, 0.5, 1e16, 1e17]]
+    assert _g17_rows(x, b"\n") == _percent_17g_rows(x, b"\n")
+
+
+def test_g17_writes_the_fallback_values():
+    x = [[0.0, -0.0, -1.5], [math.inf, -math.inf, math.nan], [5e-324, 9.9e-5, 1e300], [-1.2345678901234567e-100] * 3]
+    assert _g17_rows(x, b",,\n") == [
+        b"0,-0,-1.5\n", b"inf,-inf,nan\n", b"4.9406564584124654e-324,9.8999999999999994e-05,1.0000000000000001e+300\n",
+        b"-1.2345678901234567e-100,-1.2345678901234567e-100,-1.2345678901234567e-100\n",
+    ]
 
 
 def test_simulate_csv_memory_is_the_trace_and_one_block(tmp_path):
@@ -226,9 +295,13 @@ def test_simulate_json_memory_is_the_trace_and_one_block(tmp_path):
     assert peak < 16 * rows + 4 * 2**20
 
 
+def _env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def test_closed_stdout_ends_the_run_quietly():
     # The reader takes one line and closes the pipe, as `| head -1` does.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    env = _env()
     argv = [
         sys.executable, "-m", "drivenqubit.cli", "simulate", "--eps0", "5", "--amp", "30", "--omega", "1",
         "--cycles", "400",
@@ -239,6 +312,21 @@ def test_closed_stdout_ends_the_run_quietly():
         err = proc.stderr.read()
         code = proc.wait(timeout=300)
     assert (code, err) == (141, b"")
+
+
+def test_overflow_to_inf_prints_no_numpy_warning():
+    # t / 1e-310 overflows: JSON refuses the inf, CSV prints it.
+    argv = [
+        sys.executable, "-m", "drivenqubit.cli", "simulate", "--eps0", "3", "--amp", "15", "--omega", "3",
+        "--cycles", "2", "--delta", "1e-310",
+    ]
+    run = subprocess.run([*argv, "--format", "json"], capture_output=True, env=_env(), timeout=300)
+    assert run.returncode == 4
+    assert run.stdout == b""
+    assert re.fullmatch(rb"numerical error: [^\n]*\n", run.stderr)
+    run = subprocess.run(argv, capture_output=True, env=_env(), timeout=300)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert b"\ninf,0." in run.stdout
 
 
 def test_simulate_json_mirror(capsys):
