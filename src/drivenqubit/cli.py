@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -91,27 +92,49 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write(out: str | None, lines: Iterable[str]) -> None:
-    """Write lines to the file ``out``, or to stdout when it is None, as they are formatted."""
+def _write(out: str | None, chunks: Iterable[bytes]) -> None:
+    """Write a handler's byte chunks to the file ``out``, or to stdout when it is None, as they are made.
+
+    The first chunk is made before ``out`` is opened, so a run that fails
+    there leaves a file of that name as it was; a run that fails after it
+    removes the partial file.  A stdout with no byte ``buffer`` (a text
+    stream such as ``io.StringIO``) is written the same text.
+    """
+    chunks = iter(chunks)
+    first = next(chunks)
     if out is None:
-        sys.stdout.writelines(lines)
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:
+            sys.stdout.writelines(chunk.decode() for chunk in itertools.chain([first], chunks))
+            return
         sys.stdout.flush()
+        stream.write(first)
+        stream.writelines(chunks)
+        stream.flush()
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+        with open(out, "wb") as fh:
+            try:
+                fh.write(first)
+                fh.writelines(chunks)
+            except BaseException:
+                # Only a regular file is removed: never a device such as /dev/null.
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.unlink(out)
+                raise
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 
 
-def _rows(header: str, pattern: str, *columns: Sequence[Any]) -> Iterator[str]:
+def _rows(header: str, pattern: str, *columns: Sequence[Any]) -> Iterator[bytes]:
     """CSV lines: the header, then ``pattern % row`` for each row of the columns.
 
     Fields are %.17g numbers (enough to round-trip any float64), flag names
     and labels: none needs quoting.
     """
-    yield header + "\n"
-    yield from map(pattern.__mod__, zip(*columns))
+    yield header.encode() + b"\n"
+    for line in map(pattern.__mod__, zip(*columns)):
+        yield line.encode()
 
 
 class _Column(list):
@@ -268,7 +291,7 @@ def _g17(x: np.ndarray, seps: bytes) -> np.ndarray:
     return fields
 
 
-def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[str]:
+def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[bytes]:
     """The JSON document of body after a ``meta`` block of the run's keys, as json.dumps(..., indent=2) writes it.
 
     The encoder's chunks, which json.dumps would join into one string, are
@@ -278,8 +301,8 @@ def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[str]:
     meta.update((k, v) for k, v in cfg.items() if k not in ("out", "format"))
     chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode({"meta": meta, **body})
     while text := "".join(itertools.islice(chunks, _CSV_BLOCK_ROWS)):
-        yield text
-    yield "\n"
+        yield text.encode()
+    yield b"\n"
 
 
 def _json_value(x: float) -> float | None:
@@ -365,9 +388,9 @@ def _parse_axis(spec: str, label: str) -> tuple[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each computes its results, then returns its output lines
+# subcommands: each computes its results, then returns its output as byte chunks
 
-def cmd_simulate(cfg: dict[str, Any]) -> Iterable[str]:
+def cmd_simulate(cfg: dict[str, Any]) -> Iterable[bytes]:
     p = _drive_params(cfg)
     cycles = _count("cycles", cfg["cycles"], 1, _MAX_SAMPLES)
     scale = cfg["delta"]
@@ -406,8 +429,8 @@ def _times(ts: TimeSeries, scale: float, i: int, j: int) -> np.ndarray:
     return (ts.t0 + ts.dt * np.arange(i, j)) / scale
 
 
-def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> Iterator[str]:
-    """The simulate CSV: the header, then one string per block of _CSV_BLOCK_ROWS rows.
+def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> Iterator[bytes]:
+    """The simulate CSV: the header, then the bytes of each block of _CSV_BLOCK_ROWS rows.
 
     Only one block's rows are formatted at a time, so a run holds its trace
     array and one block, never a list per column.  ``marks`` maps a row
@@ -416,28 +439,32 @@ def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> 
     """
     size = ts.values.size
     if marks is None:
-        yield "t,P_up\n"
-        seps = b",\n"
+        yield b"t,P_up\n"
     else:
-        yield "t,P_up,P_up_tm\n"
-        seps = b",,"
+        yield b"t,P_up,P_up_tm\n"
         strobe_rows = np.array(sorted(marks), dtype=np.intp)
-        strobe_values = np.array([marks[idx] for idx in strobe_rows.tolist()], dtype=np.float64)
-        strobe_fields = _g17(strobe_values[:, None], b"\n")
+        strobe_texts = [b"%.17g" % marks[idx] for idx in strobe_rows.tolist()]
     for i in range(0, size, _CSV_BLOCK_ROWS):
         j = min(i + _CSV_BLOCK_ROWS, size)
-        fields = _g17(np.column_stack([_times(ts, scale, i, j), ts.values[i:j]]), seps)
-        if marks is not None:
-            # The strobe field: a bare end of line, and the value at the marked rows.
-            strobe = np.zeros((j - i, _FIELD), np.uint8)
-            strobe[:, -1] = ord("\n")
-            a, b = np.searchsorted(strobe_rows, [i, j])
-            strobe[strobe_rows[a:b] - i] = strobe_fields[a:b]
-            fields = np.hstack([fields, strobe])
-        yield fields.tobytes().translate(None, b"\0").decode("ascii")
+        fields = _g17(np.column_stack([_times(ts, scale, i, j), ts.values[i:j]]), b",\n")
+        if marks is None:
+            yield fields.tobytes().translate(None, b"\0")
+            continue
+        # The empty strobe field: its comma goes in byte 30 of the P_up
+        # field, always padding since a %.17g text has at most 24 bytes.
+        fields[:, -2] = ord(",")
+        # Each strobe value goes in before the end of line of its row.
+        block = memoryview(fields).cast("B")
+        a, b = np.searchsorted(strobe_rows, [i, j])
+        pieces, start = [], 0
+        for end, text in zip(((strobe_rows[a:b] - i + 1) * 2 * _FIELD - 1).tolist(), strobe_texts[a:b]):
+            pieces += (block[start:end], text)
+            start = end
+        pieces.append(block[start:])
+        yield b"".join(pieces).translate(None, b"\0")
 
 
-def cmd_predict(cfg: dict[str, Any]) -> Iterable[str]:
+def cmd_predict(cfg: dict[str, Any]) -> Iterable[bytes]:
     if cfg["format"] != "json":
         raise ConfigError("predict emits a JSON report; use --format json")
     p = _drive_params(cfg)
@@ -471,7 +498,7 @@ def cmd_predict(cfg: dict[str, Any]) -> Iterable[str]:
     })
 
 
-def cmd_scan(cfg: dict[str, Any]) -> Iterable[str]:
+def cmd_scan(cfg: dict[str, Any]) -> Iterable[bytes]:
     if not cfg["axis1"] or not cfg["axis2"]:
         raise ConfigError("scan requires --axis1 and --axis2 (param:start:stop:num)")
     axis1 = _parse_axis(cfg["axis1"], "axis1")
@@ -510,18 +537,18 @@ def cmd_scan(cfg: dict[str, Any]) -> Iterable[str]:
     )
 
 
-def cmd_classify(cfg: dict[str, Any]) -> Iterable[str]:
+def cmd_classify(cfg: dict[str, Any]) -> Iterable[bytes]:
     r = classify_regime(_drive_params(cfg))
     if cfg["format"] == "json":
         return _json(cfg, dataclasses.asdict(r))
     regions = ",".join(str(b).lower() for b in (r.rabi, r.rwa, r.tm))
     return [
-        "label,drive_ratio,frequency_ratio,speed_ratio,rabi,rwa,tm,tm_speed\n",
-        "%s,%.17g,%.17g,%.17g,%s,%s\n" % (r.label, *r.ratios, regions, r.tm_speed or ""),
+        b"label,drive_ratio,frequency_ratio,speed_ratio,rabi,rwa,tm,tm_speed\n",
+        ("%s,%.17g,%.17g,%.17g,%s,%s\n" % (r.label, *r.ratios, regions, r.tm_speed or "")).encode(),
     ]
 
 
-def cmd_cdt(cfg: dict[str, Any]) -> Iterable[str]:
+def cmd_cdt(cfg: dict[str, Any]) -> Iterable[bytes]:
     amplitudes = [a * cfg["delta"] for a in cdt_amplitudes(cfg["omega"], MAX_J0_ZERO_INDEX)]
     k = list(range(1, len(amplitudes) + 1))
     if cfg["format"] == "json":
@@ -529,7 +556,7 @@ def cmd_cdt(cfg: dict[str, Any]) -> Iterable[str]:
     return _rows("k,amplitude", "%d,%.17g\n", k, amplitudes)
 
 
-def cmd_width(cfg: dict[str, Any]) -> Iterable[str]:
+def cmd_width(cfg: dict[str, Any]) -> Iterable[bytes]:
     for key in ("n", "omega-min", "omega-max", "omega-points"):
         if cfg[key] is None:
             raise ConfigError(f"width requires --{key}")
@@ -547,7 +574,7 @@ def cmd_width(cfg: dict[str, Any]) -> Iterable[str]:
 
 
 class _Command(NamedTuple):
-    handler: Callable[[dict[str, Any]], Iterable[str]]
+    handler: Callable[[dict[str, Any]], Iterable[bytes]]
     help: str
     keys: tuple[str, ...]
 

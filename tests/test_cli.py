@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, formats, config merging, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivenqubit import __version__, dynamics
-from drivenqubit.cli import _COMMANDS, _CSV_BLOCK_ROWS, _g17, main
-from drivenqubit.dynamics import DriveParams, QubitState, propagate_exact
+from drivenqubit.cli import _COMMANDS, _CSV_BLOCK_ROWS, _g17, _trace_csv, main
+from drivenqubit.dynamics import DriveParams, QubitState, TimeSeries, propagate_exact
 from drivenqubit.errors import QuadratureError
 from drivenqubit.specfun import bessel_j0_zero, bessel_jn
 from drivenqubit.transfer_matrix import crossing_times, propagate_tm
@@ -128,38 +130,41 @@ def test_simulate_strobe_follows_the_crossing_check(capsys):
 
 
 @pytest.mark.parametrize(
-    "eps0, amp, omega, delta, cycles",
+    "eps0, amp, omega, delta, cycles, spp",
     [
-        ("5", "30", "5", "1", 3),
-        ("1", "0.5", "4", "1", 3),
-        ("5", "30", "5", "2.5", 3),
+        ("5", "30", "5", "1", 3, 64),
+        ("1", "0.5", "4", "1", 3, 64),
+        ("5", "30", "5", "2.5", 3, 64),
         # 9601 rows: two whole blocks and a part of a third.
-        ("5", "30", "5", "1", 150),
-        ("1", "0.5", "4", "1", 150),
-        ("5", "30", "5", "2.5", 150),
+        ("5", "30", "5", "1", 150, 64),
+        ("1", "0.5", "4", "1", 150, 64),
+        ("5", "30", "5", "2.5", 150, 64),
         # P_up falls below 1e-4 in one row: exponent form.
-        ("1", "15", "1", "1", 3),
+        ("1", "15", "1", "1", 3, 64),
         # Every time below 1e-4: exponent form.
-        ("5", "30", "5", "1e20", 3),
+        ("5", "30", "5", "1e20", 3, 64),
         # Times from t = 1000 on are 1e17 or more: exponent form.
-        ("5", "30", "0.5", "1e-14", 100),
+        ("5", "30", "0.5", "1e-14", 100, 64),
+        # 32 771 rows, strobe rows 12 287 (a block's last) and 28 672 (a
+        # block's first), and four blocks between them with none.
+        ("0.0034", "5", "5", "1", 2, 16385),
     ],
     ids=[
         "with-tm", "without-tm", "delta", "with-tm-blocks", "without-tm-blocks", "delta-blocks",
-        "small-p-up", "small-times", "large-times",
+        "small-p-up", "small-times", "large-times", "strobe-block-edges",
     ],
 )
-def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, delta, cycles):
+def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, delta, cycles, spp):
     code, out, _ = _run(
         capsys,
         [
             "simulate", "--eps0", eps0, "--amp", amp, "--omega", omega, "--delta", delta,
-            "--cycles", str(cycles), "--steps-per-period", "64",
+            "--cycles", str(cycles), "--steps-per-period", str(spp),
         ],
     )
     assert code == 0
     p = DriveParams(delta=1.0, epsilon0=float(eps0), amplitude=float(amp), omega=float(omega))
-    ts = propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=64)
+    ts = propagate_exact(p, QubitState.up(), cycles * p.period, steps_per_period=spp)
     if cycles > 3:
         assert ts.values.size > _CSV_BLOCK_ROWS and ts.values.size % _CSV_BLOCK_ROWS
     tm = {}
@@ -168,6 +173,10 @@ def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, d
         strobe = propagate_tm(p, QubitState.up(), int(math.floor((ts.t_end - t_c2) / p.period)))
         for k, value in enumerate(strobe.values):
             tm[int(round((strobe.t0 + k * strobe.dt) / ts.dt))] = f"{value:.17g}"
+    if spp > _CSV_BLOCK_ROWS:
+        blocks = [i // _CSV_BLOCK_ROWS for i in tm]
+        assert sorted(tm) == [3 * _CSV_BLOCK_ROWS - 1, 7 * _CSV_BLOCK_ROWS] and blocks == [2, 7]
+        assert ts.values.size == 8 * _CSV_BLOCK_ROWS + 3
     lines = ["t,P_up,P_up_tm" if tm else "t,P_up"]
     for i, (t, value) in enumerate(zip(ts.times(), ts.values)):
         row = [f"{t / float(delta):.17g}", f"{value:.17g}"]
@@ -175,6 +184,28 @@ def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, d
             row.append(tm.get(i, ""))
         lines.append(",".join(row))
     assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "size, rows",
+    [
+        (3 * _CSV_BLOCK_ROWS + 5, [0, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, 3 * _CSV_BLOCK_ROWS + 4]),
+        (2 * _CSV_BLOCK_ROWS, [2 * _CSV_BLOCK_ROWS - 1]),
+        (7, []),
+    ],
+    ids=["edges-and-last-row", "last-row-ends-a-block", "no-marks"],
+)
+def test_trace_csv_splices_strobe_values_into_their_rows(size, rows):
+    # A strobe row from the CLI lies at least a quarter period before the
+    # trace's end, so marks on the last row of a trace are set by hand here.
+    values = np.random.default_rng(size).random(size)
+    ts = TimeSeries(0.5, 0.01, values)
+    marks = {i: 1.0 / (i + 3) for i in rows}
+    out = b"".join(_trace_csv(ts, 2.0, marks))
+    lines = ["t,P_up,P_up_tm"]
+    for i, (t, value) in enumerate(zip(ts.times(), values)):
+        lines.append(f"{t / 2.0:.17g},{value:.17g}," + (f"{marks[i]:.17g}" if i in marks else ""))
+    assert out == ("\n".join(lines) + "\n").encode()
 
 
 def _g17_rows(x, seps):
@@ -557,6 +588,50 @@ def test_json_output_refuses_infinite_numbers(capsys):
     code, out, err = _run(capsys, ["cdt", "--omega", "1e308", "--format", "json"])
     assert (code, out) == (4, "")
     assert err.startswith("numerical error:") and err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, later",
+    [
+        # t / 1e-310 is inf from the second row, in the document's first chunk.
+        (["simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "2", "--delta", "1e-310"], False),
+        (["cdt", "--omega", "1e308"], False),
+        # t / 5e-307 is inf from row 10 985 of 15 361, after the first chunk.
+        (["simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "60", "--delta", "5e-307"], True),
+    ],
+    ids=["simulate-first-chunk", "cdt-first-chunk", "simulate-later-chunk"],
+)
+def test_failed_run_leaves_no_partial_output_file(capsys, tmp_path, argv, later):
+    argv = argv + ["--format", "json"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 4 and (out != "") == later
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("kept\n")
+    for target in (kept, fresh):
+        code, out, err = _run(capsys, argv + ["--out", str(target)])
+        assert (code, out) == (4, "") and err.startswith("numerical error:")
+    # A first-chunk failure opens no file; a later one removes what it wrote.
+    assert not fresh.exists()
+    assert not kept.exists() if later else kept.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_gets_the_bytes_of_the_out_file(capfdbinary, tmp_path, fmt):
+    # 5 121 rows with a strobe column: two blocks.
+    argv = [
+        "simulate", "--eps0", "5", "--amp", "30", "--omega", "5", "--cycles", "80",
+        "--steps-per-period", "64", "--format", fmt,
+    ]
+    target = tmp_path / "trace.out"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert main(argv) == 0
+    out = capfdbinary.readouterr().out
+    assert out == target.read_bytes()
+    assert fmt == "json" or out.startswith(b"t,P_up,P_up_tm\n")
+    # A text stdout with no byte buffer gets the same text.
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(argv) == 0
+    assert text.getvalue().encode() == out
 
 
 def test_cdt_delta_rescales_amplitudes(capsys):
