@@ -174,8 +174,7 @@ def test_simulate_csv_matches_a_row_by_row_rendering(capsys, eps0, amp, omega, d
         for k, value in enumerate(strobe.values):
             tm[int(round((strobe.t0 + k * strobe.dt) / ts.dt))] = f"{value:.17g}"
     if spp > _CSV_BLOCK_ROWS:
-        blocks = [i // _CSV_BLOCK_ROWS for i in tm]
-        assert sorted(tm) == [3 * _CSV_BLOCK_ROWS - 1, 7 * _CSV_BLOCK_ROWS] and blocks == [2, 7]
+        assert sorted(tm) == [3 * _CSV_BLOCK_ROWS - 1, 7 * _CSV_BLOCK_ROWS]
         assert ts.values.size == 8 * _CSV_BLOCK_ROWS + 3
     lines = ["t,P_up,P_up_tm" if tm else "t,P_up"]
     for i, (t, value) in enumerate(zip(ts.times(), ts.values)):
@@ -596,7 +595,7 @@ def test_json_output_refuses_infinite_numbers(capsys):
         # t / 1e-310 is inf from the second row, in the document's first chunk.
         (["simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "2", "--delta", "1e-310"], False),
         (["cdt", "--omega", "1e308"], False),
-        # t / 5e-307 is inf from row 10 985 of 15 361, after the first chunk.
+        # t / 5e-307 is inf from row 10 987 of 15 361, after the first chunk.
         (["simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "60", "--delta", "5e-307"], True),
     ],
     ids=["simulate-first-chunk", "cdt-first-chunk", "simulate-later-chunk"],
