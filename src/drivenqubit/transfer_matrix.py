@@ -23,7 +23,7 @@ the lower branch there), theta_tilde_2 = +the same integral over region
 integrals of 0.5*(sqrt(eps^2 + delta^2) - |eps|), which are computed by
 quadrature rather than the logarithmic estimate.  With phi = 0 the bias
 is even about t = 0 and about t = T/2, so each is twice a half-period
-quadrature: f_1 over [0, t_c1] and f_2 over [t_c1, T/2].
+integral: f_1 over [0, t_c1] and f_2 over [t_c1, T/2].
 The crossing phases are theta_LZ1 = pi - theta_Stokes and
 theta_LZ2 = theta_Stokes.
 
@@ -33,12 +33,16 @@ nodes, with the difference from its embedded half-density rule as the
 error estimate.  Its nodes cluster at the interval ends, so the one sharp
 feature of each integrand, the gap minimum at a crossing, is placed at an
 end: the half-period integrals end at the crossings, and a crossing
-window is folded about its crossing.
+window is folded about its crossing.  quad also takes several intervals
+as rows of one call; the two half-period integrals of a cycle are such a
+call.
 
 cycle_phases is the one source of theta_tilde_1, theta_tilde_2, f_1 and
-f_2 (two quadratures per call): full_cycle_matrix and propagate_tm read
-them from it, and the slow-crossing condition and the fast-crossing
-frequency use only their closed parts (no quadrature).  full_cycle_matrix
+f_2 (one stacked quadrature per call: both half-periods as a (2, 217)
+array in the drive phase omega*t, each row held to its own error bound):
+full_cycle_matrix and propagate_tm read them from it, and the
+slow-crossing condition and the fast-crossing frequency use only their
+closed parts (no quadrature).  full_cycle_matrix
 keeps its last point's cycle: one entry, keyed by the DriveParams value,
 with raised errors not kept.  Windowed band integrals belong to
 full_cycle_matrix_windowed alone.
@@ -255,16 +259,37 @@ def _tanh_sinh_rule() -> tuple[np.ndarray, ...]:
 
 
 _TS_LEFT, _TS_OFFSET, _TS_WEIGHT, _TS_COARSE = _tanh_sinh_rule()
+# For a stacked call, one product with these rows lays out every interval's
+# nodes as a*[left] + b*[right] + (b - a)*offset; the end terms are exact, so
+# each node is still its nearer end plus its offset.  One product with the
+# two weight columns then sums every row at both steps.
+_TS_BASIS = np.stack((_TS_LEFT, ~_TS_LEFT, _TS_OFFSET)).astype(float)
+_TS_PAIR = np.stack((_TS_WEIGHT, _TS_COARSE), axis=1)
 
 
-def quad(f, a: float, b: float) -> tuple[float, float]:
+def quad(
+    f, a: float | tuple[float, ...], b: float | tuple[float, ...]
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Integral of f over [a, b] by the fixed tanh-sinh rule, with its error estimate.
 
     f maps an array of abscissae to the integrand values.  The estimate is
     |I(1/32) - I(1/16)|, the gap to the embedded rule on the even nodes;
     for an integrand analytic near [a, b] the step-1/32 value is far more
     accurate than that.  One call evaluates f once, on all 217 nodes.
+
+    Stacked form: given tuples a and b of k lower and upper ends, row i is
+    the interval [a[i], b[i]].  f then maps a (k, 217) array of abscissae
+    to the values of k integrands, one per row, and quad returns a list of
+    k (value, abserr) pairs, still from one evaluation of f.
     """
+    if isinstance(a, tuple):
+        spans = [hi - lo for lo, hi in zip(a, b)]
+        y = f(np.array((a, b, spans)).T @ _TS_BASIS)
+        rows = []
+        for span, (fine, coarse) in zip(spans, (y @ _TS_PAIR).tolist()):
+            fine *= span
+            rows.append((fine, abs(fine - span * coarse)))
+        return rows
     y = f(np.where(_TS_LEFT, a, b) + (b - a) * _TS_OFFSET)
     fine = (b - a) * float(y @ _TS_WEIGHT)
     return fine, abs(fine - (b - a) * float(y @ _TS_COARSE))
@@ -293,22 +318,6 @@ def _band_integral(p: DriveParams, a: float, b: float, centre: float | None = No
     return val
 
 
-def _doubled_gap_excess(p: DriveParams, a: float, b: float) -> float:
-    """Twice the integral of 0.5*(sqrt(eps^2 + delta^2) - |eps|) over [a, b]; nonnegative."""
-    e0, amp, omega, delta = p.epsilon0, p.amplitude, p.omega, p.delta
-    half_delta2 = 0.5 * delta * delta
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        # the excess written as delta^2/(2(sqrt(eps^2 + delta^2) + |eps|)), free of cancellation
-        e = np.abs(e0 + amp * np.cos(omega * t))
-        return half_delta2 / (np.hypot(e, delta) + e)
-
-    val, err = quad(integrand, a, b)
-    if 2.0 * err > 1e-10:
-        raise QuadratureError(f"gap-excess integral on 2x[{a:g}, {b:g}] only reached abserr {2.0 * err:g}")
-    return 2.0 * val
-
-
 def _closed_phases(p: DriveParams) -> tuple[float, float]:
     """Closed-form parts of (theta_tilde_1, theta_tilde_2), before the gap corrections.
 
@@ -325,15 +334,35 @@ def _closed_phases(p: DriveParams) -> tuple[float, float]:
 def cycle_phases(p: DriveParams) -> CyclePhases:
     """Boundary-independent between-crossing phases for one cycle.
 
-    theta_tilde_1 = closed_1 - f1 and theta_tilde_2 = closed_2 + f2, with
-    the gap corrections from two half-period quadratures: region 1 is
-    [t_c2, t_c1 + T], symmetric about T, so f1 is twice the integral over
-    [0, t_c1]; region 2 is [t_c1, t_c2], symmetric about T/2, so f2 is
-    twice the integral over [t_c1, T/2].  Requires A > eps0 and phi = 0.
+    theta_tilde_1 = closed_1 - f1 and theta_tilde_2 = closed_2 + f2.  The
+    gap corrections are twice half-period integrals of the excess
+    0.5*(sqrt(eps^2 + delta^2) - |eps|): region 1 is [t_c2, t_c1 + T],
+    symmetric about T, so f1 is twice the integral over [0, t_c1]; region
+    2 is [t_c1, t_c2], symmetric about T/2, so f2 is twice the integral
+    over [t_c1, T/2].  Both run as one stacked quadrature in the drive
+    phase omega*t, over [0, c] and [c, pi] with c = arccos(-eps0/A), and
+    each meets its own 1e-10 bound.  Requires A > eps0 and phi = 0.
     """
-    t_c1, _ = crossing_times(p)
-    f1 = _doubled_gap_excess(p, 0.0, t_c1)
-    f2 = _doubled_gap_excess(p, t_c1, 0.5 * p.period)
+    _require_crossings(p)
+    e0, amp, delta = p.epsilon0, p.amplitude, p.delta
+    c = math.acos(-e0 / amp)
+    delta2 = delta * delta
+    half_delta2 = 0.5 * delta2
+
+    def excess(theta: np.ndarray) -> np.ndarray:
+        # the excess written as delta^2/(2(sqrt(eps^2 + delta^2) + |eps|)), free of cancellation
+        e = np.abs(e0 + amp * np.cos(theta))
+        return half_delta2 / (np.sqrt(e * e + delta2) + e)
+
+    # twice each integral, and d(omega*t) = omega*dt
+    scale = 2.0 / p.omega
+    t_c1 = c / p.omega
+    f = []
+    for (val, err), a, b in zip(quad(excess, (0.0, c), (c, math.pi)), (0.0, t_c1), (t_c1, 0.5 * p.period)):
+        if scale * err > 1e-10:
+            raise QuadratureError(f"gap-excess integral on 2x[{a:g}, {b:g}] only reached abserr {scale * err:g}")
+        f.append(scale * val)
+    f1, f2 = f
     closed_1, closed_2 = _closed_phases(p)
     return CyclePhases(theta_tilde_1=closed_1 - f1, theta_tilde_2=closed_2 + f2, f1=f1, f2=f2)
 
@@ -397,6 +426,12 @@ def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
 _DEGENERATE_TOL = 1e-12
 
 
+def _xy_rotation(u: Unitary2) -> tuple[float, float]:
+    """|u12| clipped to 1, and the xy-rotation angle zeta_fc = 2*arcsin of it."""
+    m = min(1.0, abs(u.u12))
+    return m, 2.0 * math.asin(m)
+
+
 def decompose_full_cycle(u: Unitary2) -> FullCycleDecomposition:
     """Factor a special-unitary cycle matrix into xy-rotation x z-rotation.
 
@@ -408,8 +443,7 @@ def decompose_full_cycle(u: Unitary2) -> FullCycleDecomposition:
     degenerate points |u12| in {0, 1} the azimuth is set to 0 and the
     whole phase is carried by theta_fc.
     """
-    m = min(1.0, abs(u.u12))
-    zeta = 2.0 * math.asin(m)
+    m, zeta = _xy_rotation(u)
     if m <= _DEGENERATE_TOL:
         theta = -2.0 * math.atan2(u.u11.imag, u.u11.real)
         phi = 0.0
@@ -533,5 +567,5 @@ def tm_slow_frequency(p: DriveParams) -> float:
     Valid in both crossing limits; this is the numerical route the
     closed fast-limit formula approximates.
     """
-    d = decompose_full_cycle(full_cycle_matrix(p))
-    return p.omega * d.zeta_fc / (2.0 * math.pi)
+    _, zeta_fc = _xy_rotation(full_cycle_matrix(p))
+    return p.omega * zeta_fc / (2.0 * math.pi)

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -589,20 +590,38 @@ def test_norm_guard_on_both_grids(monkeypatch):
 # ---------------------------------------------------------------------------
 # validation
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"delta": -1.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": 1.0},
-        {"delta": 0.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": 1.0},
-        {"delta": 1.0, "epsilon0": -0.1, "amplitude": 1.0, "omega": 1.0},
-        {"delta": 1.0, "epsilon0": 0.0, "amplitude": -2.0, "omega": 1.0},
-        {"delta": 1.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": 0.0},
-        {"delta": 1.0, "epsilon0": float("nan"), "amplitude": 1.0, "omega": 1.0},
-    ],
-)
-def test_drive_params_rejects_invalid(kwargs):
-    with pytest.raises(ConfigError):
+_INVALID_DRIVES = [
+    ({"delta": -1.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": 1.0}, "delta must be positive, got -1.0"),
+    ({"delta": 0.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": 1.0}, "delta must be positive, got 0.0"),
+    ({"delta": 1.0, "epsilon0": -0.1, "amplitude": 1.0, "omega": 1.0}, "epsilon0 must be nonnegative, got -0.1"),
+    ({"delta": 1.0, "epsilon0": 0.0, "amplitude": -2.0, "omega": 1.0}, "amplitude must be nonnegative, got -2.0"),
+    ({"delta": 1.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": 0.0}, "omega must be positive, got 0.0"),
+    ({"delta": 1.0, "epsilon0": float("nan"), "amplitude": 1.0, "omega": 1.0}, "epsilon0 must be a finite number, got nan"),
+    ({"delta": True, "epsilon0": 0.0, "amplitude": 1.0, "omega": 1.0}, "delta must be a finite number, got True"),
+    ({"delta": 1.0, "epsilon0": 0.0, "amplitude": math.inf, "omega": 1.0}, "amplitude must be a finite number, got inf"),
+    ({"delta": 1.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": 1.0, "phi": -math.inf}, "phi must be a finite number, got -inf"),
+    ({"delta": 1.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": "1"}, "omega must be a finite number, got '1'"),
+    ({"delta": 1.0, "epsilon0": 10**400, "amplitude": 1.0, "omega": 1.0}, "epsilon0 must be a finite number, got 1000"),
+    ({"delta": 1.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": -3}, "omega must be positive, got -3.0"),
+    # Every field must be a number before any sign is checked; then delta,
+    # omega, amplitude and epsilon0 are checked in that order.
+    ({"delta": -1.0, "epsilon0": 0.0, "amplitude": 1.0, "omega": 1.0, "phi": "0"}, "phi must be a finite number"),
+    ({"delta": 0.0, "epsilon0": -1.0, "amplitude": -1.0, "omega": -1.0}, "delta must be positive"),
+    ({"delta": 1.0, "epsilon0": -1.0, "amplitude": -1.0, "omega": -1.0}, "omega must be positive"),
+    ({"delta": 1.0, "epsilon0": -1.0, "amplitude": -1.0, "omega": 1.0}, "amplitude must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", _INVALID_DRIVES, ids=[f"kwargs{i}" for i in range(len(_INVALID_DRIVES))])
+def test_drive_params_rejects_invalid(kwargs, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
         DriveParams(**kwargs)
+
+
+def test_drive_params_stores_plain_floats():
+    p = DriveParams(delta=np.float64(0.5), epsilon0=3, amplitude=np.float64(15.0), omega=3.0, phi=np.float64(-0.0))
+    assert [type(v) for v in vars(p).values()] == [float] * 5
+    assert p == DriveParams(delta=0.5, epsilon0=3.0, amplitude=15.0, omega=3.0)
 
 
 _P = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)

@@ -7,6 +7,7 @@ an independent computation, not against themselves.
 
 import math
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -181,14 +182,14 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (full_cycle_matrix, 2),
+        (full_cycle_matrix, 1),
         (tm_slow_resonance_lhs, 0),
-        (tm_slow_frequency, 2),
-        (lambda p: propagate_tm(p, QubitState.up(), 3), 2),
-        (analysis._cell_predictions, 2),
-        (cycle_phases, 2),
+        (tm_slow_frequency, 1),
+        (lambda p: propagate_tm(p, QubitState.up(), 3), 1),
+        (analysis._cell_predictions, 1),
+        (cycle_phases, 1),
         (lambda p: full_cycle_matrix_windowed(p, 0.05), 4),
-        (lambda p: cli.main(["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]), 2),
+        (lambda p: cli.main(["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]), 1),
     ],
     ids=[
         "full_cycle_matrix",
@@ -202,8 +203,9 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
     ],
 )
 def test_quadrature_counts(monkeypatch, call, expected):
-    # cycle_phases runs the only two gap-correction quadratures on the
-    # boundary-independent path; the slow-crossing condition needs none,
+    # cycle_phases runs the only gap-correction quadrature on the
+    # boundary-independent path, both half-periods in one stacked call; the
+    # slow-crossing condition needs none,
     # and only the windowed construction pays for four band integrals.
     # The CLI predict point is (3, 15, 3), the same as _FAST_ONE_PHOTON.
     # The counter delegates to the module's own rule, so each integral
@@ -233,16 +235,16 @@ def test_cycle_is_built_once_per_point(monkeypatch):
     calls = _count_quad(monkeypatch)
     cycle = full_cycle_matrix(_FAST_ONE_PHOTON)
     tm_slow_frequency(_FAST_ONE_PHOTON)
-    assert len(calls) == 2
+    assert len(calls) == 1
     # Keyed by value: an equal but distinct point reuses the cycle.
     twin = DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0)
     assert twin is not _FAST_ONE_PHOTON
     assert full_cycle_matrix(twin) is cycle
-    assert len(calls) == 2
+    assert len(calls) == 1
     # One entry: another point replaces it.
     full_cycle_matrix(_FAST_FIVE_PHOTON)
     full_cycle_matrix(_FAST_ONE_PHOTON)
-    assert len(calls) == 6
+    assert len(calls) == 3
 
 
 # Points for the kept-cycle checks; the last two differ only in the sign
@@ -295,12 +297,92 @@ def test_failing_point_fails_on_every_call(monkeypatch):
             tm_slow_frequency(below)
     assert full_cycle_matrix(_FAST_ONE_PHOTON) is kept
     rule = transfer_matrix.quad
-    monkeypatch.setattr(transfer_matrix, "quad", lambda f, a, b: (rule(f, a, b)[0], 1.0))
+    # every row of the stacked call reports a failing estimate
+    monkeypatch.setattr(transfer_matrix, "quad", lambda f, a, b: [(value, 1.0) for value, _ in rule(f, a, b)])
     for _ in range(3):
         with pytest.raises(QuadratureError):
             full_cycle_matrix(_FAST_FIVE_PHOTON)
     monkeypatch.setattr(transfer_matrix, "quad", rule)
     assert full_cycle_matrix(_FAST_FIVE_PHOTON).as_matrix().tobytes() == _cold_bytes(_FAST_FIVE_PHOTON)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_each_gap_correction_meets_its_own_bound(monkeypatch, row):
+    rule = transfer_matrix.quad
+
+    def one_row_fails(f, a, b):
+        pairs = rule(f, a, b)
+        pairs[row] = (pairs[row][0], 1.0)
+        return pairs
+
+    monkeypatch.setattr(transfer_matrix, "quad", one_row_fails)
+    t_c1, _ = crossing_times(_FAST_ONE_PHOTON)
+    a, b = ((0.0, t_c1), (t_c1, 0.5 * _FAST_ONE_PHOTON.period))[row]
+    with pytest.raises(QuadratureError, match=re.escape(f"gap-excess integral on 2x[{a:g}, {b:g}] only")):
+        cycle_phases(_FAST_ONE_PHOTON)
+
+
+def _two_pass_gap_corrections(p):
+    """Reference for the one-pass rule: f1, f2 from two scalar quad calls in t, each checked alone."""
+    e0, amp, omega, delta = p.epsilon0, p.amplitude, p.omega, p.delta
+
+    def excess(t):
+        e = np.abs(e0 + amp * np.cos(omega * t))
+        return 0.5 * delta * delta / (np.hypot(e, delta) + e)
+
+    t_c1, _ = crossing_times(p)
+    f = []
+    for a, b in ((0.0, t_c1), (t_c1, 0.5 * p.period)):
+        val, err = transfer_matrix.quad(excess, a, b)
+        if 2.0 * err > 1e-10:
+            raise QuadratureError(f"gap-excess integral on 2x[{a:g}, {b:g}]")
+        f.append(2.0 * val)
+    return f
+
+
+def test_one_pass_gap_corrections_match_two_scalar_passes():
+    # Near-tangent drives (1 - eps0/A down to 1e-6) and slow ones (omega
+    # down to 0.01) are where the estimate misses its bound; the one-pass
+    # rule must fail on exactly the points where either scalar pass fails.
+    rng = np.random.default_rng(24)
+    n = 2000
+    amp = 10.0 ** rng.uniform(math.log10(1.01), 3.0, n)
+    eps0 = amp * (1.0 - 10.0 ** rng.uniform(-6.0, 0.0, n))
+    omega = 10.0 ** rng.uniform(-2.0, math.log10(50.0), n)
+    got, expected, raised = [], [], []
+    for e, a, w in zip(eps0.tolist(), amp.tolist(), omega.tolist()):
+        p = DriveParams(delta=1.0, epsilon0=e, amplitude=a, omega=w)
+        try:
+            ph = cycle_phases(p)
+        except QuadratureError:
+            ph = None
+        try:
+            ref = _two_pass_gap_corrections(p)
+        except QuadratureError:
+            ref = None
+        raised.append((ph is None, ref is None))
+        if ph is not None and ref is not None:
+            got.append((ph.f1, ph.f2))
+            expected.append(ref)
+    assert [one for one, _ in raised] == [two for _, two in raised]
+    assert 0 < sum(one for one, _ in raised) < n // 2
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_cycle_phases_evaluates_both_half_periods_at_once(monkeypatch):
+    shapes = []
+    rule = transfer_matrix.quad
+
+    def recording_quad(f, a, b):
+        def recorded(x):
+            shapes.append(x.shape)
+            return f(x)
+
+        return rule(recorded, a, b)
+
+    monkeypatch.setattr(transfer_matrix, "quad", recording_quad)
+    cycle_phases(_FAST_ONE_PHOTON)
+    assert shapes == [(2, 217)]
 
 
 # The gap integrand at A*omega = 6000, numpy form for the rule and mpmath
@@ -355,6 +437,24 @@ def test_tanh_sinh_rule_against_mpmath(f, f_mp, a, b, points):
         exact = float(mpmath.quad(f_mp, points or [a, b]))
     assert abs(value - exact) <= 1e-13
     assert abs(value - exact) <= abserr + 4.0 * np.finfo(float).eps * abs(exact)
+
+
+def test_stacked_rows_match_scalar_calls():
+    # The semicircle is NaN past +-1, so a node beyond its row's ends shows.
+    a, b = (-1.0, 0.0, -1.0, 0.25), (1.0, 1.0, -0.5, 0.75)
+    arrays = []
+
+    def semicircle(x):
+        arrays.append(x)
+        return np.sqrt(1.0 - x * x)
+
+    rows = transfer_matrix.quad(semicircle, a, b)
+    assert len(arrays) == 1 and arrays[0].shape == (4, 217)
+    assert np.all((np.array(a)[:, None] <= arrays[0]) & (arrays[0] <= np.array(b)[:, None]))
+    for (value, abserr), lo, hi in zip(rows, a, b):
+        scalar_value, scalar_abserr = transfer_matrix.quad(lambda x: np.sqrt(1.0 - x * x), lo, hi)
+        assert value == pytest.approx(scalar_value, rel=1e-14, abs=1e-15)
+        assert abserr == pytest.approx(scalar_abserr, rel=1e-6, abs=1e-15)
 
 
 def test_tanh_sinh_estimate_bounds_a_visible_error():
