@@ -341,9 +341,10 @@ def _two_pass_gap_corrections(p):
 
 
 def test_one_pass_gap_corrections_match_two_scalar_passes():
-    # Near-tangent drives (1 - eps0/A down to 1e-6) and slow ones (omega
-    # down to 0.01) are where the estimate misses its bound; the one-pass
-    # rule must fail on exactly the points where either scalar pass fails.
+    # Near-tangent drives (1 - eps0/A down to 1e-6) are where the estimate
+    # misses its bound, slow ones (omega down to 0.01) where the half-periods
+    # are long; the one-pass rule must fail on exactly the points where
+    # either scalar pass fails.
     rng = np.random.default_rng(24)
     n = 2000
     amp = 10.0 ** rng.uniform(math.log10(1.01), 3.0, n)
