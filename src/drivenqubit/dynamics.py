@@ -132,24 +132,19 @@ class DriveParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        # One pass over the fields, in place: a finite plain float is kept as
-        # it is, anything else is checked and stored as a float; the signs
-        # are checked after every field is a number.
-        fields = self.__dict__
         for name in ("delta", "epsilon0", "amplitude", "omega", "phi"):
-            v = fields[name]
-            if type(v) is not float or not math.isfinite(v):
-                if not _is_number(v):
-                    raise ConfigError(f"{name} must be a finite number, got {v!r}")
-                fields[name] = float(v)
-        if not fields["delta"] > 0.0:
-            raise ConfigError(f"delta must be positive, got {fields['delta']!r}")
-        if not fields["omega"] > 0.0:
-            raise ConfigError(f"omega must be positive, got {fields['omega']!r}")
-        if fields["amplitude"] < 0.0:
-            raise ConfigError(f"amplitude must be nonnegative, got {fields['amplitude']}")
-        if fields["epsilon0"] < 0.0:
-            raise ConfigError(f"epsilon0 must be nonnegative, got {fields['epsilon0']}")
+            v = getattr(self, name)
+            if type(v) is float and math.isfinite(v):
+                continue  # a finite plain float is stored as it is
+            if not _is_number(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+            object.__setattr__(self, name, float(v))
+        _positive("delta", self.delta)
+        _positive("omega", self.omega)
+        if self.amplitude < 0.0:
+            raise ConfigError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if self.epsilon0 < 0.0:
+            raise ConfigError(f"epsilon0 must be nonnegative, got {self.epsilon0}")
 
     @property
     def period(self) -> float:

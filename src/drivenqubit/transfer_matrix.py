@@ -259,10 +259,10 @@ def _tanh_sinh_rule() -> tuple[np.ndarray, ...]:
 
 
 _TS_LEFT, _TS_OFFSET, _TS_WEIGHT, _TS_COARSE = _tanh_sinh_rule()
-# For a stacked call, one product with these rows lays out every interval's
-# nodes as a*[left] + b*[right] + (b - a)*offset; the end terms are exact, so
-# each node is still its nearer end plus its offset.  One product with the
-# two weight columns then sums every row at both steps.
+# One product with these rows lays out the nodes of every interval [a, b] as
+# a*[left] + b*[right] + (b - a)*offset; the end terms are exact, so each
+# node is its nearer end plus its offset.  One product with the two weight
+# columns then sums every row at both steps.
 _TS_BASIS = np.stack((_TS_LEFT, ~_TS_LEFT, _TS_OFFSET)).astype(float)
 _TS_PAIR = np.stack((_TS_WEIGHT, _TS_COARSE), axis=1)
 
@@ -280,19 +280,19 @@ def quad(
     Stacked form: given tuples a and b of k lower and upper ends, row i is
     the interval [a[i], b[i]].  f then maps a (k, 217) array of abscissae
     to the values of k integrands, one per row, and quad returns a list of
-    k (value, abserr) pairs, still from one evaluation of f.
+    k (value, abserr) pairs, still from one evaluation of f.  A scalar call
+    is the one-row case, with f given that row.
     """
-    if isinstance(a, tuple):
-        spans = [hi - lo for lo, hi in zip(a, b)]
-        y = f(np.array((a, b, spans)).T @ _TS_BASIS)
-        rows = []
-        for span, (fine, coarse) in zip(spans, (y @ _TS_PAIR).tolist()):
-            fine *= span
-            rows.append((fine, abs(fine - span * coarse)))
-        return rows
-    y = f(np.where(_TS_LEFT, a, b) + (b - a) * _TS_OFFSET)
-    fine = (b - a) * float(y @ _TS_WEIGHT)
-    return fine, abs(fine - (b - a) * float(y @ _TS_COARSE))
+    stacked = isinstance(a, tuple)
+    lo, hi = (a, b) if stacked else ((a,), (b,))
+    spans = [end - start for start, end in zip(lo, hi)]
+    x = np.array((lo, hi, spans)).T @ _TS_BASIS
+    sums = f(x if stacked else x[0]) @ _TS_PAIR
+    rows = []
+    for span, (fine, coarse) in zip(spans, sums.reshape(-1, 2).tolist()):
+        fine *= span
+        rows.append((fine, abs(fine - span * coarse)))
+    return rows if stacked else rows[0]
 
 
 def _band_integral(p: DriveParams, a: float, b: float, centre: float | None = None) -> float:
