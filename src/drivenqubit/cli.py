@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -124,17 +125,6 @@ def _write(out: str | None, chunks: Iterable[bytes]) -> None:
                 raise
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
-
-
-def _rows(header: str, pattern: str, *columns: Sequence[Any]) -> Iterator[bytes]:
-    """CSV lines: the header, then ``pattern % row`` for each row of the columns.
-
-    Fields are %.17g numbers (enough to round-trip any float64), flag names
-    and labels: none needs quoting.
-    """
-    yield header.encode() + b"\n"
-    for line in map(pattern.__mod__, zip(*columns)):
-        yield line.encode()
 
 
 class _Column(list):
@@ -284,11 +274,43 @@ def _g17(x: np.ndarray, seps: bytes) -> np.ndarray:
         out[:, k] = (words[k] | _ZEROS) & heads[k] | _INSERT[k][e] & point | moved[k] << shift | carry
         carry = moved[k] >> (64 - shift)
     fields = out.view(np.uint8)
-    for i in np.flatnonzero(~ok).tolist():
-        fields[i, :-1] = np.frombuffer((b"%.17g" % values[i]).ljust(_FIELD - 1, b"\0"), np.uint8)
+    other = np.flatnonzero(~ok)
+    text = b"".join((b"%.17g" % v).ljust(_FIELD - 1, b"\0") for v in values[other].tolist())
+    fields[other, :-1] = np.frombuffer(text, np.uint8).reshape(-1, _FIELD - 1)
     fields = fields.reshape(rows, columns * _FIELD)
     fields[:, _FIELD - 1::_FIELD] = np.frombuffer(seps, np.uint8)
     return fields
+
+
+def _csv(
+    header: str, size: int, block: Callable[[int, int], tuple[list[Any], Iterable[tuple[int, bytes]] | None]]
+) -> Iterator[bytes]:
+    """A CSV table: the header, then the bytes of each block of _CSV_BLOCK_ROWS rows.
+
+    ``block(i, j)`` is called for each block in turn and gives the number
+    columns of rows i..j-1, formatted by _g17, and for a table that ends in
+    a text column the (row - i, text) pairs of its non-empty fields in row
+    order, or None for a table without one.  Only one block is formatted at
+    a time, so a run holds its own arrays and one block, never a list per
+    column.  Numbers and texts need no quoting.
+    """
+    yield header.encode() + b"\n"
+    for i in range(0, size, _CSV_BLOCK_ROWS):
+        columns, texts = block(i, min(i + _CSV_BLOCK_ROWS, size))
+        fields = _g17(np.column_stack(columns), b"," * (len(columns) - 1) + b"\n")
+        view = memoryview(fields).cast("B")
+        pieces, start = [], 0
+        if texts is not None:
+            # The text field's comma goes in byte 30 of the last number
+            # field, always padding since a %.17g text has at most 24 bytes,
+            # and each text goes in before the end of line of its row.
+            fields[:, -2] = ord(",")
+            for row, text in texts:
+                end = (row + 1) * fields.shape[1] - 1
+                pieces += (view[start:end], text)
+                start = end
+        pieces.append(view[start:])
+        yield b"".join(pieces).translate(None, b"\0")
 
 
 def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[bytes]:
@@ -413,55 +435,27 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[bytes]:
         if strobe is not None:
             body["P_up_tm"] = {"t": (strobe.times() / scale).tolist(), "values": strobe.values.tolist()}
         return _json(cfg, body)
-    if strobe is None:
-        return _trace_csv(ts, scale, None)
     # A row takes the strobe sample nearest its time; a later sample wins a shared row.
     marks: dict[int, float] = {}
-    for t_k, value in zip(strobe.times().tolist(), strobe.values.tolist()):
-        idx = int(round(t_k / ts.dt))
-        if 0 <= idx < ts.values.size:
-            marks[idx] = value
-    return _trace_csv(ts, scale, marks)
+    if strobe is not None:
+        for t_k, value in zip(strobe.times().tolist(), strobe.values.tolist()):
+            idx = int(round(t_k / ts.dt))
+            if 0 <= idx < ts.values.size:
+                marks[idx] = value
+    rows = np.array(sorted(marks), dtype=np.intp)
+    texts = [b"%.17g" % marks[idx] for idx in rows.tolist()]
+
+    def block(i: int, j: int) -> tuple[list[Any], Iterable[tuple[int, bytes]] | None]:
+        a, b = np.searchsorted(rows, [i, j])
+        strobe_texts = None if strobe is None else zip((rows[a:b] - i).tolist(), texts[a:b])
+        return [_times(ts, scale, i, j), ts.values[i:j]], strobe_texts
+
+    return _csv("t,P_up" if strobe is None else "t,P_up,P_up_tm", len(ts), block)
 
 
 def _times(ts: TimeSeries, scale: float, i: int, j: int) -> np.ndarray:
     """Times i..j-1 of ts divided by scale, as ``ts.times() / scale`` has them."""
     return (ts.t0 + ts.dt * np.arange(i, j)) / scale
-
-
-def _trace_csv(ts: TimeSeries, scale: float, marks: dict[int, float] | None) -> Iterator[bytes]:
-    """The simulate CSV: the header, then the bytes of each block of _CSV_BLOCK_ROWS rows.
-
-    Only one block's rows are formatted at a time, so a run holds its trace
-    array and one block, never a list per column.  ``marks`` maps a row
-    index to its strobe value; with marks, every row has a P_up_tm field,
-    empty except at those rows, and without (None) there is no such column.
-    """
-    size = ts.values.size
-    if marks is None:
-        yield b"t,P_up\n"
-    else:
-        yield b"t,P_up,P_up_tm\n"
-        strobe_rows = np.array(sorted(marks), dtype=np.intp)
-        strobe_texts = [b"%.17g" % marks[idx] for idx in strobe_rows.tolist()]
-    for i in range(0, size, _CSV_BLOCK_ROWS):
-        j = min(i + _CSV_BLOCK_ROWS, size)
-        fields = _g17(np.column_stack([_times(ts, scale, i, j), ts.values[i:j]]), b",\n")
-        if marks is None:
-            yield fields.tobytes().translate(None, b"\0")
-            continue
-        # The empty strobe field: its comma goes in byte 30 of the P_up
-        # field, always padding since a %.17g text has at most 24 bytes.
-        fields[:, -2] = ord(",")
-        # Each strobe value goes in before the end of line of its row.
-        block = memoryview(fields).cast("B")
-        a, b = np.searchsorted(strobe_rows, [i, j])
-        pieces, start = [], 0
-        for end, text in zip(((strobe_rows[a:b] - i + 1) * 2 * _FIELD - 1).tolist(), strobe_texts[a:b]):
-            pieces += (block[start:end], text)
-            start = end
-        pieces.append(block[start:])
-        yield b"".join(pieces).translate(None, b"\0")
 
 
 def cmd_predict(cfg: dict[str, Any]) -> Iterable[bytes]:
@@ -510,31 +504,30 @@ def cmd_scan(cfg: dict[str, Any]) -> Iterable[bytes]:
     fixed_flag = next(flag for flag, param in _PARAM_BY_FLAG.items() if param == fixed_name)
     result = scan_resonance_map((fixed_name, cfg[fixed_flag]), axis1, axis2, cfg["steps-per-period"])
     scale = cfg["delta"]
-    grids = {
-        "omega_est": result.omega_est * scale,
-        "amplitude": result.amplitude,
-        "omega_rwa": result.omega_rwa * scale,
-        "omega_tm": result.omega_tm * scale,
-        "slow_lhs": result.slow_lhs,
-    }
+    # Each grid with the factor that gives it in units of delta.
+    grids = {"omega_est": scale, "amplitude": 1.0, "omega_rwa": scale, "omega_tm": scale, "slow_lhs": 1.0}
 
     if cfg["format"] == "json":
         return _json(cfg, {
             "fixed": {"name": result.fixed_name, "value": result.fixed_value * scale},
             "axis1": {"name": result.axis1_name, "values": (result.axis1 * scale).tolist()},
             "axis2": {"name": result.axis2_name, "values": (result.axis2 * scale).tolist()},
-            **{name: [[_json_value(v) for v in row] for row in g.tolist()] for name, g in grids.items()},
+            **{
+                name: [[_json_value(v) for v in row] for row in (getattr(result, name) * s).tolist()]
+                for name, s in grids.items()
+            },
             "flags": [[list(cell) for cell in row] for row in result.flags],
         })
-    n1, n2 = len(result.axis1), len(result.axis2)
-    return _rows(
-        "axis1,axis2," + ",".join(grids) + ",flags",
-        "%.17g," * 7 + "%s\n",
-        np.repeat(result.axis1 * scale, n2).tolist(),
-        np.tile(result.axis2 * scale, n1).tolist(),
-        *(g.ravel().tolist() for g in grids.values()),
-        [";".join(cell) for row in result.flags for cell in row],
-    )
+    n2 = len(result.axis2)
+    flat = [(getattr(result, name).ravel(), s) for name, s in grids.items()]
+    cells = itertools.chain.from_iterable(result.flags)
+
+    def block(i: int, j: int) -> tuple[list[Any], Iterable[tuple[int, bytes]]]:
+        k = np.arange(i, j)
+        columns = [result.axis1[k // n2] * scale, result.axis2[k % n2] * scale, *(g[i:j] * s for g, s in flat)]
+        return columns, [(r, ";".join(cell).encode()) for r, cell in enumerate(itertools.islice(cells, j - i)) if cell]
+
+    return _csv("axis1,axis2," + ",".join(grids) + ",flags", len(result.axis1) * n2, block)
 
 
 def cmd_classify(cfg: dict[str, Any]) -> Iterable[bytes]:
@@ -553,7 +546,7 @@ def cmd_cdt(cfg: dict[str, Any]) -> Iterable[bytes]:
     k = list(range(1, len(amplitudes) + 1))
     if cfg["format"] == "json":
         return _json(cfg, {"k": k, "amplitudes": amplitudes})
-    return _rows("k,amplitude", "%d,%.17g\n", k, amplitudes)
+    return _csv("k,amplitude", len(k), lambda i, j: ([k[i:j], amplitudes[i:j]], None))
 
 
 def cmd_width(cfg: dict[str, Any]) -> Iterable[bytes]:
@@ -570,7 +563,7 @@ def cmd_width(cfg: dict[str, Any]) -> Iterable[bytes]:
     hwhm *= cfg["delta"]
     if cfg["format"] == "json":
         return _json(cfg, {"n": cfg["n"], "hwhm": hwhm})
-    return _rows("n,hwhm", "%d,%.17g\n", [cfg["n"]], [hwhm])
+    return _csv("n,hwhm", 1, lambda i, j: ([[cfg["n"]], [hwhm]], None))
 
 
 class _Command(NamedTuple):
@@ -605,6 +598,7 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drivenqubit",

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivenqubit import __version__, dynamics
-from drivenqubit.cli import _COMMANDS, _CSV_BLOCK_ROWS, _g17, _trace_csv, main
+from drivenqubit import __version__, cli, dynamics
+from drivenqubit.analysis import ScanResult
+from drivenqubit.cli import _COMMANDS, _CSV_BLOCK_ROWS, _csv, _g17, main
 from drivenqubit.dynamics import DriveParams, QubitState, TimeSeries, propagate_exact
 from drivenqubit.errors import QuadratureError
 from drivenqubit.specfun import bessel_j0_zero, bessel_jn
@@ -200,7 +201,12 @@ def test_trace_csv_splices_strobe_values_into_their_rows(size, rows):
     values = np.random.default_rng(size).random(size)
     ts = TimeSeries(0.5, 0.01, values)
     marks = {i: 1.0 / (i + 3) for i in rows}
-    out = b"".join(_trace_csv(ts, 2.0, marks))
+
+    def block(i, j):
+        texts = [(row - i, b"%.17g" % marks[row]) for row in rows if i <= row < j]
+        return [ts.times()[i:j] / 2.0, values[i:j]], texts
+
+    out = b"".join(_csv("t,P_up,P_up_tm", size, block))
     lines = ["t,P_up,P_up_tm"]
     for i, (t, value) in enumerate(zip(ts.times(), values)):
         lines.append(f"{t / 2.0:.17g},{value:.17g}," + (f"{marks[i]:.17g}" if i in marks else ""))
@@ -500,11 +506,16 @@ def test_scan_takes_no_phase(capsys, tmp_path):
     assert (code, out, err) == (2, "", "config error: unknown config keys for 'scan': phi\n")
 
 
+# Cells with A <= eps0 have no transfer-matrix prediction: NaN, not an
+# error.  At A = 0, J_n(0) = 0 for the n != 0 resonance, so no finite
+# prediction sizes the run and it takes the 5000-period cap.
+_SCAN_WITHOUT_CROSSINGS_ARGS = [
+    "scan", "--omega", "3", "--axis1", "eps0:3:6:2", "--axis2", "amp:0:9:3", "--steps-per-period", "16",
+]
+
+
 def test_scan_cells_without_crossings(capsys):
-    # Cells with A <= eps0 have no transfer-matrix prediction: NaN, not an
-    # error.  At A = 0, J_n(0) = 0 for the n != 0 resonance, so no finite
-    # prediction sizes the run and it takes the 5000-period cap.
-    args = ["scan", "--omega", "3", "--axis1", "eps0:3:6:2", "--axis2", "amp:0:9:3", "--steps-per-period", "16"]
+    args = _SCAN_WITHOUT_CROSSINGS_ARGS
     code, out, _ = _run(capsys, args)
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -523,6 +534,74 @@ def test_scan_cells_without_crossings(capsys):
             assert payload["omega_rwa"][i][j] is not None
             assert (payload["omega_tm"][i][j] is None) == (payload["slow_lhs"][i][j] is None) == (amp <= eps0)
             assert not any(flag.startswith("error:") for flag in payload["flags"][i][j])
+
+
+def _synthetic_scan(n):
+    """An n x n ScanResult whose numbers take every path of the CSV formatting, and whose cells hold 0, 1 or 2 flags."""
+    rng = np.random.default_rng(n)
+    special = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 3.7e-5, -2.5e-9, 1e17, 6.02e23, -1.5, -8e20])
+
+    def grid():
+        x = rng.lognormal(0.0, 3.0, (n, n))
+        picks = rng.random((n, n)) < 0.2
+        x[picks] = rng.choice(special, int(picks.sum()))
+        return x
+
+    names = [(), ("suppressed",), ("ambiguous", "below_resolution"), ("error:QuadratureError",)]
+    flags = tuple(tuple(names[k] for k in row) for row in rng.integers(0, len(names), (n, n)).tolist())
+    axis1 = np.concatenate([special, rng.lognormal(0.0, 3.0, n - special.size)])
+    return ScanResult(
+        "omega", 3.0, "epsilon0", "amplitude", axis1, rng.uniform(-20.0, 20.0, n),
+        grid(), grid(), grid(), grid(), grid(), flags,
+    )
+
+
+def _scan_csv(result, scale):
+    """The scan CSV of result, rendered row by row with '%.17g'."""
+    lines = [b"axis1,axis2,omega_est,amplitude,omega_rwa,omega_tm,slow_lhs,flags\n"]
+    for i, a1 in enumerate(result.axis1.tolist()):
+        for j, a2 in enumerate(result.axis2.tolist()):
+            numbers = (
+                a1 * scale, a2 * scale, result.omega_est[i, j] * scale, result.amplitude[i, j],
+                result.omega_rwa[i, j] * scale, result.omega_tm[i, j] * scale, result.slow_lhs[i, j],
+            )
+            lines.append(((b"%.17g," * 7 + b"%s\n") % (*numbers, ";".join(result.flags[i][j]).encode())))
+    return b"".join(lines)
+
+
+def test_scan_csv_of_a_synthetic_result_matches_a_row_by_row_rendering(monkeypatch, tmp_path):
+    # 4 900 cells: a whole block and a part of a second.
+    result = _synthetic_scan(70)
+    assert result.omega_est.size > _CSV_BLOCK_ROWS
+    monkeypatch.setattr(cli, "scan_resonance_map", lambda *args: result)
+    target = tmp_path / "scan.csv"
+    argv = ["scan", "--omega", "3", "--axis1", "eps0:0:1:70", "--axis2", "amp:0:1:70", "--delta", "2"]
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == _scan_csv(result, 2.0)
+
+
+def test_scan_csv_memory_is_the_result_and_one_block(monkeypatch, tmp_path):
+    result = _synthetic_scan(200)
+    cells = result.omega_est.size
+    monkeypatch.setattr(cli, "scan_resonance_map", lambda *args: result)
+    target = tmp_path / "scan.csv"
+    argv = ["scan", "--omega", "3", "--axis1", "eps0:0:1:200", "--axis2", "amp:0:1:200", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(target, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == cells + 1
+    # The writer holds one 4096-row block of seven number columns: _g17
+    # peaks at about 170 bytes a value, 4.6 MiB for the block's 28 672, and
+    # the block's text is made twice more (spliced, then without padding),
+    # so this run peaks at 7.8 MiB, whatever the map's size past a few
+    # blocks.  A list per column of every row (about 222 bytes a cell) read
+    # 10.6 MiB.
+    assert peak < 16 * cells + 8 * 2**20
 
 
 def test_scan_requires_both_axes(capsys):
@@ -681,6 +760,44 @@ def test_width_bracketing_failure_exits_3(capsys):
     code, _, err = _run(capsys, args)
     assert code == 3
     assert "grid edge" in err
+
+
+def _returned(monkeypatch, name):
+    """A list that gets each value cli.<name> returns from here on."""
+    values, real = [], getattr(cli, name)
+
+    def record(*args, **kwargs):
+        values.append(real(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(cli, name, record)
+    return values
+
+
+def _two_column_csv(header, rows):
+    return (header + "\n" + "".join("%d,%.17g\n" % row for row in rows)).encode()
+
+
+@pytest.mark.parametrize(
+    "argv, name, render",
+    [
+        (_SCAN_ARGS, "scan_resonance_map", lambda result: _scan_csv(result, 1.0)),
+        (_SCAN_WITHOUT_CROSSINGS_ARGS, "scan_resonance_map", lambda result: _scan_csv(result, 1.0)),
+        (["cdt", "--omega", "5"], "cdt_amplitudes", lambda a: _two_column_csv("k,amplitude", enumerate(a, 1))),
+        # omega * j_{0,k} overflows: every amplitude is inf.
+        (["cdt", "--omega", "1e308"], "cdt_amplitudes", lambda a: _two_column_csv("k,amplitude", enumerate(a, 1))),
+        (_WIDTH_ARGS, "measure_resonance_width", lambda hwhm: _two_column_csv("n,hwhm", [(1, hwhm)])),
+    ],
+    ids=["scan", "scan-without-crossings", "cdt", "cdt-overflow", "width"],
+)
+def test_table_csv_matches_a_row_by_row_rendering(monkeypatch, tmp_path, argv, name, render):
+    returned = _returned(monkeypatch, name)
+    target = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert len(returned) == 1
+    out = target.read_bytes()
+    assert out == render(returned[0])
+    assert (b",inf\n" in out) == (argv[-1] == "1e308")
 
 
 # ---------------------------------------------------------------------------

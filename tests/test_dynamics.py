@@ -90,6 +90,23 @@ def test_step_unitary_matches_operator_on_one_substep():
     assert u_step.u21 == u_step.u12
 
 
+def test_step_unitary_is_the_exponential_of_the_midpoint_hamiltonian():
+    # exp(-i h H(t + h/2)) from the eigenvectors of H: a flipped bias sign
+    # or a dropped tunnelling term moves the step by O(1).
+    rng = np.random.default_rng(2)
+    worst = 0.0
+    for k in range(240):
+        p = DriveParams(
+            delta=rng.uniform(0.2, 3.0), epsilon0=rng.uniform(0.0, 10.0), amplitude=rng.uniform(0.0, 30.0),
+            omega=rng.uniform(0.3, 8.0), phi=0.0 if k % 3 == 0 else rng.uniform(-math.pi, math.pi),
+        )
+        t, h = rng.uniform(-20.0, 20.0), rng.uniform(1e-4, 0.5)
+        energies, vectors = np.linalg.eigh(hamiltonian(t + h / 2, p))
+        expected = (vectors * np.exp(-1j * h * energies)) @ vectors.conj().T
+        worst = max(worst, np.abs(step_unitary(t, h, p).as_matrix() - expected).max())
+    assert worst < 1e-12
+
+
 def test_evolution_operator_composition():
     p = DriveParams(delta=1.0, epsilon0=3.0, amplitude=12.0, omega=1.7)
     whole = evolution_operator(p, 0.0, p.period, steps_per_period=512)
