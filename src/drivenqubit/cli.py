@@ -311,6 +311,8 @@ def _csv(
                 start = end
         pieces.append(view[start:])
         yield b"".join(pieces).translate(None, b"\0")
+        # Free this block before the next is formatted.
+        del columns, texts, fields, view, pieces
 
 
 def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[bytes]:

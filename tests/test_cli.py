@@ -598,10 +598,9 @@ def test_scan_csv_memory_is_the_result_and_one_block(monkeypatch, tmp_path):
     # The writer holds one 4096-row block of seven number columns: _g17
     # peaks at about 170 bytes a value, 4.6 MiB for the block's 28 672, and
     # the block's text is made twice more (spliced, then without padding),
-    # so this run peaks at 7.8 MiB, whatever the map's size past a few
-    # blocks.  A list per column of every row (about 222 bytes a cell) read
-    # 10.6 MiB.
-    assert peak < 16 * cells + 8 * 2**20
+    # so this run peaks at 6.3 MiB (a 400 x 400 map at 6.6 MiB).  A list
+    # per column of every row (about 222 bytes a cell) read 10.6 MiB.
+    assert peak < 16 * cells + 7 * 2**20
 
 
 def test_scan_requires_both_axes(capsys):
