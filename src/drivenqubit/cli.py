@@ -128,14 +128,14 @@ def _write(out: str | None, chunks: Iterable[bytes]) -> None:
 
 
 class _Column(list):
-    """A column of floats that json's encoder reads as a list, made a block at a time.
+    """A column that json's encoder reads as a list, made a block at a time.
 
     The list itself stays empty: its length is size and its items come from
-    block(i, j), the values i..j-1 as Python floats, _CSV_BLOCK_ROWS at a
-    time.  So a JSON document holds no column whole.
+    block(i, j), the items i..j-1 (Python floats, or the rows of a grid),
+    _CSV_BLOCK_ROWS at a time.  So a JSON document holds no column whole.
     """
 
-    def __init__(self, size: int, block: Callable[[int, int], list[float]]) -> None:
+    def __init__(self, size: int, block: Callable[[int, int], Iterable[Any]]) -> None:
         super().__init__()
         self.size, self.block = size, block
 
@@ -329,8 +329,16 @@ def _json(cfg: dict[str, Any], body: dict[str, Any]) -> Iterator[bytes]:
     yield b"\n"
 
 
-def _json_value(x: float) -> float | None:
-    return None if (isinstance(x, float) and math.isnan(x)) else x
+def _json_grid(values: np.ndarray, scale: float) -> _Column:
+    """The rows of values * scale as JSON lists, NaN as null, one block of one row's cells at a time."""
+
+    def row(k: int) -> _Column:
+        def cells(i: int, j: int) -> list[float | None]:
+            return [None if math.isnan(v) else v for v in (values[k, i:j] * scale).tolist()]
+
+        return _Column(values.shape[1], cells)
+
+    return _Column(len(values), lambda i, j: map(row, range(i, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +445,19 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[bytes]:
         if strobe is not None:
             body["P_up_tm"] = {"t": (strobe.times() / scale).tolist(), "values": strobe.values.tolist()}
         return _json(cfg, body)
-    # A row takes the strobe sample nearest its time; a later sample wins a shared row.
-    marks: dict[int, float] = {}
-    if strobe is not None:
-        for t_k, value in zip(strobe.times().tolist(), strobe.values.tolist()):
-            idx = int(round(t_k / ts.dt))
-            if 0 <= idx < ts.values.size:
-                marks[idx] = value
-    rows = np.array(sorted(marks), dtype=np.intp)
-    texts = [b"%.17g" % marks[idx] for idx in rows.tolist()]
+    if strobe is None:
+        return _csv("t,P_up", len(ts), lambda i, j: ([_times(ts, scale, i, j), ts.values[i:j]], None))
+    # Each strobe sample goes in the row nearest its time.  The samples are
+    # a period (at least 16 rows) apart and lie inside the trace, so the
+    # rows are distinct, increasing and in range.
+    rows = np.rint(strobe.times() / ts.dt).astype(np.intp)
+    texts = [b"%.17g" % value for value in strobe.values.tolist()]
 
-    def block(i: int, j: int) -> tuple[list[Any], Iterable[tuple[int, bytes]] | None]:
+    def block(i: int, j: int) -> tuple[list[Any], Iterable[tuple[int, bytes]]]:
         a, b = np.searchsorted(rows, [i, j])
-        strobe_texts = None if strobe is None else zip((rows[a:b] - i).tolist(), texts[a:b])
-        return [_times(ts, scale, i, j), ts.values[i:j]], strobe_texts
+        return [_times(ts, scale, i, j), ts.values[i:j]], zip((rows[a:b] - i).tolist(), texts[a:b])
 
-    return _csv("t,P_up" if strobe is None else "t,P_up,P_up_tm", len(ts), block)
+    return _csv("t,P_up,P_up_tm", len(ts), block)
 
 
 def _times(ts: TimeSeries, scale: float, i: int, j: int) -> np.ndarray:
@@ -510,15 +515,16 @@ def cmd_scan(cfg: dict[str, Any]) -> Iterable[bytes]:
     grids = {"omega_est": scale, "amplitude": 1.0, "omega_rwa": scale, "omega_tm": scale, "slow_lhs": 1.0}
 
     if cfg["format"] == "json":
+        def axis(values: np.ndarray) -> _Column:
+            return _Column(len(values), lambda i, j: (values[i:j] * scale).tolist())
+
         return _json(cfg, {
             "fixed": {"name": result.fixed_name, "value": result.fixed_value * scale},
-            "axis1": {"name": result.axis1_name, "values": (result.axis1 * scale).tolist()},
-            "axis2": {"name": result.axis2_name, "values": (result.axis2 * scale).tolist()},
-            **{
-                name: [[_json_value(v) for v in row] for row in (getattr(result, name) * s).tolist()]
-                for name, s in grids.items()
-            },
-            "flags": [[list(cell) for cell in row] for row in result.flags],
+            "axis1": {"name": result.axis1_name, "values": axis(result.axis1)},
+            "axis2": {"name": result.axis2_name, "values": axis(result.axis2)},
+            **{name: _json_grid(getattr(result, name), s) for name, s in grids.items()},
+            # Tuples, which the encoder writes as lists, so no copy is made.
+            "flags": result.flags,
         })
     n2 = len(result.axis2)
     flat = [(getattr(result, name).ravel(), s) for name, s in grids.items()]

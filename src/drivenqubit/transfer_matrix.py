@@ -33,9 +33,10 @@ nodes, with the difference from its embedded half-density rule as the
 error estimate.  Its nodes cluster at the interval ends, so the one sharp
 feature of each integrand, the gap minimum at a crossing, is placed at an
 end: the half-period integrals end at the crossings, and a crossing
-window is folded about its crossing.  quad also takes several intervals
-as rows of one call; the two half-period integrals of a cycle are such a
-call.
+window is folded about its crossing.  Every call integrates its
+intervals as the rows of one array: the two half-period integrals of a
+cycle are one call, and the four band integrals of a windowed cycle
+another.
 
 cycle_phases is the one source of theta_tilde_1, theta_tilde_2, f_1 and
 f_2 (one stacked quadrature per call: both half-periods as a (2, 217)
@@ -44,8 +45,7 @@ full_cycle_matrix and propagate_tm read them from it, and the
 slow-crossing condition and the fast-crossing frequency use only their
 closed parts (no quadrature).  full_cycle_matrix
 keeps its last point's cycle: one entry, keyed by the DriveParams value,
-with raised errors not kept.  Windowed band integrals belong to
-full_cycle_matrix_windowed alone.
+with raised errors not kept.
 
 A note on the closed-form rotation angle: expanding |g12| of the cycle
 product gives sin(zeta_FC/2) = 2 sin(chi/2) cos(chi/2) |cos(...)|; the
@@ -267,55 +267,23 @@ _TS_BASIS = np.stack((_TS_LEFT, ~_TS_LEFT, _TS_OFFSET)).astype(float)
 _TS_PAIR = np.stack((_TS_WEIGHT, _TS_COARSE), axis=1)
 
 
-def quad(
-    f, a: float | tuple[float, ...], b: float | tuple[float, ...]
-) -> tuple[float, float] | list[tuple[float, float]]:
-    """Integral of f over [a, b] by the fixed tanh-sinh rule, with its error estimate.
+def quad(f, a: tuple[float, ...], b: tuple[float, ...]) -> list[tuple[float, float]]:
+    """Integrals of f over the rows [a[i], b[i]] by the fixed tanh-sinh rule, each with its error estimate.
 
-    f maps an array of abscissae to the integrand values.  The estimate is
+    f maps a (rows, 217) array of abscissae, row i the nodes of [a[i],
+    b[i]], to the values of one integrand per row, and is evaluated once.
+    Each row gives a (value, abserr) pair, in row order.  The estimate is
     |I(1/32) - I(1/16)|, the gap to the embedded rule on the even nodes;
-    for an integrand analytic near [a, b] the step-1/32 value is far more
-    accurate than that.  One call evaluates f once, on all 217 nodes.
-
-    Stacked form: given tuples a and b of k lower and upper ends, row i is
-    the interval [a[i], b[i]].  f then maps a (k, 217) array of abscissae
-    to the values of k integrands, one per row, and quad returns a list of
-    k (value, abserr) pairs, still from one evaluation of f.  A scalar call
-    is the one-row case, with f given that row.
+    for an integrand analytic near its interval the step-1/32 value is far
+    more accurate than that.
     """
-    stacked = isinstance(a, tuple)
-    lo, hi = (a, b) if stacked else ((a,), (b,))
-    spans = [end - start for start, end in zip(lo, hi)]
-    x = np.array((lo, hi, spans)).T @ _TS_BASIS
-    sums = f(x if stacked else x[0]) @ _TS_PAIR
+    spans = [end - start for start, end in zip(a, b)]
+    x = np.array((a, b, spans)).T @ _TS_BASIS
     rows = []
-    for span, (fine, coarse) in zip(spans, sums.reshape(-1, 2).tolist()):
+    for span, (fine, coarse) in zip(spans, (f(x) @ _TS_PAIR).tolist()):
         fine *= span
         rows.append((fine, abs(fine - span * coarse)))
-    return rows if stacked else rows[0]
-
-
-def _band_integral(p: DriveParams, a: float, b: float, centre: float | None = None) -> float:
-    """Integral of the band energy g(t) = 0.5*sqrt(eps(t)^2 + delta^2) over [a, b].
-
-    Given a centre c, the integral runs instead over [c - b, c - a] and
-    [c + a, c + b], folded into one rule over s in [a, b] of g(c - s) +
-    g(c + s).  A crossing window is integrated folded about its crossing:
-    unfolded, the gap minimum falls between the sparse middle nodes and
-    the error estimate misses its bound.
-    """
-    e0, amp, omega, delta = p.epsilon0, p.amplitude, p.omega, p.delta
-
-    def band(t: np.ndarray) -> np.ndarray:
-        return 0.5 * np.hypot(e0 + amp * np.cos(omega * t), delta)
-
-    val, err = quad(band if centre is None else (lambda s: band(centre - s) + band(centre + s)), a, b)
-    # The embedded estimate bounds the error by a wide margin; allow ~5
-    # ulp-equivalents of the integral size before declaring failure.
-    if err > max(1e-10, 5e-12 * abs(val)):
-        where = f"[{a:g}, {b:g}]" if centre is None else f"[{a:g}, {b:g}] folded about {centre:g}"
-        raise QuadratureError(f"band-energy integral on {where} only reached abserr {err:g}")
-    return val
+    return rows
 
 
 def _closed_phases(p: DriveParams) -> tuple[float, float]:
@@ -406,7 +374,9 @@ def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
     W2, theta_LZ2 = theta_Stokes).  With this split every entry of the
     product is independent of tau up to the window-asymmetry terms of
     order omega^2*eps0*tau^3, exactly so for eps0 = 0; that
-    near-invariance is the point of the construction.
+    near-invariance is the point of the construction.  The two trimmed
+    regions and the two windows are the four rows of one quad call, each
+    held to its own bound.
     """
     t_c1, t_c2 = crossing_times(p)
     half_gap = 0.5 * min(t_c2 - t_c1, p.period - (t_c2 - t_c1))
@@ -415,12 +385,31 @@ def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
             f"window half-width {tau!r} must lie in (0, {half_gap:g}) "
             "so the windows stay inside both between-crossing intervals"
         )
-    theta1 = -_band_integral(p, t_c2 + tau, t_c1 + p.period - tau)
-    theta2 = _band_integral(p, t_c1 + tau, t_c2 - tau)
-    w1 = _band_integral(p, 0.0, tau, centre=t_c1)
-    w2 = _band_integral(p, 0.0, tau, centre=t_c2)
+    centres = np.array(((t_c1,), (t_c2,)))
+
+    def band(t: np.ndarray) -> np.ndarray:
+        return 0.5 * np.hypot(p.epsilon0 + p.amplitude * np.cos(p.omega * t), p.delta)
+
+    def regions_and_windows(x: np.ndarray) -> np.ndarray:
+        # Rows 2 and 3 are the crossing windows, folded about their
+        # crossings c as g(c - s) + g(c + s) over s in [0, tau], where g is
+        # the band energy 0.5*sqrt(eps^2 + delta^2): unfolded, the gap
+        # minimum falls between the sparse middle nodes and the error
+        # estimate misses its bound.
+        return np.concatenate((band(x[:2]), band(centres - x[2:]) + band(centres + x[2:])))
+
+    ends = ((t_c2 + tau, t_c1 + tau, 0.0, 0.0), (t_c1 + p.period - tau, t_c2 - tau, tau, tau))
+    values = []
+    for (val, err), a, b, centre in zip(quad(regions_and_windows, *ends), *ends, (None, None, t_c1, t_c2)):
+        # The embedded estimate bounds the error by a wide margin; allow ~5
+        # ulp-equivalents of the integral size before declaring failure.
+        if err > max(1e-10, 5e-12 * abs(val)):
+            where = f"[{a:g}, {b:g}]" if centre is None else f"[{a:g}, {b:g}] folded about {centre:g}"
+            raise QuadratureError(f"band-energy integral on {where} only reached abserr {err:g}")
+        values.append(val)
+    region1, theta2, w1, w2 = values
     cr = lz_crossing(p)
-    return _unitary(*_compose_cycle(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), theta1, theta2))
+    return _unitary(*_compose_cycle(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), -region1, theta2))
 
 
 _DEGENERATE_TOL = 1e-12

@@ -399,6 +399,79 @@ def test_predict_report_shape(capsys):
     assert payload["slow"]["nearest_integer"] == round(payload["slow"]["lhs"])
 
 
+# predict --format json at three (eps0, A, omega) points, meta left out, as
+# recorded with numpy 2.4 and scipy 1.17.
+_PREDICT_PINS = {
+    ("3", "15", "3"): {
+        "regime": {
+            "label": "TM_FAST", "ratios": [15.0, 3.0, 45.0],
+            "rabi": False, "rwa": True, "tm": True, "tm_speed": "FAST",
+        },
+        "rwa": {"n": -1, "omega_osc": 0.3275791375914652, "width": 0.3275791375914652, "valid": True},
+        "tm": {
+            "zeta_fc": 0.6973506388496178, "theta_fc": 6.2317024776862135, "phi_fc": -5.126314882405338,
+            "omega_osc": 0.33296040372362334, "resonance_residual": 0.0,
+        },
+        "slow": {"lhs": 3.2469756386326547, "nearest_integer": 3},
+    },
+    ("5", "30", "1"): {
+        "regime": {
+            "label": "TM_FAST", "ratios": [30.0, 1.0, 30.0],
+            "rabi": False, "rwa": False, "tm": True, "tm_speed": "FAST",
+        },
+        "rwa": {"n": -5, "omega_osc": 0.14324029551207706, "width": 0.028648059102415413, "valid": True},
+        "tm": {
+            "zeta_fc": 0.9038032721175245, "theta_fc": 6.245020600020275, "phi_fc": -5.354768455567786,
+            "omega_osc": 0.1438447583401334, "resonance_residual": 0.0,
+        },
+        "slow": {"lhs": 19.364470614507773, "nearest_integer": 19},
+    },
+    ("0.5", "2", "0.05"): {
+        "regime": {
+            "label": "TM_SLOW", "ratios": [2.0, 0.05, 0.1],
+            "rabi": False, "rwa": False, "tm": True, "tm_speed": "SLOW",
+        },
+        "rwa": {"n": -10, "omega_osc": 0.11938336278226086, "width": 0.011938336278226085, "valid": False},
+        "tm": {
+            "zeta_fc": 0.0003080017721330628, "theta_fc": -2.6069244310823074, "phi_fc": 1.8627684319948608,
+            "omega_osc": 2.4510002258020265e-06, "resonance_residual": 0.0,
+        },
+        "slow": {"lhs": 26.264790227563317, "nearest_integer": 26},
+    },
+}
+
+
+def _assert_pinned(got, pinned):
+    """Labels, booleans, integers and None exactly; every float within 1e-12 relative."""
+    if isinstance(pinned, dict):
+        assert list(got) == list(pinned)
+        for key in pinned:
+            _assert_pinned(got[key], pinned[key])
+    elif isinstance(pinned, list):
+        assert len(got) == len(pinned)
+        for g, v in zip(got, pinned):
+            _assert_pinned(g, v)
+    elif isinstance(pinned, float):
+        assert type(got) is float and got == pytest.approx(pinned, rel=1e-12, abs=0.0)
+    else:
+        assert type(got) is type(pinned) and got == pinned
+
+
+@pytest.mark.parametrize("point", list(_PREDICT_PINS), ids=lambda point: "-".join(point))
+def test_predict_prints_the_pinned_numbers(capsys, point):
+    # Floats within a tolerance, not as bytes: scipy's jv and loggamma can
+    # move in the last digits between versions.
+    eps0, amp, omega = point
+    code, out, _ = _run(capsys, ["predict", "--eps0", eps0, "--amp", amp, "--omega", omega, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("meta") == {
+        "generated_by": f"drivenqubit {__version__}", "eps0": float(eps0), "amp": float(amp), "omega": float(omega),
+        "delta": 1.0,
+    }
+    _assert_pinned(payload, _PREDICT_PINS[point])
+
+
 def test_predict_is_json_only(capsys):
     code, _, err = _run(capsys, ["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "csv"])
     assert code == 2
@@ -601,6 +674,75 @@ def test_scan_csv_memory_is_the_result_and_one_block(monkeypatch, tmp_path):
     # so this run peaks at 6.3 MiB (a 400 x 400 map at 6.6 MiB).  A list
     # per column of every row (about 222 bytes a cell) read 10.6 MiB.
     assert peak < 16 * cells + 7 * 2**20
+
+
+def _json_scan(n1, n2):
+    """An n1 x n2 ScanResult that JSON can hold: finite axes, about 5% NaN cells, and 0, 1 or 2 flags a cell."""
+    rng = np.random.default_rng(n1 * n2)
+
+    def grid():
+        x = rng.lognormal(0.0, 3.0, (n1, n2))
+        x[rng.random((n1, n2)) < 0.05] = math.nan
+        return x
+
+    names = [(), ("suppressed",), ("ambiguous", "below_resolution"), ("error:QuadratureError",)]
+    flags = tuple(tuple(names[k] for k in row) for row in rng.integers(0, len(names), (n1, n2)).tolist())
+    return ScanResult(
+        "omega", 3.0, "epsilon0", "amplitude", rng.lognormal(0.0, 3.0, n1), rng.uniform(-20.0, 20.0, n2),
+        grid(), grid(), grid(), grid(), grid(), flags,
+    )
+
+
+def _scan_json_argv(result, target):
+    n1, n2 = result.omega_est.shape
+    return [
+        "scan", "--omega", "3", "--axis1", f"eps0:0:1:{n1}", "--axis2", f"amp:0:1:{n2}",
+        "--format", "json", "--out", str(target),
+    ]
+
+
+@pytest.mark.parametrize("n1, n2", [(70, 70), (2, 4100), (4100, 2)], ids=["square", "long-rows", "many-rows"])
+def test_scan_json_of_a_synthetic_result_is_json_dumps_of_its_lists(monkeypatch, tmp_path, n1, n2):
+    # Rows longer than a block, and more rows than a block, are each split.
+    result = _json_scan(n1, n2)
+    monkeypatch.setattr(cli, "scan_resonance_map", lambda *args: result)
+    target = tmp_path / "scan.json"
+    assert main(_scan_json_argv(result, target) + ["--delta", "2"]) == 0
+    text = target.read_text(encoding="utf-8")
+    scales = {"omega_est": 2.0, "amplitude": 1.0, "omega_rwa": 2.0, "omega_tm": 2.0, "slow_lhs": 1.0}
+    body = {
+        "meta": json.loads(text)["meta"],
+        "fixed": {"name": "omega", "value": 6.0},
+        "axis1": {"name": "epsilon0", "values": (result.axis1 * 2.0).tolist()},
+        "axis2": {"name": "amplitude", "values": (result.axis2 * 2.0).tolist()},
+        **{
+            name: [[None if math.isnan(v) else v for v in row] for row in (getattr(result, name) * s).tolist()]
+            for name, s in scales.items()
+        },
+        "flags": [[list(cell) for cell in row] for row in result.flags],
+    }
+    assert text == json.dumps(body, indent=2) + "\n"
+
+
+def test_scan_json_memory_is_the_result_and_one_block(monkeypatch, tmp_path):
+    result = _json_scan(120, 120)
+    cells = result.omega_est.size
+    monkeypatch.setattr(cli, "scan_resonance_map", lambda *args: result)
+    target = tmp_path / "scan.json"
+    tracemalloc.start()
+    try:
+        code = main(_scan_json_argv(result, target))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(target, encoding="utf-8") as fh:
+        assert len(json.load(fh)["flags"]) == 120
+    # The grids are written a block of one row's cells at a time, and the
+    # flags straight from the result's tuples: this run peaks at 0.68 MiB
+    # (a 400 x 400 map at 0.65 MiB).  Nested lists of every grid (about
+    # 240 bytes a cell) read 3.9 MiB here and 35.9 MiB at 400 x 400.
+    assert peak < 16 * cells + 2**20
 
 
 def test_scan_requires_both_axes(capsys):

@@ -9,6 +9,7 @@ import math
 import random
 import re
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -188,7 +189,7 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
         (lambda p: propagate_tm(p, QubitState.up(), 3), 1),
         (analysis._cell_predictions, 1),
         (cycle_phases, 1),
-        (lambda p: full_cycle_matrix_windowed(p, 0.05), 4),
+        (lambda p: full_cycle_matrix_windowed(p, 0.05), 1),
         (lambda p: cli.main(["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]), 1),
     ],
     ids=[
@@ -205,8 +206,8 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
 def test_quadrature_counts(monkeypatch, call, expected):
     # cycle_phases runs the only gap-correction quadrature on the
     # boundary-independent path, both half-periods in one stacked call; the
-    # slow-crossing condition needs none,
-    # and only the windowed construction pays for four band integrals.
+    # slow-crossing condition needs none, and the windowed construction
+    # makes one call for its four band integrals.
     # The CLI predict point is (3, 15, 3), the same as _FAST_ONE_PHOTON.
     # The counter delegates to the module's own rule, so each integral
     # still meets its error bound.
@@ -323,7 +324,7 @@ def test_each_gap_correction_meets_its_own_bound(monkeypatch, row):
 
 
 def _two_pass_gap_corrections(p):
-    """Reference for the one-pass rule: f1, f2 from two scalar quad calls in t, each checked alone."""
+    """Reference for the one-pass rule: f1, f2 from two one-row quad calls in t, each checked alone."""
     e0, amp, omega, delta = p.epsilon0, p.amplitude, p.omega, p.delta
 
     def excess(t):
@@ -333,7 +334,7 @@ def _two_pass_gap_corrections(p):
     t_c1, _ = crossing_times(p)
     f = []
     for a, b in ((0.0, t_c1), (t_c1, 0.5 * p.period)):
-        val, err = transfer_matrix.quad(excess, a, b)
+        [(val, err)] = transfer_matrix.quad(excess, (a,), (b,))
         if 2.0 * err > 1e-10:
             raise QuadratureError(f"gap-excess integral on 2x[{a:g}, {b:g}]")
         f.append(2.0 * val)
@@ -344,7 +345,7 @@ def test_one_pass_gap_corrections_match_two_scalar_passes():
     # Near-tangent drives (1 - eps0/A down to 1e-6) are where the estimate
     # misses its bound, slow ones (omega down to 0.01) where the half-periods
     # are long; the one-pass rule must fail on exactly the points where
-    # either scalar pass fails.
+    # either one-row pass fails.
     rng = np.random.default_rng(24)
     n = 2000
     amp = 10.0 ** rng.uniform(math.log10(1.01), 3.0, n)
@@ -431,8 +432,8 @@ def test_tanh_sinh_rule_against_mpmath(f, f_mp, a, b, points):
         arrays.append(x)
         return f(x)
 
-    value, abserr = transfer_matrix.quad(recorded, a, b)
-    assert len(arrays) == 1 and arrays[0].shape == (217,)
+    [(value, abserr)] = transfer_matrix.quad(recorded, (a,), (b,))
+    assert len(arrays) == 1 and arrays[0].shape == (1, 217)
     assert np.all((a <= arrays[0]) & (arrays[0] <= b))
     with mpmath.workdps(30):
         exact = float(mpmath.quad(f_mp, points or [a, b]))
@@ -441,7 +442,8 @@ def test_tanh_sinh_rule_against_mpmath(f, f_mp, a, b, points):
 
 
 def test_stacked_rows_match_scalar_calls():
-    # The semicircle is NaN past +-1, so a node beyond its row's ends shows.
+    # Each row of a four-row call against its own one-row call.  The
+    # semicircle is NaN past +-1, so a node beyond its row's ends shows.
     a, b = (-1.0, 0.0, -1.0, 0.25), (1.0, 1.0, -0.5, 0.75)
     arrays = []
 
@@ -453,15 +455,15 @@ def test_stacked_rows_match_scalar_calls():
     assert len(arrays) == 1 and arrays[0].shape == (4, 217)
     assert np.all((np.array(a)[:, None] <= arrays[0]) & (arrays[0] <= np.array(b)[:, None]))
     for (value, abserr), lo, hi in zip(rows, a, b):
-        scalar_value, scalar_abserr = transfer_matrix.quad(lambda x: np.sqrt(1.0 - x * x), lo, hi)
-        assert value == pytest.approx(scalar_value, rel=1e-14, abs=1e-15)
-        assert abserr == pytest.approx(scalar_abserr, rel=1e-6, abs=1e-15)
+        [(row_value, row_abserr)] = transfer_matrix.quad(lambda x: np.sqrt(1.0 - x * x), (lo,), (hi,))
+        assert value == pytest.approx(row_value, rel=1e-14, abs=1e-15)
+        assert abserr == pytest.approx(row_abserr, rel=1e-6, abs=1e-15)
 
 
 def test_tanh_sinh_estimate_bounds_a_visible_error():
     # Runge's function has poles at +-i/5, close to [-1, 1]: the rule is
     # visibly off (about 1e-11), and the estimate still covers the miss.
-    value, abserr = transfer_matrix.quad(lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0)
+    [(value, abserr)] = transfer_matrix.quad(lambda x: 1.0 / (1.0 + 25.0 * x * x), (-1.0,), (1.0,))
     error = abs(value - 0.4 * math.atan(5.0))
     assert 1e-13 < error <= abserr
 
@@ -470,13 +472,22 @@ def test_unfolded_crossing_window_misses_the_error_bound():
     # Unfolded, a window straddling a crossing puts the gap minimum between
     # the sparse middle nodes; folded about the crossing, the same window
     # integrates cleanly and matches scipy's adaptive oracle.
+    # Row 0 is the window unfolded, row 1 the same window folded, each held
+    # to full_cycle_matrix_windowed's bound max(1e-10, 5e-12*|value|).
     p = DriveParams(delta=1.0, epsilon0=0.0, amplitude=20.0, omega=5.0)
     t_c1, _ = crossing_times(p)
     tau = 0.05
-    with pytest.raises(QuadratureError, match="band-energy integral"):
-        transfer_matrix._band_integral(p, t_c1 - tau, t_c1 + tau)
-    folded = transfer_matrix._band_integral(p, 0.0, tau, centre=t_c1)
-    assert folded == pytest.approx(_half_gap_integral(p, t_c1 - tau, t_c1 + tau), abs=1e-13)
+
+    def band(t):
+        return 0.5 * np.hypot(p.epsilon0 + p.amplitude * np.cos(p.omega * t), p.delta)
+
+    def windows(x):
+        return np.stack((band(x[0]), band(t_c1 - x[1]) + band(t_c1 + x[1])))
+
+    unfolded, folded = transfer_matrix.quad(windows, (t_c1 - tau, 0.0), (t_c1 + tau, tau))
+    assert unfolded[1] > max(1e-10, 5e-12 * abs(unfolded[0]))
+    assert folded[1] <= max(1e-10, 5e-12 * abs(folded[0]))
+    assert folded[0] == pytest.approx(_half_gap_integral(p, t_c1 - tau, t_c1 + tau), abs=1e-13)
 
 
 def test_gap_excess_scales_quadratically_in_delta():
@@ -561,6 +572,65 @@ def test_windowed_construction_small_drift_at_small_bias():
     a = full_cycle_matrix_windowed(p, tau).as_matrix()
     b = full_cycle_matrix_windowed(p, 2.0 * tau).as_matrix()
     assert np.max(np.abs(a - b)) < 1e-3
+
+
+def test_windowed_construction_against_an_adaptive_oracle():
+    # The cycle composed here from lz_transfer_matrix and phase_matrix, with
+    # the region and window phases from scipy's adaptive quad split at the
+    # crossings; the region phases reach a few hundred rad.
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        amp = 10.0 ** rng.uniform(0.1, 2.5)
+        omega = 10.0 ** rng.uniform(-1.3, 1.5)
+        p = DriveParams(delta=1.0, epsilon0=rng.uniform(0.05, 0.95) * amp, amplitude=amp, omega=omega)
+        t_c1, t_c2 = crossing_times(p)
+        tau = rng.uniform(0.01, 0.9) * 0.5 * min(t_c2 - t_c1, p.period - (t_c2 - t_c1))
+        theta1 = -_half_gap_integral(p, t_c2 + tau, t_c1 + p.period - tau)
+        theta2 = _half_gap_integral(p, t_c1 + tau, t_c2 - tau)
+        w1, w2 = (_half_gap_integral(p, c - tau, c) + _half_gap_integral(p, c, c + tau) for c in (t_c1, t_c2))
+        cr = lz_crossing(p)
+        g_lz1 = lz_transfer_matrix(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), 1).as_matrix()
+        g_lz2 = lz_transfer_matrix(cr, 2).as_matrix()
+        expected = g_lz2 @ phase_matrix(theta2).as_matrix() @ g_lz1 @ phase_matrix(theta1).as_matrix()
+        assert np.max(np.abs(full_cycle_matrix_windowed(p, tau).as_matrix() - expected)) < 1e-10
+
+
+def test_windowed_construction_evaluates_its_four_integrals_at_once(monkeypatch):
+    shapes = []
+    rule = transfer_matrix.quad
+
+    def recording_quad(f, a, b):
+        def recorded(x):
+            shapes.append(x.shape)
+            return f(x)
+
+        return rule(recorded, a, b)
+
+    monkeypatch.setattr(transfer_matrix, "quad", recording_quad)
+    full_cycle_matrix_windowed(_FAST_ONE_PHOTON, 0.05)
+    assert shapes == [(4, 217)]
+
+
+@pytest.mark.parametrize("row", [0, 1, 2, 3])
+def test_each_windowed_integral_meets_its_own_bound(monkeypatch, row):
+    rule = transfer_matrix.quad
+
+    def one_row_fails(f, a, b):
+        pairs = rule(f, a, b)
+        pairs[row] = (pairs[row][0], 1.0)
+        return pairs
+
+    monkeypatch.setattr(transfer_matrix, "quad", one_row_fails)
+    p, tau = _FAST_ONE_PHOTON, 0.05
+    t_c1, t_c2 = crossing_times(p)
+    where = (
+        f"[{t_c2 + tau:g}, {t_c1 + p.period - tau:g}]",
+        f"[{t_c1 + tau:g}, {t_c2 - tau:g}]",
+        f"[0, {tau:g}] folded about {t_c1:g}",
+        f"[0, {tau:g}] folded about {t_c2:g}",
+    )[row]
+    with pytest.raises(QuadratureError, match=re.escape(f"band-energy integral on {where} only reached abserr 1")):
+        full_cycle_matrix_windowed(p, tau)
 
 
 def test_decompose_reconstruct_round_trip():
