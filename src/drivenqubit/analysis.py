@@ -641,22 +641,23 @@ def stroboscopic_exact(
 ) -> TimeSeries:
     """Exact P_up sampled once per drive cycle, between the crossings.
 
-    The sample point sits in the middle of the epsilon > 0
-    inter-crossing interval that follows the upward sweep,
+    The samples sit at t = (k+1)T, k = 0..n_cycles.  With phi = 0 the
+    epsilon > 0 inter-crossing interval that follows the upward sweep at
+    t_c2 is symmetric about t = T, so each sample sits in its middle,
     where the exact populations have settled onto the plateau that the
     transfer-matrix cycle samples represent.  Sampling at the crossing
     time itself would catch the exact trace mid-transition (half the
     Landau-Zener step short) and is not a like-for-like comparison.
+    Requires A > eps0 and phi = 0 (RegimeError otherwise).
 
     Returns a TimeSeries of ``n_cycles + 1`` samples spaced by the drive
-    period, aligned index-for-index with ``propagate_tm`` output.  The
-    state after k cycles is the closed-form power of the one-cycle
-    operator, never k repeated multiplications, so rounding does not grow
+    period, aligned index-for-index with ``propagate_tm`` output.  One
+    one-period operator U_T carries psi0 to the first sample and each
+    cycle to the next; the state after k cycles is the closed-form power
+    of U_T, never k repeated multiplications, so rounding does not grow
     with k and does not limit n_cycles.
     """
-    t_c1, t_c2 = crossing_times(p)
-    gap = p.period - (t_c2 - t_c1)
-    t0 = t_c2 + 0.5 * gap
-    u_pre = evolution_operator(p, 0.0, t0, steps_per_period=steps_per_period)
-    u_cycle = evolution_operator(p, t0, t0 + p.period, steps_per_period=steps_per_period)
-    return _stroboscope(psi0, (u_pre.u11, u_pre.u12), (u_cycle.u11, u_cycle.u12), n_cycles, t0, p.period)
+    crossing_times(p)  # RegimeError unless A > eps0 and phi = 0
+    u = evolution_operator(p, 0.0, p.period, steps_per_period=steps_per_period)
+    cycle = (u.u11, u.u12)
+    return _stroboscope(psi0, cycle, cycle, n_cycles, p.period, p.period)

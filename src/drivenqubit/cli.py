@@ -165,12 +165,12 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quads() -> np.ndarray:
-    """The text of 0000..9999 as little-endian 32-bit words; entries 10000 on have trailing zeros as NUL."""
+    """The text of 0000..9999 in the low 32 bits of little-endian words; entries 10000 on have trailing zeros as NUL."""
     n = np.arange(10_000, dtype=np.uint16)
     digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1).astype(np.uint8)
     significant = np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
     text = np.concatenate([digits + 48, (digits + 48) * significant])
-    return text.view("<u4").ravel()
+    return text.view("<u4").ravel().astype(_WORD)
 
 
 def _words(texts: Iterable[bytes]) -> np.ndarray:
@@ -200,45 +200,80 @@ def _significands(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     e is the decimal exponent plus 4, the index into the exponent tables.
     n = round-half-even(v * 10**(20 - e)) is exact: Dekker's two-product
     gives v * 10**(20 - e) as hi + lo, and hi, above 2**53, is an even
-    integer, so n = hi + rint(lo).  Where ok is False, n is 10**16.
+    integer, so n = hi + rint(lo).  Where ok is False, n is 10**16.  Each
+    temporary is reused or dropped once it is read, so the peak is a few
+    arrays of the block's size.
     """
     ok = (values >= 1e-4) & (values < 1e17)
     v = np.where(ok, values, 1.0)
-    e = np.floor(np.log10(v)).astype(np.intp) + 4
+    e = np.log10(v)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    e += 4
     np.clip(e, 0, len(_EXPONENTS) - 1, out=e)
     hi = v * _SCALE[e]
     v_high, v_low = _split(v)
+    del v
     s_high, s_low = _SCALE_HIGH[e], _SCALE_LOW[e]
-    lo = ((v_high * s_high - hi) + v_high * s_low + v_low * s_high) + v_low * s_low
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    ok &= (n >= 10**16) & (n < 10**17)
+    # lo = ((v_high*s_high - hi) + v_high*s_low + v_low*s_high) + v_low*s_low, in that order.
+    lo = v_high * s_high
+    lo -= hi
+    v_high *= s_low
+    lo += v_high
+    s_high *= v_low
+    lo += s_high
+    s_low *= v_low
+    lo += s_low
+    del v_high, v_low, s_high, s_low
+    np.rint(lo, out=lo)
+    n = hi.astype(np.int64)
+    del hi
+    n += lo.astype(np.int64)
+    del lo
+    ok &= n >= 10**16
+    ok &= n < 10**17
     n[~ok] = 10**16
     return ok, e, n
 
 
 def _digit_words(n: np.ndarray) -> list[np.ndarray]:
-    """The 17 digits of n as bytes 0-16 of three words, trailing zeros as NUL.
+    """The 17 digits of n as bytes 0-16 of three words, trailing zeros as NUL; n is used up.
 
     The first digit, then four 4-digit groups from the table, whose second
     half (index + 10000) writes the trailing zeros of the last nonzero group
     and of every group after it as NUL.
     """
     head = n // 10**16
-    n = n - head * 10**16
+    n -= head * 10**16
     g1 = n // 10**12
     n -= g1 * 10**12
     g2 = n // 10**8
     n -= g2 * 10**8
     g3 = n // 10**4
-    g4 = n - g3 * 10**4 + 10_000
+    n -= g3 * 10**4
+    g4 = n
+    g4 += 10_000
     zero = g4 == 10_000
     g3 += zero * 10_000
     zero &= g3 == 10_000
     g2 += zero * 10_000
     zero &= g2 == 10_000
     g1 += zero * 10_000
-    q1, q2, q3, q4 = (_QUAD_TEXT[g].astype(_WORD) for g in (g1, g2, g3, g4))
-    return [(head.astype(_WORD) + 48) | q1 << 8 | q2 << 40, q2 >> 24 | q3 << 8 | q4 << 40, q4 >> 24]
+    q1, q2, q3, q4 = (_QUAD_TEXT[g] for g in (g1, g2, g3, g4))
+    del g1, g2, g3, g4, zero
+    # Each word is built in place in the first array it reads; head is
+    # 1..9, so its int64 bits are its uint64 bits.
+    word0 = head.view(_WORD)
+    word0 += 48
+    q1 <<= 8
+    word0 |= q1
+    word0 |= q2 << 40
+    q2 >>= 24
+    q3 <<= 8
+    q2 |= q3
+    q2 |= q4 << 40
+    q4 >>= 24
+    return [word0, q2, q4]
 
 
 def _g17(x: np.ndarray, seps: bytes) -> np.ndarray:
@@ -260,19 +295,36 @@ def _g17(x: np.ndarray, seps: bytes) -> np.ndarray:
     rows, columns = x.shape
     values = np.ascontiguousarray(x, dtype=np.float64).ravel()
     ok, e, n = _significands(values)
-    words = _digit_words(n)
     # Digits before the point stay (a zero dropped there is put back as
     # "0"), the insert follows, and the rest moves up by the insert's
-    # length; the point goes only where a fraction digit is left.
-    heads = [_HEAD[k][e] for k in range(3)]
-    moved = [w & ~head for w, head in zip(words, heads)]
-    point = np.uint64(0) - ((moved[0] | moved[1] | moved[2]) != 0)
-    shift = _SHIFT[e]
+    # length; the point goes only where a fraction digit is left.  Each
+    # column of out is built in place, and each word keeps only its moved
+    # digits once its head is written.
+    words = _digit_words(n)
+    del n
     out = np.zeros((rows * columns, _FIELD // 8), _WORD)
-    carry = 0
-    for k in range(3):
-        out[:, k] = (words[k] | _ZEROS) & heads[k] | _INSERT[k][e] & point | moved[k] << shift | carry
-        carry = moved[k] >> (64 - shift)
+    for k, w in enumerate(words):
+        head = _HEAD[k][e]
+        np.bitwise_or(w, _ZEROS, out=out[:, k])
+        out[:, k] &= head
+        np.invert(head, out=head)
+        w &= head  # the moved digits
+    del head
+    point = words[0] | words[1]
+    point |= words[2]
+    point = np.uint64(0) - (point != 0)
+    shift = _SHIFT[e]
+    for k, w in enumerate(words):
+        insert = _INSERT[k][e]
+        insert &= point
+        out[:, k] |= insert
+        del insert
+        if k:
+            # The carry from the word before, which is not read again.
+            words[k - 1] >>= 64 - shift
+            out[:, k] |= words[k - 1]
+        out[:, k] |= w << shift
+    del words, point, shift, e
     fields = out.view(np.uint8)
     other = np.flatnonzero(~ok)
     text = b"".join((b"%.17g" % v).ljust(_FIELD - 1, b"\0") for v in values[other].tolist())
@@ -443,7 +495,10 @@ def cmd_simulate(cfg: dict[str, Any]) -> Iterable[bytes]:
             "P_up": _Column(len(ts), lambda i, j: ts.values[i:j].tolist()),
         }
         if strobe is not None:
-            body["P_up_tm"] = {"t": (strobe.times() / scale).tolist(), "values": strobe.values.tolist()}
+            body["P_up_tm"] = {
+                "t": _Column(len(strobe), lambda i, j: _times(strobe, scale, i, j).tolist()),
+                "values": _Column(len(strobe), lambda i, j: strobe.values[i:j].tolist()),
+            }
         return _json(cfg, body)
     if strobe is None:
         return _csv("t,P_up", len(ts), lambda i, j: ([_times(ts, scale, i, j), ts.values[i:j]], None))

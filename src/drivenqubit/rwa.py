@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DriveParams, _count, _nearest_integer, _positive
+from .dynamics import DriveParams, _count, _is_number, _nearest_integer, _positive
 from .specfun import MAX_J0_ZERO_INDEX, bessel_j0_zero, bessel_jn
 
 __all__ = [
@@ -84,14 +84,15 @@ def rwa_width(omega_osc: float, n: int) -> float:
     """Resonance width scale delta_omega = Omega/|n| (a scale, not a sharp FWHM).
 
     Raises ValueError for n = 0: the zero-photon resonance has no
-    detuning slope, so no width scale is defined there; and for an n that
-    is not an int, or is a bool.
+    detuning slope, so no width scale is defined there; for an n that is
+    not an int, or is a bool; and for an omega_osc that is not a finite
+    int or float >= 0 (a bool, a string or an int too large for a float).
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"photon index must be an integer, got {n!r}")
     if n == 0:
         raise ValueError("width is not applicable for n = 0 (no detuning scale)")
-    if not (math.isfinite(omega_osc) and omega_osc >= 0.0):
+    if not (_is_number(omega_osc) and omega_osc >= 0.0):
         raise ValueError(f"omega_osc must be nonnegative, got {omega_osc!r}")
     return omega_osc / abs(n)
 

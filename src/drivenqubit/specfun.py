@@ -21,6 +21,8 @@ import math
 
 from scipy import special
 
+from .dynamics import _is_number
+
 __all__ = [
     "MAX_BESSEL_ORDER",
     "MAX_J0_ZERO_INDEX",
@@ -45,7 +47,7 @@ def bessel_jn(n: int, x: float) -> float:
     n : int
         Order, |n| <= 200.
     x : float
-        Argument, finite.
+        Argument, a finite int or float (not a bool).
 
     Returns
     -------
@@ -57,12 +59,14 @@ def bessel_jn(n: int, x: float) -> float:
     Raises
     ------
     ValueError
-        If x is NaN or infinite, n is not an integer, or |n| > 200.
+        If x is not a finite int or float (NaN, infinity, a bool, a string
+        or an int too large for a float), n is not an integer, or
+        |n| > 200.
     """
     if not isinstance(n, (int,)) or isinstance(n, bool):
         raise ValueError(f"bessel order must be an integer, got {n!r}")
-    if not math.isfinite(x):
-        raise ValueError(f"bessel argument must be finite, got {x!r}")
+    if not _is_number(x):
+        raise ValueError(f"bessel argument must be a finite number, got {x!r}")
     if abs(n) > MAX_BESSEL_ORDER:
         raise ValueError(f"bessel order out of validated range: |{n}| > {MAX_BESSEL_ORDER}")
     return float(special.jv(n, x))
@@ -97,8 +101,9 @@ def log_gamma_complex(z: complex) -> complex:
     Parameters
     ----------
     z : complex
-        Point with positive real part.  (The physics only ever evaluates
-        the line z = 1 - i*delta, so the left half-plane is rejected.)
+        A complex, int or float (not a bool) with positive real part.  (The
+        physics only ever evaluates the line z = 1 - i*delta, so the left
+        half-plane is rejected.)
 
     Returns
     -------
@@ -110,11 +115,16 @@ def log_gamma_complex(z: complex) -> complex:
     Raises
     ------
     ValueError
-        If z is not finite or Re(z) <= 0.
+        If z is not a finite complex, int or float (a bool, a string or an
+        int too large for a float included), or Re(z) <= 0.
     """
+    if isinstance(z, complex):
+        finite = math.isfinite(z.real) and math.isfinite(z.imag)
+    else:
+        finite = _is_number(z)
+    if not finite:
+        raise ValueError(f"log_gamma_complex requires a finite number z, got {z!r}")
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"log_gamma_complex requires finite z, got {z!r}")
     if z.real <= 0.0:
         raise ValueError(f"log_gamma_complex requires Re(z) > 0, got {z!r}")
     return complex(special.loggamma(z))
@@ -127,7 +137,8 @@ def stokes_phase(delta_adiab: float) -> float:
     ----------
     delta_adiab : float
         Adiabaticity parameter delta = Delta^2 / (4 v) with v the sweep
-        rate of the bias at the crossing; must be positive.
+        rate of the bias at the crossing; a positive int or float, not a
+        bool.
 
     Returns
     -------
@@ -139,10 +150,11 @@ def stokes_phase(delta_adiab: float) -> float:
     Raises
     ------
     ValueError
-        If delta_adiab is not a positive finite number.
+        If delta_adiab is not a positive finite int or float (a bool, a
+        string or an int too large for a float included).
     """
-    d = float(delta_adiab)
-    if not math.isfinite(d) or d <= 0.0:
+    if not (_is_number(delta_adiab) and delta_adiab > 0):
         raise ValueError(f"adiabaticity parameter must be positive and finite, got {delta_adiab!r}")
+    d = float(delta_adiab)
     arg_gamma = log_gamma_complex(complex(1.0, -d)).imag
     return 0.25 * math.pi + arg_gamma + d * (math.log(d) - 1.0)

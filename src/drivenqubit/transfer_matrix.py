@@ -32,18 +32,17 @@ Every integral here goes through quad, one fixed tanh-sinh rule (Takahasi
 nodes, with the difference from its embedded half-density rule as the
 error estimate.  Its nodes cluster at the interval ends, so the one sharp
 feature of each integrand, the gap minimum at a crossing, is placed at an
-end: the half-period integrals end at the crossings, and a crossing
-window is folded about its crossing.  Every call integrates its
-intervals as the rows of one array: the two half-period integrals of a
-cycle are one call, and the four band integrals of a windowed cycle
-another.
+end: the half-period integrals and the half-windows all end at a
+crossing.  Every call integrates its intervals as the rows of one array:
+the two half-period integrals of a cycle are one call, and the two
+half-windows of a windowed cycle another.
 
 cycle_phases is the one source of theta_tilde_1, theta_tilde_2, f_1 and
 f_2 (one stacked quadrature per call: both half-periods as a (2, 217)
 array in the drive phase omega*t, each row held to its own error bound):
-full_cycle_matrix and propagate_tm read them from it, and the
-slow-crossing condition and the fast-crossing frequency use only their
-closed parts (no quadrature).  full_cycle_matrix
+full_cycle_matrix, full_cycle_matrix_windowed and propagate_tm read them
+from it, and the slow-crossing condition and the fast-crossing frequency
+use only their closed parts (no quadrature).  full_cycle_matrix
 keeps its last point's cycle: one entry, keyed by the DriveParams value,
 with raised errors not kept.
 
@@ -367,16 +366,23 @@ def full_cycle_matrix(p: DriveParams) -> Unitary2:
 def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
     """One-cycle propagator built from boundary-dependent phases at window tau.
 
-    The region phases are exact band-energy integrals over the regions
-    trimmed by crossing windows of half-width tau, which must lie in
-    (0, half the shorter between-crossing interval).  The total window
-    phase is assigned to theta_LZ1 (theta_LZ1 = pi - theta_Stokes - W1 -
-    W2, theta_LZ2 = theta_Stokes).  With this split every entry of the
-    product is independent of tau up to the window-asymmetry terms of
-    order omega^2*eps0*tau^3, exactly so for eps0 = 0; that
-    near-invariance is the point of the construction.  The two trimmed
-    regions and the two windows are the four rows of one quad call, each
-    held to its own bound.
+    The region phases are band-energy integrals over the regions trimmed
+    by crossing windows of half-width tau, which must lie in (0, half the
+    shorter between-crossing interval).  The total window phase is
+    assigned to theta_LZ1 (theta_LZ1 = pi - theta_Stokes - W1 - W2,
+    theta_LZ2 = theta_Stokes), the window bookkeeping of Shevchenko,
+    Ashhab & Nori, Phys. Rep. 492, 1 (2010).  With this split every entry
+    of the product is independent of tau up to the window-asymmetry terms
+    of order omega^2*eps0*tau^3, exactly so for eps0 = 0; that
+    near-invariance is the point of the construction.
+
+    With phi = 0 the band energy is even about t = 0 and about t = T/2, so
+    every piece a window takes is one of the half-windows a over
+    [t_c1 - tau, t_c1] and b over [t_c1, t_c1 + tau]: region 1 loses 2a,
+    region 2 loses 2b, and W1 = W2 = a + b.  The cycle is therefore
+    composed from cycle_phases with theta_tilde_1 + 2a, theta_tilde_2 - 2b
+    and theta_LZ1 - 2(a + b).  a and b are the two rows of one quad call,
+    each ending at the crossing and held to its own bound.
     """
     t_c1, t_c2 = crossing_times(p)
     half_gap = 0.5 * min(t_c2 - t_c1, p.period - (t_c2 - t_c1))
@@ -385,31 +391,23 @@ def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
             f"window half-width {tau!r} must lie in (0, {half_gap:g}) "
             "so the windows stay inside both between-crossing intervals"
         )
-    centres = np.array(((t_c1,), (t_c2,)))
+    ph = cycle_phases(p)
 
     def band(t: np.ndarray) -> np.ndarray:
         return 0.5 * np.hypot(p.epsilon0 + p.amplitude * np.cos(p.omega * t), p.delta)
 
-    def regions_and_windows(x: np.ndarray) -> np.ndarray:
-        # Rows 2 and 3 are the crossing windows, folded about their
-        # crossings c as g(c - s) + g(c + s) over s in [0, tau], where g is
-        # the band energy 0.5*sqrt(eps^2 + delta^2): unfolded, the gap
-        # minimum falls between the sparse middle nodes and the error
-        # estimate misses its bound.
-        return np.concatenate((band(x[:2]), band(centres - x[2:]) + band(centres + x[2:])))
-
-    ends = ((t_c2 + tau, t_c1 + tau, 0.0, 0.0), (t_c1 + p.period - tau, t_c2 - tau, tau, tau))
-    values = []
-    for (val, err), a, b, centre in zip(quad(regions_and_windows, *ends), *ends, (None, None, t_c1, t_c2)):
+    ends = ((t_c1 - tau, t_c1), (t_c1, t_c1 + tau))
+    halves = []
+    for (val, err), a, b in zip(quad(band, *ends), *ends):
         # The embedded estimate bounds the error by a wide margin; allow ~5
         # ulp-equivalents of the integral size before declaring failure.
         if err > max(1e-10, 5e-12 * abs(val)):
-            where = f"[{a:g}, {b:g}]" if centre is None else f"[{a:g}, {b:g}] folded about {centre:g}"
-            raise QuadratureError(f"band-energy integral on {where} only reached abserr {err:g}")
-        values.append(val)
-    region1, theta2, w1, w2 = values
+            raise QuadratureError(f"band-energy integral on [{a:g}, {b:g}] only reached abserr {err:g}")
+        halves.append(val)
+    a, b = halves
     cr = lz_crossing(p)
-    return _unitary(*_compose_cycle(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), -region1, theta2))
+    cr = replace(cr, theta_lz_1=cr.theta_lz_1 - 2.0 * (a + b))
+    return _unitary(*_compose_cycle(cr, ph.theta_tilde_1 + 2.0 * a, ph.theta_tilde_2 - 2.0 * b))
 
 
 _DEGENERATE_TOL = 1e-12
@@ -514,7 +512,9 @@ def tm_resonance_width(p: DriveParams, zeta_fc: float, n: int) -> float:
     """Resonance width delta_omega = omega^2 * zeta_fc / (2 pi eps0).
 
     Needs a sloped resonance: n >= 1 and eps0 > 0; the unbiased n = 0
-    resonance has no detuning scale ("not applicable").
+    resonance has no detuning scale ("not applicable").  zeta_fc must be an
+    int or float in [0, pi], not a bool, a string or an int too large for
+    a float (ConfigError).
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"photon index n must be an integer, got {n!r}")
@@ -522,7 +522,7 @@ def tm_resonance_width(p: DriveParams, zeta_fc: float, n: int) -> float:
         raise RegimeError(f"width not applicable: need photon index n >= 1, got {n!r}")
     if p.epsilon0 <= 0.0:
         raise RegimeError("width not applicable: eps0 = 0 resonance has no detuning slope")
-    if not (math.isfinite(zeta_fc) and 0.0 <= zeta_fc <= math.pi):
+    if not (_is_number(zeta_fc) and 0.0 <= zeta_fc <= math.pi):
         raise ConfigError(f"zeta_fc must lie in [0, pi], got {zeta_fc!r}")
     return p.omega**2 * zeta_fc / (2.0 * math.pi * p.epsilon0)
 

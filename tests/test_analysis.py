@@ -555,9 +555,13 @@ def test_stroboscopic_grid_alignment():
     t_c1, t_c2 = crossing_times(p)
     gap = p.period - (t_c2 - t_c1)
     assert st.t0 == pytest.approx(t_c2 + 0.5 * gap, abs=1e-12)
+    # t_c1 + t_c2 = T, so the middle of the gap is the period itself: sample k sits at (k + 1)T.
+    assert st.t0 == p.period
     assert st.dt == pytest.approx(p.period, abs=1e-12)
     assert len(st) == 7
     assert np.all(st.values >= 0.0) and np.all(st.values <= 1.0)
+    whole = propagate_exact(p, QubitState.up(), 7 * p.period, steps_per_period=256)
+    assert np.max(np.abs(st.values - whole.values[256::256])) <= 1e-12
 
 
 def test_stroboscopic_validation():

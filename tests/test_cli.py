@@ -269,6 +269,29 @@ def test_g17_writes_the_fallback_values():
     ]
 
 
+def test_g17_block_memory_is_a_few_arrays_of_its_size():
+    # One 4096 x 7 block, the shape of a scan block: axes, frequencies and
+    # amplitudes across the exponent range, and a NaN cell in every 20th
+    # row.  Each temporary is reused or dropped once read, so one call peaks
+    # at about 89 bytes a value (2.4 MiB); with every temporary kept alive
+    # it read 177 bytes a value (4.8 MiB).
+    rng = np.random.default_rng(29)
+    x = np.column_stack(
+        [np.linspace(8.0, 10.4, 4096), np.linspace(11.0, 17.0, 4096)]
+        + [10.0 ** rng.uniform(-6.0, 3.0, 4096) for _ in range(5)]
+    )
+    x[::20, 2] = math.nan
+    expected = _percent_17g_rows(x, b",,,,,,\n")
+    tracemalloc.start()
+    try:
+        fields = _g17(x, b",,,,,,\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row.tobytes().replace(b"\0", b"") for row in fields] == expected
+    assert peak < 112 * x.size
+
+
 def test_simulate_csv_memory_is_the_trace_and_one_block(tmp_path):
     # 512 001 rows.  A list of every row's fields would take about 80 bytes
     # a row; the trace array takes 8.
@@ -329,6 +352,29 @@ def test_simulate_json_memory_is_the_trace_and_one_block(tmp_path):
     with open(target, encoding="utf-8") as fh:
         assert len(json.load(fh)["P_up"]) == rows
     assert peak < 16 * rows + 4 * 2**20
+
+
+def test_simulate_json_strobe_is_written_a_block_at_a_time(monkeypatch, tmp_path):
+    # A coarse 21-sample trace that spans 20 000 periods, so the document is
+    # almost all strobe: 20 000 samples.  Written a block at a time like the
+    # trace, the strobe column costs its arrays and one block, and this run
+    # peaks at 0.98 MiB.  Two whole lists of floats read 1.92 MiB.
+    p = DriveParams(delta=1.0, epsilon0=5.0, amplitude=30.0, omega=5.0)
+    trace = TimeSeries(0.0, 1000.0 * p.period, np.full(21, 0.5))
+    monkeypatch.setattr(cli, "propagate_exact", lambda *args, **kwargs: trace)
+    target = tmp_path / "trace.json"
+    argv = ["simulate", "--eps0", "5", "--amp", "30", "--omega", "5", "--format", "json", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(target, encoding="utf-8") as fh:
+        strobe = json.load(fh)["P_up_tm"]
+    assert len(strobe["t"]) == len(strobe["values"]) == 20_000
+    assert peak < 16 * 20_000 + 2**20
 
 
 def _env():
@@ -470,6 +516,38 @@ def test_predict_prints_the_pinned_numbers(capsys, point):
         "delta": 1.0,
     }
     _assert_pinned(payload, _PREDICT_PINS[point])
+
+
+# Golden CSV files: the scan_map grid without its seed jitter, and the
+# README width example.
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+_GOLDEN_RUNS = {
+    "scan_omega3.csv": ["scan", "--omega", "3", "--axis1", "eps0:8:10.4:10", "--axis2", "amp:11:17:10"],
+    "width_readme.csv": [
+        "width", "--eps0", "5", "--amp", "8", "--omega", "5", "--n", "1",
+        "--omega-min", "4.2", "--omega-max", "5.8", "--omega-points", "9",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_RUNS))
+def test_cli_csv_matches_its_golden_file(capsys, name):
+    # The header, the row count, the flags and the integer column n exactly;
+    # every other number within 1e-12 relative, the rule of
+    # test_predict_prints_the_pinned_numbers.
+    code, out, _ = _run(capsys, _GOLDEN_RUNS[name])
+    assert code == 0
+    got = [line.split(",") for line in out.splitlines()]
+    pinned = [line.split(",") for line in (_GOLDEN / name).read_text(encoding="utf-8").splitlines()]
+    assert got[0] == pinned[0]
+    assert len(got) == len(pinned)
+    for row, pin in zip(got[1:], pinned[1:]):
+        assert len(row) == len(pin)
+        for column, g, v in zip(pinned[0], row, pin):
+            if column in ("n", "flags"):
+                assert g == v, (column, pin)
+            else:
+                assert float(g) == pytest.approx(float(v), rel=1e-12, abs=0.0), (column, pin)
 
 
 def test_predict_is_json_only(capsys):
@@ -669,10 +747,10 @@ def test_scan_csv_memory_is_the_result_and_one_block(monkeypatch, tmp_path):
     with open(target, encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == cells + 1
     # The writer holds one 4096-row block of seven number columns: _g17
-    # peaks at about 170 bytes a value, 4.6 MiB for the block's 28 672, and
+    # peaks at about 89 bytes a value, 2.4 MiB for the block's 28 672, and
     # the block's text is made twice more (spliced, then without padding),
-    # so this run peaks at 6.3 MiB (a 400 x 400 map at 6.6 MiB).  A list
-    # per column of every row (about 222 bytes a cell) read 10.6 MiB.
+    # so this run peaks at 4.0 MiB.  A list per column of every row (about
+    # 222 bytes a cell) read 10.6 MiB.
     assert peak < 16 * cells + 7 * 2**20
 
 

@@ -11,6 +11,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from drivenqubit.dynamics import DriveParams
+from drivenqubit.errors import ConfigError
+from drivenqubit.rwa import rwa_width
 from drivenqubit.specfun import (
     MAX_BESSEL_ORDER,
     MAX_J0_ZERO_INDEX,
@@ -19,6 +22,7 @@ from drivenqubit.specfun import (
     log_gamma_complex,
     stokes_phase,
 )
+from drivenqubit.transfer_matrix import tm_resonance_width
 
 # (n, x, J_n(x)) spanning the series branch, the Miller branch, a zero,
 # and deep exponential tails.
@@ -210,3 +214,28 @@ def test_stokes_phase_limits_and_monotonicity():
 def test_stokes_phase_rejects_nonpositive(d):
     with pytest.raises(ValueError):
         stokes_phase(d)
+
+
+_WIDTH_POINT = DriveParams(delta=1.0, epsilon0=5.0, amplitude=30.0, omega=1.0)
+# (call of one number argument, a good value, the exception the function documents)
+_NUMBER_ARGUMENTS = {
+    "tm_resonance_width": (lambda v: tm_resonance_width(_WIDTH_POINT, v, 5), 1.0, ConfigError),
+    "rwa_width": (lambda v: rwa_width(v, 2), 1.0, ValueError),
+    "stokes_phase": (stokes_phase, 1.0, ValueError),
+    "bessel_jn": (lambda v: bessel_jn(1, v), 1.0, ValueError),
+    "log_gamma_complex": (log_gamma_complex, 1.0, ValueError),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "1", 10**400], ids=["bool", "str", "int-overflow"])
+@pytest.mark.parametrize("name", list(_NUMBER_ARGUMENTS))
+def test_number_arguments_refuse_bools_strings_and_huge_ints(name, bad):
+    # True is an int and would pass as 1; a string such as "1" or "1-1j"
+    # converts to a number; 10**400 has no float.  Each is refused with the
+    # function's documented exception, and a numpy float still passes.
+    call, good, error = _NUMBER_ARGUMENTS[name]
+    if name == "log_gamma_complex" and bad == "1":
+        bad = "1-1j"
+    with pytest.raises(error):
+        call(bad)
+    assert call(np.float64(good)) == call(good)

@@ -189,7 +189,7 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
         (lambda p: propagate_tm(p, QubitState.up(), 3), 1),
         (analysis._cell_predictions, 1),
         (cycle_phases, 1),
-        (lambda p: full_cycle_matrix_windowed(p, 0.05), 1),
+        (lambda p: full_cycle_matrix_windowed(p, 0.05), 2),
         (lambda p: cli.main(["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]), 1),
     ],
     ids=[
@@ -207,7 +207,7 @@ def test_quadrature_counts(monkeypatch, call, expected):
     # cycle_phases runs the only gap-correction quadrature on the
     # boundary-independent path, both half-periods in one stacked call; the
     # slow-crossing condition needs none, and the windowed construction
-    # makes one call for its four band integrals.
+    # adds one call for its two half-windows.
     # The CLI predict point is (3, 15, 3), the same as _FAST_ONE_PHOTON.
     # The counter delegates to the module's own rule, so each integral
     # still meets its error bound.
@@ -470,10 +470,11 @@ def test_tanh_sinh_estimate_bounds_a_visible_error():
 
 def test_unfolded_crossing_window_misses_the_error_bound():
     # Unfolded, a window straddling a crossing puts the gap minimum between
-    # the sparse middle nodes; folded about the crossing, the same window
+    # the sparse middle nodes; split at the crossing, the same window
     # integrates cleanly and matches scipy's adaptive oracle.
-    # Row 0 is the window unfolded, row 1 the same window folded, each held
-    # to full_cycle_matrix_windowed's bound max(1e-10, 5e-12*|value|).
+    # Row 0 is the window whole, rows 1 and 2 its halves ending at the
+    # crossing, each held to full_cycle_matrix_windowed's bound
+    # max(1e-10, 5e-12*|value|).
     p = DriveParams(delta=1.0, epsilon0=0.0, amplitude=20.0, omega=5.0)
     t_c1, _ = crossing_times(p)
     tau = 0.05
@@ -481,13 +482,12 @@ def test_unfolded_crossing_window_misses_the_error_bound():
     def band(t):
         return 0.5 * np.hypot(p.epsilon0 + p.amplitude * np.cos(p.omega * t), p.delta)
 
-    def windows(x):
-        return np.stack((band(x[0]), band(t_c1 - x[1]) + band(t_c1 + x[1])))
-
-    unfolded, folded = transfer_matrix.quad(windows, (t_c1 - tau, 0.0), (t_c1 + tau, tau))
-    assert unfolded[1] > max(1e-10, 5e-12 * abs(unfolded[0]))
-    assert folded[1] <= max(1e-10, 5e-12 * abs(folded[0]))
-    assert folded[0] == pytest.approx(_half_gap_integral(p, t_c1 - tau, t_c1 + tau), abs=1e-13)
+    whole, *halves = transfer_matrix.quad(band, (t_c1 - tau, t_c1 - tau, t_c1), (t_c1 + tau, t_c1, t_c1 + tau))
+    assert whole[1] > max(1e-10, 5e-12 * abs(whole[0]))
+    for value, abserr in halves:
+        assert abserr <= max(1e-10, 5e-12 * abs(value))
+    split = halves[0][0] + halves[1][0]
+    assert split == pytest.approx(_half_gap_integral(p, t_c1 - tau, t_c1 + tau), abs=1e-13)
 
 
 def test_gap_excess_scales_quadratically_in_delta():
@@ -595,7 +595,8 @@ def test_windowed_construction_against_an_adaptive_oracle():
         assert np.max(np.abs(full_cycle_matrix_windowed(p, tau).as_matrix() - expected)) < 1e-10
 
 
-def test_windowed_construction_evaluates_its_four_integrals_at_once(monkeypatch):
+def test_windowed_construction_evaluates_its_two_half_windows_at_once(monkeypatch):
+    # One stacked call for the two half-periods of cycle_phases, one for the two half-windows.
     shapes = []
     rule = transfer_matrix.quad
 
@@ -608,28 +609,34 @@ def test_windowed_construction_evaluates_its_four_integrals_at_once(monkeypatch)
 
     monkeypatch.setattr(transfer_matrix, "quad", recording_quad)
     full_cycle_matrix_windowed(_FAST_ONE_PHOTON, 0.05)
-    assert shapes == [(4, 217)]
+    assert shapes == [(2, 217), (2, 217)]
 
 
 @pytest.mark.parametrize("row", [0, 1, 2, 3])
 def test_each_windowed_integral_meets_its_own_bound(monkeypatch, row):
+    # Rows 0 and 1 are the half-periods of cycle_phases' call, rows 2 and 3
+    # the half-windows of the second call.
     rule = transfer_matrix.quad
+    calls = []
 
     def one_row_fails(f, a, b):
         pairs = rule(f, a, b)
-        pairs[row] = (pairs[row][0], 1.0)
+        calls.append(None)
+        if len(calls) == 1 + row // 2:
+            pairs[row % 2] = (pairs[row % 2][0], 1.0)
         return pairs
 
     monkeypatch.setattr(transfer_matrix, "quad", one_row_fails)
     p, tau = _FAST_ONE_PHOTON, 0.05
-    t_c1, t_c2 = crossing_times(p)
+    t_c1, _ = crossing_times(p)
+    gap_excess = f"gap-excess integral on 2x[{{}}] only reached abserr {2.0 / p.omega:g}"
     where = (
-        f"[{t_c2 + tau:g}, {t_c1 + p.period - tau:g}]",
-        f"[{t_c1 + tau:g}, {t_c2 - tau:g}]",
-        f"[0, {tau:g}] folded about {t_c1:g}",
-        f"[0, {tau:g}] folded about {t_c2:g}",
+        gap_excess.format(f"0, {t_c1:g}"),
+        gap_excess.format(f"{t_c1:g}, {0.5 * p.period:g}"),
+        f"band-energy integral on [{t_c1 - tau:g}, {t_c1:g}] only reached abserr 1",
+        f"band-energy integral on [{t_c1:g}, {t_c1 + tau:g}] only reached abserr 1",
     )[row]
-    with pytest.raises(QuadratureError, match=re.escape(f"band-energy integral on {where} only reached abserr 1")):
+    with pytest.raises(QuadratureError, match=re.escape(where)):
         full_cycle_matrix_windowed(p, tau)
 
 
