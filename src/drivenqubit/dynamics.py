@@ -14,7 +14,8 @@ closed-form exponential of the traceless Hermitian 2x2 Hamiltonian frozen
 at the substep midpoint.  Every factor is exactly unitary up to rounding
 and has the SU(2) form [[a, b], [-conj(b), conj(a)]]; the
 time-discretization error is second order in the substep.  ``Unitary2``
-holds only that form; its constructor checks it.
+is that form held as its pair (a, b): the constructor checks
+|a|^2 + |b|^2 = 1, and ``as_matrix`` derives the lower row.
 
 Factors are composed as (a, b) pairs by a vectorised log-depth scan,
 ``_running_products``: a doubling scan up to 256 factors (one period of a
@@ -103,10 +104,31 @@ def _real_array(name: str, values) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _amplitude(name: str, value) -> complex:
+    """value as a complex if it is an int, float or complex number (not a bool or a string), else ConfigError.
+
+    An int too large for a float is refused here; NaN and inf pass, and the
+    norm checks of QubitState and Unitary2 refuse them.
+    """
+    if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
+        try:
+            return complex(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must be an int, float or complex number, got {value!r}")
+
+
 def _positive(name: str, value) -> float:
     """value as a float if it is a number (``_is_number``) > 0, else ConfigError."""
     if not (_is_number(value) and value > 0):
         raise ConfigError(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
+def _finite(name: str, value) -> float:
+    """value as a float if it is a number (``_is_number``), else ConfigError."""
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -136,9 +158,7 @@ class DriveParams:
             v = getattr(self, name)
             if type(v) is float and math.isfinite(v):
                 continue  # a finite plain float is stored as it is
-            if not _is_number(v):
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _finite(name, v))
         _positive("delta", self.delta)
         _positive("omega", self.omega)
         if self.amplitude < 0.0:
@@ -160,11 +180,11 @@ class QubitState:
     down_amp: complex
 
     def __post_init__(self) -> None:
-        cu = complex(self.up_amp)
-        cd = complex(self.down_amp)
+        cu = _amplitude("up_amp", self.up_amp)
+        cd = _amplitude("down_amp", self.down_amp)
         object.__setattr__(self, "up_amp", cu)
         object.__setattr__(self, "down_amp", cd)
-        norm2 = abs(cu) ** 2 + abs(cd) ** 2
+        norm2 = cu.real * cu.real + cu.imag * cu.imag + cd.real * cd.real + cd.imag * cd.imag
         if not math.isfinite(norm2) or abs(norm2 - 1.0) > _NORM_TOL:
             raise ConfigError(f"state norm^2 = {norm2!r} is not 1 within {_NORM_TOL}")
 
@@ -186,27 +206,27 @@ class QubitState:
 
 @dataclass(frozen=True)
 class Unitary2:
-    """An SU(2) matrix [[a, b], [-conj(b), conj(a)]], |a|^2 + |b|^2 = 1, stored entrywise; no other is built."""
+    """The SU(2) matrix [[u11, u12], [-conj(u12), conj(u11)]] of the pair (u11, u12), |u11|^2 + |u12|^2 = 1.
+
+    Each entry is an int, float or complex number (not a bool or a
+    string), and the pair must lie on the unit sphere within 1e-10; NaN or
+    inf fails (ConfigError).  The lower row is derived, so det = 1 holds
+    by construction.
+    """
 
     u11: complex
     u12: complex
-    u21: complex
-    u22: complex
 
     def __post_init__(self) -> None:
-        a, b, c, d = map(complex, (self.u11, self.u12, self.u21, self.u22))
-        self.__dict__.update(u11=a, u12=b, u21=c, u22=d)
-        # Each condition within 1e-10; NaN or inf fails the comparison.
-        for dev in (
-            abs(c + b.conjugate()),
-            abs(d - a.conjugate()),
-            abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0),
-        ):
-            if not dev <= _UNITARY_TOL:
-                raise ConfigError(f"matrix is not special-unitary within {_UNITARY_TOL}: deviation {dev:g}")
+        a, b = _amplitude("u11", self.u11), _amplitude("u12", self.u12)
+        self.__dict__.update(u11=a, u12=b)
+        dev = abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
+        if not dev <= _UNITARY_TOL:
+            raise ConfigError(f"|u11|^2 + |u12|^2 is not 1 within {_UNITARY_TOL}: deviation {dev:g}")
 
     def as_matrix(self) -> np.ndarray:
-        return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=complex)
+        a, b = self.u11, self.u12
+        return np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
 
 
 class _Form(NamedTuple):
@@ -239,8 +259,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not _is_number(self.t0):
-            raise ConfigError(f"t0 must be a finite number, got {self.t0!r}")
+        _finite("t0", self.t0)
         dt = _positive("dt", self.dt)
         arr = _real_array("values", self.values)
         if arr.ndim != 1 or arr.size == 0:
@@ -308,8 +327,8 @@ def drive_epsilon(t, p: DriveParams):
 
 
 def hamiltonian(t: float, p: DriveParams) -> np.ndarray:
-    """H(t) = -(delta/2) sigma_x - (eps(t)/2) sigma_z as a 2x2 complex array."""
-    eps = float(drive_epsilon(float(t), p))
+    """H(t) = -(delta/2) sigma_x - (eps(t)/2) sigma_z as a 2x2 complex array; t a finite number."""
+    eps = float(drive_epsilon(_finite("t", t), p))
     return np.array(
         [[-0.5 * eps, -0.5 * p.delta], [-0.5 * p.delta, 0.5 * eps]],
         dtype=complex,
@@ -321,8 +340,8 @@ def _step_entries(eps_mid: np.ndarray, delta: float, h: float) -> tuple[np.ndarr
 
     For H = a sigma_x + b sigma_z (a = -delta/2, b = -eps_mid/2):
     exp(-i h H) = cos(h r) I - i sin(h r)/r (a sigma_x + b sigma_z) with
-    r = hypot(a, b); u21 = u12 and u22 = conj(u11).  Returns arrays shaped
-    like eps_mid.
+    r = hypot(a, b); u12 is imaginary, so the lower row [-conj(u12),
+    conj(u11)] is [u12, conj(u11)].  Returns arrays shaped like eps_mid.
     """
     a = -0.5 * delta
     b = -0.5 * eps_mid
@@ -336,25 +355,21 @@ def _step_entries(eps_mid: np.ndarray, delta: float, h: float) -> tuple[np.ndarr
 
 
 def step_unitary(t: float, h: float, p: DriveParams) -> Unitary2:
-    """One exponential-midpoint substep covering [t, t + h]."""
+    """One exponential-midpoint substep covering [t, t + h]; t a finite number, h > 0."""
+    _finite("t", t)
     _positive("step size", h)
     u11s, u12s = _step_entries(drive_epsilon([t + 0.5 * h], p), p.delta, h)
-    return _unitary(complex(u11s[0]), complex(u12s[0]))
+    return Unitary2(complex(u11s[0]), complex(u12s[0]))
 
 
 def _compose(a1, b1, a2, b2):
     """(a, b) of the product X Y of X = (a1, b1) and Y = (a2, b2).
 
     A pair (a, b) stands for [[a, b], [-conj(b), conj(a)]], the form of
-    every midpoint factor (u12 is imaginary, so u21 = u12 = -conj(u12));
-    products keep it.  Works on complex scalars and broadcasting arrays.
+    every midpoint factor and of ``Unitary2``; products keep it.  Works on
+    complex scalars and broadcasting arrays.
     """
     return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
-
-
-def _unitary(a: complex, b: complex) -> Unitary2:
-    """The Unitary2 [[a, b], [-conj(b), conj(a)]] of an SU(2) pair (a, b)."""
-    return Unitary2(a, b, -b.conjugate(), a.conjugate())
 
 
 def _running_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,10 +527,12 @@ def _substep_count(p: DriveParams, duration: float, steps_per_period: int) -> tu
 def evolution_operator(
     p: DriveParams, t_start: float, t_end: float, steps_per_period: int = 256
 ) -> Unitary2:
-    """Composed midpoint propagator from t_start to t_end (t_end > t_start)."""
+    """Composed midpoint propagator from t_start to t_end (finite numbers, t_end > t_start)."""
+    _finite("t_start", t_start)
+    _finite("t_end", t_end)
     n, _ = _substep_count(p, t_end - t_start, steps_per_period)
     u, d = _walk(lambda t: drive_epsilon(t, p), p.delta, t_start, (t_end - t_start) / n, n, 1.0 + 0.0j, 0.0j)
-    return _unitary(u, -d.conjugate())  # U |up> = (a, -conj(b)) for the pair (a, b) of U
+    return Unitary2(u, -d.conjugate())  # U |up> = (a, -conj(b)) for the pair (a, b) of U
 
 
 def propagate_exact(

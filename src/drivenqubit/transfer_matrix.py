@@ -4,13 +4,17 @@ When the drive amplitude exceeds the static bias (A > eps0), the bias
 sweeps through zero twice per period and the evolution splits into four
 discrete steps: free phase accumulation on the eps > 0 side (region 1),
 a downward crossing (k = 1), phase accumulation on the eps < 0 side
-(region 2), and an upward crossing (k = 2).  Each step is a simple 2x2
-unitary; one drive cycle is their ordered product
+(region 2), and an upward crossing (k = 2).  Each step is an SU(2) pair
+(a, b), the matrix [[a, b], [-conj(b), conj(a)]]; one drive cycle is
+their ordered product
 
     G_cycle = G_LZ2 @ G_2 @ G_LZ1 @ G_1,
 
-with the cycle boundary placed just after the upward crossing.  The
-module builds these matrices from boundary-independent phases, extracts
+with the cycle boundary placed just after the upward crossing, composed
+pair by pair and returned as the ``Unitary2`` of its pair.  lz_crossing
+is the one accessor of the crossing data (sweep rate, mixing angle chi,
+crossing phases, adiabaticity parameter).  The module builds these
+matrices from boundary-independent phases, extracts
 the (zeta_FC, theta_FC, phi_FC) rotation decomposition of the cycle,
 propagates stroboscopically, and evaluates the fast- and slow-crossing
 analytic predictors for the resonance condition, oscillation frequency
@@ -62,7 +66,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    DriveParams, QubitState, TimeSeries, Unitary2, _compose, _is_number, _nearest_integer, _stroboscope, _unitary,
+    DriveParams, QubitState, TimeSeries, Unitary2, _compose, _count, _finite, _is_number, _nearest_integer,
+    _stroboscope,
 )
 from .errors import ConfigError, QuadratureError, RegimeError
 from .specfun import stokes_phase
@@ -73,8 +78,6 @@ __all__ = [
     "FullCycleDecomposition",
     "SlowResonance",
     "crossing_times",
-    "sweep_rate",
-    "lz_mixing_angle",
     "lz_crossing",
     "lz_transfer_matrix",
     "phase_matrix",
@@ -172,33 +175,24 @@ def crossing_times(p: DriveParams) -> tuple[float, float]:
     return c / p.omega, (2.0 * math.pi - c) / p.omega
 
 
-def sweep_rate(p: DriveParams) -> float:
+def _sweep_rate(p: DriveParams) -> float:
     """|d eps/dt| at the crossing: v = omega*sqrt(A^2 - eps0^2)."""
     _require_crossings(p)
     return p.omega * math.sqrt(p.amplitude**2 - p.epsilon0**2)
 
 
-def _mixing_angle(delta: float, v: float) -> float:
-    """chi with sin^2(chi/2) = 1 - exp(-pi*delta^2/(2v)) at sweep rate v."""
-    p_flip = -math.expm1(-math.pi * delta**2 / (2.0 * v))
-    return 2.0 * math.asin(min(1.0, math.sqrt(p_flip)))
-
-
-def lz_mixing_angle(p: DriveParams) -> float:
-    """Mixing angle chi with sin^2(chi/2) = 1 - exp(-pi*delta^2/(2v)).
-
-    The sweep rates of the two crossings are equal, so chi is shared.
-    """
-    return _mixing_angle(p.delta, sweep_rate(p))
-
-
 def lz_crossing(p: DriveParams) -> LzCrossing:
-    """Bundle chi, the crossing phases and the adiabaticity parameter."""
-    v = sweep_rate(p)
+    """Both crossings' data: the sweep rate v, chi, the crossing phases and the adiabaticity parameter.
+
+    The two crossings share v, so they share the mixing angle chi, with
+    sin^2(chi/2) = 1 - exp(-pi*delta^2/(2v)).
+    """
+    v = _sweep_rate(p)
     delta_adiab = p.delta**2 / (4.0 * v)
     theta_s = stokes_phase(delta_adiab)
+    p_flip = -math.expm1(-math.pi * p.delta**2 / (2.0 * v))
     return LzCrossing(
-        chi=_mixing_angle(p.delta, v),
+        chi=2.0 * math.asin(min(1.0, math.sqrt(p_flip))),
         theta_lz_1=math.pi - theta_s,
         theta_lz_2=theta_s,
         sweep_rate=v,
@@ -218,19 +212,14 @@ def _phase_pair(theta: float) -> tuple[complex, complex]:
 
 
 def lz_transfer_matrix(crossing: LzCrossing, k: int) -> Unitary2:
-    """Crossing unitary with cos(chi/2) diagonal and sin(chi/2)e^{+-i theta_LZ,k} off-diagonal."""
-    if k == 1:
-        theta = crossing.theta_lz_1
-    elif k == 2:
-        theta = crossing.theta_lz_2
-    else:
-        raise ConfigError(f"crossing direction must be 1 or 2, got {k!r}")
-    return _unitary(*_lz_pair(crossing, theta))
+    """Crossing unitary with cos(chi/2) diagonal and sin(chi/2)e^{+-i theta_LZ,k} off-diagonal; k the int 1 or 2."""
+    theta = crossing.theta_lz_1 if _count("crossing direction k", k, 1, 2) == 1 else crossing.theta_lz_2
+    return Unitary2(*_lz_pair(crossing, theta))
 
 
 def phase_matrix(theta: float) -> Unitary2:
-    """Between-crossing free evolution diag(e^{-i theta}, e^{i theta})."""
-    return _unitary(*_phase_pair(theta))
+    """Between-crossing free evolution diag(e^{-i theta}, e^{i theta}); theta a finite number."""
+    return Unitary2(*_phase_pair(_finite("theta", theta)))
 
 
 def _tanh_sinh_rule() -> tuple[np.ndarray, ...]:
@@ -351,7 +340,7 @@ def _cycle(p: DriveParams) -> Unitary2:
     hash alike and give the same cycle (0.0 and -0.0 included).
     """
     ph = cycle_phases(p)
-    return _unitary(*_compose_cycle(lz_crossing(p), ph.theta_tilde_1, ph.theta_tilde_2))
+    return Unitary2(*_compose_cycle(lz_crossing(p), ph.theta_tilde_1, ph.theta_tilde_2))
 
 
 def full_cycle_matrix(p: DriveParams) -> Unitary2:
@@ -407,7 +396,7 @@ def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
     a, b = halves
     cr = lz_crossing(p)
     cr = replace(cr, theta_lz_1=cr.theta_lz_1 - 2.0 * (a + b))
-    return _unitary(*_compose_cycle(cr, ph.theta_tilde_1 + 2.0 * a, ph.theta_tilde_2 - 2.0 * b))
+    return Unitary2(*_compose_cycle(cr, ph.theta_tilde_1 + 2.0 * a, ph.theta_tilde_2 - 2.0 * b))
 
 
 _DEGENERATE_TOL = 1e-12
@@ -422,9 +411,9 @@ def _xy_rotation(u: Unitary2) -> tuple[float, float]:
 def decompose_full_cycle(u: Unitary2) -> FullCycleDecomposition:
     """Factor a special-unitary cycle matrix into xy-rotation x z-rotation.
 
-    Every ``Unitary2`` has the form [[u11, u12], [-conj(u12), conj(u11)]]
-    (det = 1; its constructor refuses any other matrix), so u11 and u12
-    determine it.  Returns
+    A ``Unitary2`` is the pair (u11, u12) of [[u11, u12], [-conj(u12),
+    conj(u11)]] (det = 1 by construction), so every one is special-unitary
+    and the pair determines it.  Returns
     zeta_fc = 2*arcsin|u12| in [0, pi], theta_fc = -2*arg(u11) in
     (-2pi, 2pi], and the azimuth phi_fc = arg(u12) + arg(u11).  At the
     degenerate points |u12| in {0, 1} the azimuth is set to 0 and the
@@ -453,7 +442,7 @@ def reconstruct_full_cycle(d: FullCycleDecomposition) -> Unitary2:
     half = 0.5 * d.theta_fc
     u11 = c * complex(math.cos(half), -math.sin(half))
     u12 = s * complex(math.cos(d.phi_fc + half), math.sin(d.phi_fc + half))
-    return _unitary(u11, u12)
+    return Unitary2(u11, u12)
 
 
 def propagate_tm(p: DriveParams, psi0: QubitState, n_cycles: int) -> TimeSeries:
@@ -492,7 +481,7 @@ def tm_fast_frequency(p: DriveParams) -> float:
             "fast-crossing formula outside its regime"
         )
     _, closed_2 = _closed_phases(p)
-    prefactor = (2.0 * p.omega / math.pi) * math.sqrt(math.pi * p.delta**2 / (2.0 * sweep_rate(p)))
+    prefactor = (2.0 * p.omega / math.pi) * math.sqrt(math.pi * p.delta**2 / (2.0 * _sweep_rate(p)))
     return prefactor * abs(math.cos(closed_2 - 0.25 * math.pi))
 
 

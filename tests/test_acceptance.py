@@ -237,7 +237,7 @@ def test_criterion_11_decomposition_round_trip():
         q, r = np.linalg.qr(z)
         q = q @ np.diag(np.exp(-1j * np.angle(np.diag(r))))
         q = q / np.sqrt(complex(np.linalg.det(q)))
-        u = Unitary2(u11=q[0, 0], u12=q[0, 1], u21=q[1, 0], u22=q[1, 1])
+        u = Unitary2(q[0, 0], q[0, 1])
         rebuilt = reconstruct_full_cycle(decompose_full_cycle(u)).as_matrix()
         worst = max(worst, float(np.max(np.abs(rebuilt - q))))
     assert worst < 1e-10

@@ -518,8 +518,8 @@ def test_predict_prints_the_pinned_numbers(capsys, point):
     _assert_pinned(payload, _PREDICT_PINS[point])
 
 
-# Golden CSV files: the scan_map grid without its seed jitter, and the
-# README width example.
+# Golden CSV files: the scan_map grid without its seed jitter, the README
+# width example, a short simulate with its P_up_tm strobe, cdt and classify.
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 _GOLDEN_RUNS = {
     "scan_omega3.csv": ["scan", "--omega", "3", "--axis1", "eps0:8:10.4:10", "--axis2", "amp:11:17:10"],
@@ -527,13 +527,27 @@ _GOLDEN_RUNS = {
         "width", "--eps0", "5", "--amp", "8", "--omega", "5", "--n", "1",
         "--omega-min", "4.2", "--omega-max", "5.8", "--omega-points", "9",
     ],
+    "simulate_short.csv": [
+        "simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "4", "--steps-per-period", "16",
+    ],
+    "cdt_omega5.csv": ["cdt", "--omega", "5"],
+    "classify_point.csv": ["classify", "--eps0", "1", "--amp", "2", "--omega", "0.5"],
 }
+
+
+def _numeric(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("name", list(_GOLDEN_RUNS))
 def test_cli_csv_matches_its_golden_file(capsys, name):
-    # The header, the row count, the flags and the integer column n exactly;
-    # every other number within 1e-12 relative, the rule of
+    # The header, the row count, the integer column n, the flags and every
+    # field that is not a number (empty strobe fields, labels, booleans)
+    # exactly; every other number within 1e-12 relative, the rule of
     # test_predict_prints_the_pinned_numbers.
     code, out, _ = _run(capsys, _GOLDEN_RUNS[name])
     assert code == 0
@@ -544,7 +558,7 @@ def test_cli_csv_matches_its_golden_file(capsys, name):
     for row, pin in zip(got[1:], pinned[1:]):
         assert len(row) == len(pin)
         for column, g, v in zip(pinned[0], row, pin):
-            if column in ("n", "flags"):
+            if column in ("n", "flags") or not _numeric(v):
                 assert g == v, (column, pin)
             else:
                 assert float(g) == pytest.approx(float(v), rel=1e-12, abs=0.0), (column, pin)

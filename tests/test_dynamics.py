@@ -27,7 +27,9 @@ from drivenqubit.dynamics import (
 )
 from drivenqubit.errors import ConfigError, QuadratureError
 from drivenqubit.rwa import cdt_amplitudes
-from drivenqubit.transfer_matrix import full_cycle_matrix_windowed, propagate_tm
+from drivenqubit.transfer_matrix import (
+    full_cycle_matrix_windowed, lz_crossing, lz_transfer_matrix, phase_matrix, propagate_tm,
+)
 
 
 def _random_params(rng):
@@ -85,9 +87,8 @@ def test_step_unitary_matches_operator_on_one_substep():
     u_step = step_unitary(1.234, h, p)
     m = u_step.as_matrix()
     assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-14)
-    # special-unitary shape: u22 = conj(u11), u21 = u12 = -i sin()/r * a
-    assert u_step.u22 == np.conj(u_step.u11)
-    assert u_step.u21 == u_step.u12
+    # u12 = -i sin()/r * a is imaginary, so the lower-left entry -conj(u12) equals it
+    assert m[1, 0] == m[0, 1]
 
 
 def test_step_unitary_is_the_exponential_of_the_midpoint_hamiltonian():
@@ -403,7 +404,7 @@ def test_one_period_product_is_su2():
         a, b = dynamics._running_products(*dynamics._step_entries(drive_epsilon(h * (np.arange(spp) + 0.5), p), p.delta, h))
         # Every running product, U_T = W_spp included, keeps the SU(2) form.
         assert np.max(np.abs(a * a.conj() + b * b.conj() - 1.0)) <= 1e-12
-        u = Unitary2(a[-1], b[-1], -np.conj(b[-1]), np.conj(a[-1])).as_matrix()
+        u = Unitary2(a[-1], b[-1]).as_matrix()
         assert np.max(np.abs(u - evolution_operator(p, 0.0, p.period, steps_per_period=spp).as_matrix())) <= 1e-12
 
 
@@ -435,7 +436,7 @@ _GENERIC_PAIR = (complex(0.48, -0.64), complex(0.36, 0.48))
 )
 def test_closed_form_power_matches_matrix_power(pair):
     # A stroboscope of 1000 cycles: P_up of U^k psi0 from the one-sample form, for two states.
-    m = dynamics._unitary(*pair).as_matrix()
+    m = Unitary2(*pair).as_matrix()
     for psi0 in (QubitState(0.6, 0.8j), QubitState(0.8, -0.6)):
         ts = dynamics._stroboscope(psi0, (1.0 + 0.0j, 0.0j), pair, 1000, 0.0, 1.0)
         expected = [abs((np.linalg.matrix_power(m, k) @ psi0.as_vector())[0]) ** 2 for k in range(1001)]
@@ -522,8 +523,8 @@ def test_periodic_form_reproduces_the_sampler(pair):
     wa, wb = a / norm, b / norm
     psi0 = np.array([0.6, 0.8j])
     values = dynamics._form_values(dynamics._periodic_form(wa, wb, *pair, *psi0), 24 * 1000 + 5)
-    prefixes = np.array([dynamics._unitary(x, y).as_matrix() for x, y in zip(wa, wb)])
-    cycle = dynamics._unitary(*pair).as_matrix()
+    prefixes = np.array([Unitary2(x, y).as_matrix() for x, y in zip(wa, wb)])
+    cycle = Unitary2(*pair).as_matrix()
     for k in range(1001):
         expected = np.abs((prefixes @ (np.linalg.matrix_power(cycle, k) @ psi0))[:, 0]) ** 2
         row = values[24 * k : 24 * k + 24]
@@ -688,6 +689,45 @@ def test_counts_and_positive_reals_are_config_errors(monkeypatch, call):
         call()
 
 
+# Each call and the argument its ConfigError names.
+_CHECKED_ARGUMENTS = {
+    "state-str": (lambda: QubitState("1", "0"), "up_amp"),
+    "state-bool": (lambda: QubitState(True, False), "up_amp"),
+    "state-letter": (lambda: QubitState("a", 0), "up_amp"),
+    "state-huge-int": (lambda: QubitState(0, 10**400), "down_amp"),
+    "state-norm-overflow": (lambda: QubitState(1e200, 0.0), "norm"),
+    "unitary-str": (lambda: Unitary2("1", "0"), "u11"),
+    "unitary-bool": (lambda: Unitary2(True, False), "u11"),
+    "unitary-huge-int": (lambda: Unitary2(1.0, 10**400), "u12"),
+    "phase-bool": (lambda: phase_matrix(True), "theta"),
+    "phase-str": (lambda: phase_matrix("1"), "theta"),
+    "phase-inf": (lambda: phase_matrix(math.inf), "theta"),
+    "phase-nan": (lambda: phase_matrix(math.nan), "theta"),
+    "k-bool": (lambda: lz_transfer_matrix(lz_crossing(_P), True), "crossing direction k"),
+    "k-float": (lambda: lz_transfer_matrix(lz_crossing(_P), 2.0), "crossing direction k"),
+    "hamiltonian-str": (lambda: hamiltonian("1", _P), "t must"),
+    "hamiltonian-bool": (lambda: hamiltonian(True, _P), "t must"),
+    "hamiltonian-nan": (lambda: hamiltonian(math.nan, _P), "t must"),
+    "step-t-str": (lambda: step_unitary("0", 0.1, _P), "t must"),
+    "step-t-nan": (lambda: step_unitary(math.nan, 0.1, _P), "t must"),
+    "step-t-bool": (lambda: step_unitary(True, 0.1, _P), "t must"),
+    "t_start-str": (lambda: evolution_operator(_P, "0", 1.0), "t_start"),
+    "t_start-bool": (lambda: evolution_operator(_P, True, 3.0), "t_start"),
+    "t_end-bool": (lambda: evolution_operator(_P, 0.0, True), "t_end"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CHECKED_ARGUMENTS))
+def test_times_amplitudes_and_crossing_index_are_checked(monkeypatch, case):
+    # Times and theta are finite numbers, amplitudes and Unitary2 entries
+    # ints, floats or complex numbers, and k the int 1 or 2: never a bool
+    # or a string.
+    call, name = _CHECKED_ARGUMENTS[case]
+    monkeypatch.setattr(dynamics, "_walk", _no_walk)
+    with pytest.raises(ConfigError, match=name):
+        call()
+
+
 def test_qubit_state_requires_normalization():
     with pytest.raises(ConfigError):
         QubitState(1.0, 1.0)
@@ -696,42 +736,43 @@ def test_qubit_state_requires_normalization():
 
 
 def test_unitary_rejects_non_unitary():
-    with pytest.raises(ConfigError):
-        Unitary2(1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ConfigError, match="is not 1 within"):
+        Unitary2(1.0, 1.0)
 
 
-@pytest.mark.parametrize("entries", [(0.0, 1.0, 1.0, 0.0), (1j, 0.0, 0.0, 1j)], ids=["det-minus-one", "global-phase"])
-def test_unitary_must_be_special_unitary(entries):
-    # Unitary, but not of the form [[a, b], [-conj(b), conj(a)]].
-    with pytest.raises(ConfigError, match="not special-unitary"):
-        Unitary2(*entries)
+@pytest.mark.parametrize("pair", [(0.0, 1.0), (1j, 0.0), (complex(0.48, -0.64), complex(0.36, 0.48))])
+def test_unitary_matrix_has_determinant_one(pair):
+    # The lower row is derived from the pair, so no det -1 or global-phase matrix can be built.
+    m = Unitary2(*pair).as_matrix()
+    assert abs(np.linalg.det(m) - 1.0) <= 1e-15
+    assert np.max(np.abs(m.conj().T @ m - np.eye(2))) <= 1e-15
 
 
-_ROTATION = (complex(0.6, 0.0), complex(0.0, 0.8), complex(0.0, 0.8), complex(0.6, 0.0))
+def _pushed(component: int, push) -> list:
+    """_GENERIC_PAIR with one of its four real coordinates (Re u11, Im u11, Re u12, Im u12) moved by push.
+
+    Every coordinate is nonzero, so each push moves |u11|^2 + |u12|^2 at first order.
+    """
+    entries = list(_GENERIC_PAIR)
+    entries[component // 2] += push * (1.0, 1j)[component % 2]
+    return entries
 
 
 @pytest.mark.parametrize("entry", range(4))
 def test_unitary_check_tolerance_per_entry(entry):
-    def perturbed(eps):
-        entries = list(_ROTATION)
-        entries[entry] += eps
-        return Unitary2(*entries)
-
-    perturbed(1e-12)
-    perturbed(1e-12j)
+    Unitary2(*_pushed(entry, 1e-12))
+    Unitary2(*_pushed(entry, -1e-12))
     with pytest.raises(ConfigError):
-        perturbed(1e-8)
+        Unitary2(*_pushed(entry, 1e-8))
     with pytest.raises(ConfigError):
-        perturbed(1e-8j)
+        Unitary2(*_pushed(entry, -1e-8))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 0.0)])
 @pytest.mark.parametrize("entry", range(4))
 def test_unitary_rejects_non_finite_entries(entry, bad):
-    entries = list(_ROTATION)
-    entries[entry] = bad
     with pytest.raises(ConfigError):
-        Unitary2(*entries)
+        Unitary2(*_pushed(entry, bad))
 
 
 def test_timeseries_rejects_bad_values():
