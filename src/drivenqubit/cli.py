@@ -50,6 +50,7 @@ from .transfer_matrix import (
     full_cycle_matrix,
     propagate_tm,
     tm_fast_resonance_check,
+    tm_resonance_width,
     tm_slow_frequency,
     tm_slow_resonance_lhs,
 )
@@ -530,7 +531,11 @@ def cmd_predict(cfg: dict[str, Any]) -> Iterable[bytes]:
     scale = cfg["delta"]
     regime = classify_regime(p)
     rwa = rwa_predict(p)
-    _, residual = tm_fast_resonance_check(p)
+    n, residual = tm_fast_resonance_check(p)
+    try:
+        tm_width = tm_resonance_width(p, deco.zeta_fc, n) * scale
+    except RegimeError:  # n < 1 or eps0 = 0: no detuning slope
+        tm_width = None
     slow = tm_slow_resonance_lhs(p)
     return _json(cfg, {
         "regime": dataclasses.asdict(regime),
@@ -545,6 +550,7 @@ def cmd_predict(cfg: dict[str, Any]) -> Iterable[bytes]:
             "theta_fc": deco.theta_fc,
             "phi_fc": deco.phi_fc,
             "omega_osc": tm_slow_frequency(p) * scale,
+            "width": tm_width,
             "resonance_residual": residual,
         },
         "slow": {

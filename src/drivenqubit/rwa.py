@@ -1,4 +1,4 @@
-"""Rotating-wave-approximation predictors and the weak-driving limit.
+"""Rotating-wave-approximation predictors.
 
 In a frame rotating with the drive, the coupling splits into a ladder of
 harmonics weighted by Bessel functions J_n(A/omega).  Near the n-photon
@@ -13,20 +13,16 @@ quality grade instead of silently degrading.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .dynamics import DriveParams, _count, _is_number, _nearest_integer, _positive
+from .dynamics import DriveParams, _count, _nearest_integer, _positive
 from .specfun import MAX_J0_ZERO_INDEX, bessel_j0_zero, bessel_jn
 
 __all__ = [
     "RwaPrediction",
-    "RabiPrediction",
     "rwa_resonant_index",
     "rwa_frequency",
-    "rwa_width",
     "cdt_amplitudes",
-    "rabi_weak_driving",
     "rwa_predict",
 ]
 
@@ -39,7 +35,8 @@ _OK_ABOVE = 3.0
 @dataclass(frozen=True)
 class RwaPrediction:
     """Resonance report: photon index n, detuning n*omega + epsilon0,
-    on-resonance frequency, width scale (None when n = 0), and validity."""
+    on-resonance frequency, width scale Omega/|n| (a scale, not a sharp
+    FWHM; None when n = 0, which has no detuning slope), and validity."""
 
     n: int
     detuning: float
@@ -48,17 +45,6 @@ class RwaPrediction:
     valid: bool
     quality: str
     reason: str
-
-
-@dataclass(frozen=True)
-class RabiPrediction:
-    """Weak-driving limit: resonance frequency sqrt(delta^2 + epsilon0^2)
-    and Rabi frequency A*sin(alpha)/2; weak_driving is False once A
-    exceeds a fifth of the level splitting."""
-
-    omega_res: float
-    omega_rabi: float
-    weak_driving: bool
 
 
 def rwa_resonant_index(p: DriveParams) -> int:
@@ -80,23 +66,6 @@ def rwa_frequency(p: DriveParams, n: int) -> float:
     return p.delta * abs(bessel_jn(n, p.amplitude / p.omega))
 
 
-def rwa_width(omega_osc: float, n: int) -> float:
-    """Resonance width scale delta_omega = Omega/|n| (a scale, not a sharp FWHM).
-
-    Raises ValueError for n = 0: the zero-photon resonance has no
-    detuning slope, so no width scale is defined there; for an n that is
-    not an int, or is a bool; and for an omega_osc that is not a finite
-    int or float >= 0 (a bool, a string or an int too large for a float).
-    """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"photon index must be an integer, got {n!r}")
-    if n == 0:
-        raise ValueError("width is not applicable for n = 0 (no detuning scale)")
-    if not (_is_number(omega_osc) and omega_osc >= 0.0):
-        raise ValueError(f"omega_osc must be nonnegative, got {omega_osc!r}")
-    return omega_osc / abs(n)
-
-
 def cdt_amplitudes(omega: float, k_max: int) -> list[float]:
     """Drive amplitudes A_k = omega*j_{0,k} where tunnelling is frozen.
 
@@ -107,23 +76,11 @@ def cdt_amplitudes(omega: float, k_max: int) -> list[float]:
     return [omega * bessel_j0_zero(k) for k in range(1, _count("k_max", k_max, 1, MAX_J0_ZERO_INDEX) + 1)]
 
 
-def rabi_weak_driving(p: DriveParams) -> RabiPrediction:
-    """Rabi-limit frequencies for weak driving at the static bias point."""
-    omega_res = math.hypot(p.delta, p.epsilon0)
-    alpha = math.atan2(p.delta, p.epsilon0)
-    omega_rabi = 0.5 * p.amplitude * math.sin(alpha)
-    return RabiPrediction(
-        omega_res=omega_res,
-        omega_rabi=omega_rabi,
-        weak_driving=p.amplitude <= 0.2 * omega_res,
-    )
-
-
 def rwa_predict(p: DriveParams) -> RwaPrediction:
     """Full resonance report for the nearest multi-photon resonance."""
     n = rwa_resonant_index(p)
     omega_osc = rwa_frequency(p, n)
-    width = None if n == 0 else rwa_width(omega_osc, n)
+    width = None if n == 0 else omega_osc / abs(n)
     ratio = p.omega / p.delta
     if ratio < _INVALID_BELOW:
         quality, valid = "invalid", False

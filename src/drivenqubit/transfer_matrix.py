@@ -36,19 +36,18 @@ Every integral here goes through quad, one fixed tanh-sinh rule (Takahasi
 nodes, with the difference from its embedded half-density rule as the
 error estimate.  Its nodes cluster at the interval ends, so the one sharp
 feature of each integrand, the gap minimum at a crossing, is placed at an
-end: the half-period integrals and the half-windows all end at a
-crossing.  Every call integrates its intervals as the rows of one array:
-the two half-period integrals of a cycle are one call, and the two
-half-windows of a windowed cycle another.
+end: the half-period integrals both end at a crossing.  Every call
+integrates its intervals as the rows of one array, so the two
+half-period integrals of a cycle are one call.
 
 cycle_phases is the one source of theta_tilde_1, theta_tilde_2, f_1 and
 f_2 (one stacked quadrature per call: both half-periods as a (2, 217)
 array in the drive phase omega*t, each row held to its own error bound):
-full_cycle_matrix, full_cycle_matrix_windowed and propagate_tm read them
-from it, and the slow-crossing condition and the fast-crossing frequency
-use only their closed parts (no quadrature).  full_cycle_matrix
-keeps its last point's cycle: one entry, keyed by the DriveParams value,
-with raised errors not kept.
+full_cycle_matrix and propagate_tm read them from it, and the
+slow-crossing condition and the fast-crossing frequency use only their
+closed parts (no quadrature).  full_cycle_matrix keeps its last point's
+cycle: one entry, keyed by the DriveParams value, with raised errors not
+kept.
 
 A note on the closed-form rotation angle: expanding |g12| of the cycle
 product gives sin(zeta_FC/2) = 2 sin(chi/2) cos(chi/2) |cos(...)|; the
@@ -61,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +82,6 @@ __all__ = [
     "phase_matrix",
     "cycle_phases",
     "full_cycle_matrix",
-    "full_cycle_matrix_windowed",
     "decompose_full_cycle",
     "reconstruct_full_cycle",
     "propagate_tm",
@@ -350,53 +348,6 @@ def full_cycle_matrix(p: DriveParams) -> Unitary2:
     (tm_slow_frequency after full_cycle_matrix, say) runs no quadrature.
     """
     return _cycle(p)
-
-
-def full_cycle_matrix_windowed(p: DriveParams, tau: float) -> Unitary2:
-    """One-cycle propagator built from boundary-dependent phases at window tau.
-
-    The region phases are band-energy integrals over the regions trimmed
-    by crossing windows of half-width tau, which must lie in (0, half the
-    shorter between-crossing interval).  The total window phase is
-    assigned to theta_LZ1 (theta_LZ1 = pi - theta_Stokes - W1 - W2,
-    theta_LZ2 = theta_Stokes), the window bookkeeping of Shevchenko,
-    Ashhab & Nori, Phys. Rep. 492, 1 (2010).  With this split every entry
-    of the product is independent of tau up to the window-asymmetry terms
-    of order omega^2*eps0*tau^3, exactly so for eps0 = 0; that
-    near-invariance is the point of the construction.
-
-    With phi = 0 the band energy is even about t = 0 and about t = T/2, so
-    every piece a window takes is one of the half-windows a over
-    [t_c1 - tau, t_c1] and b over [t_c1, t_c1 + tau]: region 1 loses 2a,
-    region 2 loses 2b, and W1 = W2 = a + b.  The cycle is therefore
-    composed from cycle_phases with theta_tilde_1 + 2a, theta_tilde_2 - 2b
-    and theta_LZ1 - 2(a + b).  a and b are the two rows of one quad call,
-    each ending at the crossing and held to its own bound.
-    """
-    t_c1, t_c2 = crossing_times(p)
-    half_gap = 0.5 * min(t_c2 - t_c1, p.period - (t_c2 - t_c1))
-    if not (_is_number(tau) and 0.0 < tau < half_gap):
-        raise ConfigError(
-            f"window half-width {tau!r} must lie in (0, {half_gap:g}) "
-            "so the windows stay inside both between-crossing intervals"
-        )
-    ph = cycle_phases(p)
-
-    def band(t: np.ndarray) -> np.ndarray:
-        return 0.5 * np.hypot(p.epsilon0 + p.amplitude * np.cos(p.omega * t), p.delta)
-
-    ends = ((t_c1 - tau, t_c1), (t_c1, t_c1 + tau))
-    halves = []
-    for (val, err), a, b in zip(quad(band, *ends), *ends):
-        # The embedded estimate bounds the error by a wide margin; allow ~5
-        # ulp-equivalents of the integral size before declaring failure.
-        if err > max(1e-10, 5e-12 * abs(val)):
-            raise QuadratureError(f"band-energy integral on [{a:g}, {b:g}] only reached abserr {err:g}")
-        halves.append(val)
-    a, b = halves
-    cr = lz_crossing(p)
-    cr = replace(cr, theta_lz_1=cr.theta_lz_1 - 2.0 * (a + b))
-    return Unitary2(*_compose_cycle(cr, ph.theta_tilde_1 + 2.0 * a, ph.theta_tilde_2 - 2.0 * b))
 
 
 _DEGENERATE_TOL = 1e-12

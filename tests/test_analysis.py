@@ -58,6 +58,15 @@ def test_band_selects_secondary_tone():
     assert abs(inside.omega_est - 1.10) < 0.01
 
 
+def test_weak_tone_is_found_inside_its_band():
+    # Bins outside the band count as magnitude 0, so a tone whose bins are
+    # far weaker than any other fill value is still the band's peak.
+    t = np.arange(2000) * 0.1
+    est = extract_frequency(TimeSeries(t0=0.0, dt=0.1, values=0.5 + 1e-6 * np.sin(2.0 * t)), band=(1.0, 3.0))
+    assert abs(est.omega_est - 2.0) < 0.01
+    assert est.flags == ("suppressed",)
+
+
 def test_comparable_tones_raise_ambiguous_flag():
     t = np.arange(4096) * 0.05
     vals = 0.5 + 0.22 * np.sin(0.25 * t) + 0.20 * np.sin(0.60 * t)
@@ -503,6 +512,21 @@ def test_width_tracks_lineshape_theory():
     theory = rwa_predict(p).width
     hwhm = measure_resonance_width(p, 1, np.linspace(4.2, 5.8, 9), _WIDTH_CFG)
     assert 0.5 * theory < hwhm < 2.0 * theory
+
+
+def test_scan_and_width_default_to_128_steps_per_period():
+    # README documents the default; a default of 129 would give the
+    # explicit-129 results instead.
+    def scan(*spp):
+        r = scan_resonance_map(("omega", 3.0), ("epsilon0", [8.0, 9.0]), ("amplitude", [11.0, 15.0]), *spp)
+        return r.omega_est.tobytes(), r.amplitude.tobytes(), r.flags
+
+    def width(*spp):
+        return measure_resonance_width(_p(5.0, 8.0, 5.0), 1, np.linspace(4.2, 5.8, 5), *spp)
+
+    for run in (scan, width):
+        assert run() == run(128)
+        assert run() != run(129)
 
 
 def test_width_requires_interior_maximum():

@@ -445,7 +445,7 @@ def test_predict_report_shape(capsys):
     assert payload["slow"]["nearest_integer"] == round(payload["slow"]["lhs"])
 
 
-# predict --format json at three (eps0, A, omega) points, meta left out, as
+# predict --format json at four (eps0, A, omega) points, meta left out, as
 # recorded with numpy 2.4 and scipy 1.17.
 _PREDICT_PINS = {
     ("3", "15", "3"): {
@@ -456,7 +456,7 @@ _PREDICT_PINS = {
         "rwa": {"n": -1, "omega_osc": 0.3275791375914652, "width": 0.3275791375914652, "valid": True},
         "tm": {
             "zeta_fc": 0.6973506388496178, "theta_fc": 6.2317024776862135, "phi_fc": -5.126314882405338,
-            "omega_osc": 0.33296040372362334, "resonance_residual": 0.0,
+            "omega_osc": 0.33296040372362334, "width": 0.33296040372362334, "resonance_residual": 0.0,
         },
         "slow": {"lhs": 3.2469756386326547, "nearest_integer": 3},
     },
@@ -468,7 +468,7 @@ _PREDICT_PINS = {
         "rwa": {"n": -5, "omega_osc": 0.14324029551207706, "width": 0.028648059102415413, "valid": True},
         "tm": {
             "zeta_fc": 0.9038032721175245, "theta_fc": 6.245020600020275, "phi_fc": -5.354768455567786,
-            "omega_osc": 0.1438447583401334, "resonance_residual": 0.0,
+            "omega_osc": 0.1438447583401334, "width": 0.028768951668026684, "resonance_residual": 0.0,
         },
         "slow": {"lhs": 19.364470614507773, "nearest_integer": 19},
     },
@@ -480,9 +480,22 @@ _PREDICT_PINS = {
         "rwa": {"n": -10, "omega_osc": 0.11938336278226086, "width": 0.011938336278226085, "valid": False},
         "tm": {
             "zeta_fc": 0.0003080017721330628, "theta_fc": -2.6069244310823074, "phi_fc": 1.8627684319948608,
-            "omega_osc": 2.4510002258020265e-06, "resonance_residual": 0.0,
+            "omega_osc": 2.4510002258020265e-06, "width": 2.451000225802027e-07, "resonance_residual": 0.0,
         },
         "slow": {"lhs": 26.264790227563317, "nearest_integer": 26},
+    },
+    # eps0/omega = 1/3: the nearest resonance is n = 0, which has no width.
+    ("1", "4", "3"): {
+        "regime": {
+            "label": "TM_FAST", "ratios": [4.0, 3.0, 12.0],
+            "rabi": False, "rwa": True, "tm": True, "tm_speed": "FAST",
+        },
+        "rwa": {"n": 0, "omega_osc": 0.6025661697724921, "width": None, "valid": True},
+        "tm": {
+            "zeta_fc": 1.4435061503445654, "theta_fc": -2.0282014175324052, "phi_fc": 0.5469647230106847,
+            "omega_osc": 0.6892234176326707, "width": None, "resonance_residual": 0.3333333333333333,
+        },
+        "slow": {"lhs": 0.8754930075854438, "nearest_integer": 1},
     },
 }
 
@@ -1157,6 +1170,7 @@ def test_delta_rescales_times_and_frequencies(capsys):
     doubled = json.loads(out)
     assert doubled["rwa"]["omega_osc"] == pytest.approx(2.0 * ref["rwa"]["omega_osc"], rel=1e-15)
     assert doubled["tm"]["omega_osc"] == pytest.approx(2.0 * ref["tm"]["omega_osc"], rel=1e-15)
+    assert doubled["tm"]["width"] == pytest.approx(2.0 * ref["tm"]["width"], rel=1e-15)
     # Angles are dimensionless.
     assert doubled["tm"]["theta_fc"] == ref["tm"]["theta_fc"]
 

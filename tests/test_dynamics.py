@@ -27,9 +27,7 @@ from drivenqubit.dynamics import (
 )
 from drivenqubit.errors import ConfigError, QuadratureError
 from drivenqubit.rwa import cdt_amplitudes
-from drivenqubit.transfer_matrix import (
-    full_cycle_matrix_windowed, lz_crossing, lz_transfer_matrix, phase_matrix, propagate_tm,
-)
+from drivenqubit.transfer_matrix import lz_crossing, lz_transfer_matrix, phase_matrix, propagate_tm
 
 
 def _random_params(rng):
@@ -667,7 +665,6 @@ def _no_sample(*args):
         lambda: step_unitary(0.0, "0.1", _P),
         lambda: TimeSeries(0.0, "0.1", np.array([0.5, 0.5])),
         lambda: step_unitary(0.0, 10**400, _P),
-        lambda: full_cycle_matrix_windowed(_P, "0.1"),
         lambda: extract_frequency(propagate_exact(_P, QubitState.up(), 3.0 * _P.period), drive_period="3"),
         lambda: cdt_amplitudes(True, 3),
         # Refused before the 8 TB trace is allocated.
@@ -679,7 +676,7 @@ def _no_sample(*args):
     ],
     ids=[
         "sweep-steps-float", "sweep-rate-str", "sweep-span-inf", "sweep-delta-str", "sweep-delta-bool", "t_end-bool",
-        "t_end-str", "duration-inf", "step-str", "dt-str", "step-int-overflow", "window-str", "drive-period-str",
+        "t_end-str", "duration-inf", "step-str", "dt-str", "step-int-overflow", "drive-period-str",
         "cdt-omega-bool", "n_cycles-huge", "sweep-steps-huge", "duration-huge", "t_end-overflow",
     ],
 )

@@ -8,14 +8,7 @@ import pytest
 from drivenqubit.analysis import extract_frequency
 from drivenqubit.dynamics import DriveParams, QubitState, propagate_exact
 from drivenqubit.errors import ConfigError
-from drivenqubit.rwa import (
-    cdt_amplitudes,
-    rabi_weak_driving,
-    rwa_frequency,
-    rwa_predict,
-    rwa_resonant_index,
-    rwa_width,
-)
+from drivenqubit.rwa import cdt_amplitudes, rwa_frequency, rwa_predict, rwa_resonant_index
 from drivenqubit.specfun import bessel_j0_zero, bessel_jn
 
 
@@ -76,21 +69,6 @@ def test_rwa_frequency_envelope_bound():
         assert rwa_frequency(p, n) <= bound
 
 
-def test_rwa_width_scale():
-    assert rwa_width(0.4, 2) == pytest.approx(0.2)
-    assert rwa_width(0.4, -2) == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        rwa_width(0.4, 0)
-    with pytest.raises(ValueError):
-        rwa_width(-0.1, 1)
-
-
-@pytest.mark.parametrize("n", [True, 2.5, 2.0, "2"])
-def test_rwa_width_requires_an_integer_photon_index(n):
-    with pytest.raises(ValueError, match="photon index must be an integer"):
-        rwa_width(0.4, n)
-
-
 def test_cdt_amplitudes_sit_on_j0_zeros():
     omega = 5.0
     amps = cdt_amplitudes(omega, 6)
@@ -110,25 +88,16 @@ def test_cdt_amplitudes_validation():
         cdt_amplitudes(5.0, 21)
 
 
-def test_rabi_weak_driving_formulas():
-    p = _p(3.0, 0.15, math.hypot(1.0, 3.0))
-    pred = rabi_weak_driving(p)
-    assert pred.omega_res == pytest.approx(math.sqrt(10.0))
-    assert pred.omega_rabi == pytest.approx(0.15 * 1.0 / (2.0 * math.sqrt(10.0)), rel=1e-12)
-    assert pred.weak_driving
-    strong = rabi_weak_driving(_p(3.0, 5.0, math.sqrt(10.0)))
-    assert not strong.weak_driving
-
-
 def test_rabi_prediction_against_exact_trace():
-    # Weakly driven resonant point: extracted envelope frequency matches
-    # the Rabi formula A*sin(alpha)/2 within a few percent.
+    # Weakly driven resonant point, omega = sqrt(delta^2 + eps0^2): the
+    # extracted envelope frequency matches the Rabi formula A*sin(alpha)/2,
+    # with sin(alpha) = delta/omega here, within a few percent.
     p = _p(3.0, 0.15, math.hypot(1.0, 3.0))
-    pred = rabi_weak_driving(p)
-    t_end = 4.0 * 2.0 * math.pi / pred.omega_rabi
+    omega_rabi = 0.5 * p.amplitude * p.delta / p.omega
+    t_end = 4.0 * 2.0 * math.pi / omega_rabi
     ts = propagate_exact(p, QubitState.up(), t_end, steps_per_period=128)
-    est = extract_frequency(ts, band=(0.2 * pred.omega_rabi, 5.0 * pred.omega_rabi), drive_period=p.period)
-    assert est.omega_est == pytest.approx(pred.omega_rabi, rel=0.05)
+    est = extract_frequency(ts, band=(0.2 * omega_rabi, 5.0 * omega_rabi), drive_period=p.period)
+    assert est.omega_est == pytest.approx(omega_rabi, rel=0.05)
     assert est.amplitude > 0.5
 
 
@@ -149,7 +118,11 @@ def test_rwa_predict_fields_consistent():
     assert pred.n == -1
     assert pred.detuning == pytest.approx(pred.n * p.omega + p.epsilon0)
     assert pred.omega_osc == pytest.approx(abs(bessel_jn(1, 5.0)), rel=1e-12)
-    assert pred.width == pytest.approx(pred.omega_osc)
+    assert pred.width == pred.omega_osc
+    # The width scale is Omega/|n|; n = 0 has no detuning slope, so no width.
+    two = rwa_predict(_p(6.0, 15.0, 3.0))
+    assert two.n == -2
+    assert two.width == two.omega_osc / 2.0
     zero_n = rwa_predict(_p(0.0, 4.0, 3.0))
     assert zero_n.n == 0
     assert zero_n.width is None

@@ -13,7 +13,6 @@ import pytest
 
 from drivenqubit.dynamics import DriveParams
 from drivenqubit.errors import ConfigError
-from drivenqubit.rwa import rwa_width
 from drivenqubit.specfun import (
     MAX_BESSEL_ORDER,
     MAX_J0_ZERO_INDEX,
@@ -220,7 +219,6 @@ _WIDTH_POINT = DriveParams(delta=1.0, epsilon0=5.0, amplitude=30.0, omega=1.0)
 # (call of one number argument, a good value, the exception the function documents)
 _NUMBER_ARGUMENTS = {
     "tm_resonance_width": (lambda v: tm_resonance_width(_WIDTH_POINT, v, 5), 1.0, ConfigError),
-    "rwa_width": (lambda v: rwa_width(v, 2), 1.0, ValueError),
     "stokes_phase": (stokes_phase, 1.0, ValueError),
     "bessel_jn": (lambda v: bessel_jn(1, v), 1.0, ValueError),
     "log_gamma_complex": (log_gamma_complex, 1.0, ValueError),

@@ -27,7 +27,6 @@ from drivenqubit.transfer_matrix import (
     cycle_phases,
     decompose_full_cycle,
     full_cycle_matrix,
-    full_cycle_matrix_windowed,
     lz_crossing,
     lz_transfer_matrix,
     phase_matrix,
@@ -186,7 +185,6 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
         (lambda p: propagate_tm(p, QubitState.up(), 3), 1),
         (analysis._cell_predictions, 1),
         (cycle_phases, 1),
-        (lambda p: full_cycle_matrix_windowed(p, 0.05), 2),
         (lambda p: cli.main(["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]), 1),
     ],
     ids=[
@@ -196,15 +194,13 @@ def test_half_period_gap_corrections_and_su2_cycle(omega, amplitude, bias_fracti
         "propagate_tm",
         "cell_predictions",
         "cycle_phases",
-        "full_cycle_matrix_windowed",
         "cli_predict",
     ],
 )
 def test_quadrature_counts(monkeypatch, call, expected):
     # cycle_phases runs the only gap-correction quadrature on the
     # boundary-independent path, both half-periods in one stacked call; the
-    # slow-crossing condition needs none, and the windowed construction
-    # adds one call for its two half-windows.
+    # slow-crossing condition needs none.
     # The CLI predict point is (3, 15, 3), the same as _FAST_ONE_PHOTON.
     # The counter delegates to the module's own rule, so each integral
     # still meets its error bound.
@@ -470,8 +466,7 @@ def test_unfolded_crossing_window_misses_the_error_bound():
     # the sparse middle nodes; split at the crossing, the same window
     # integrates cleanly and matches scipy's adaptive oracle.
     # Row 0 is the window whole, rows 1 and 2 its halves ending at the
-    # crossing, each held to full_cycle_matrix_windowed's bound
-    # max(1e-10, 5e-12*|value|).
+    # crossing, each held to a band-integral bound of max(1e-10, 5e-12*|value|).
     p = DriveParams(delta=1.0, epsilon0=0.0, amplitude=20.0, omega=5.0)
     t_c1, _ = crossing_times(p)
     tau = 0.05
@@ -493,14 +488,6 @@ def test_gap_excess_scales_quadratically_in_delta():
     big = cycle_phases(DriveParams(delta=1.0, epsilon0=3.0, amplitude=15.0, omega=3.0))
     ratio = big.f2 / small.f2
     assert 3.0 < ratio < 4.5
-
-
-def test_windowed_construction_rejects_bad_window():
-    # the windows must stay inside both between-crossing intervals
-    with pytest.raises(ConfigError):
-        full_cycle_matrix_windowed(_FAST_ONE_PHOTON, 10.0)
-    with pytest.raises(ConfigError):
-        full_cycle_matrix_windowed(_FAST_ONE_PHOTON, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -555,86 +542,73 @@ def test_g12_argument_identity():
         assert min(diff, math.pi - diff) < 1e-9
 
 
-def test_windowed_construction_invariance_at_zero_bias():
-    p = DriveParams(delta=1.0, epsilon0=0.0, amplitude=20.0, omega=5.0)
-    base = full_cycle_matrix(p).as_matrix()
-    for tau in (0.05, 0.1, 0.2):
-        win = full_cycle_matrix_windowed(p, tau).as_matrix()
-        assert np.max(np.abs(win - base)) < 1e-12
+def _windowed_cycle(p, tau):
+    """Cycle with crossing windows of half-width tau, from scipy's adaptive quad split at the crossings.
 
-
-def test_windowed_construction_small_drift_at_small_bias():
-    p = DriveParams(delta=1.0, epsilon0=0.1, amplitude=20.0, omega=5.0)
-    tau = 0.05
-    a = full_cycle_matrix_windowed(p, tau).as_matrix()
-    b = full_cycle_matrix_windowed(p, 2.0 * tau).as_matrix()
-    assert np.max(np.abs(a - b)) < 1e-3
+    The region phases are band-energy integrals over the regions trimmed by
+    the windows, and the total window phase W1 + W2 goes into theta_LZ1:
+    the window bookkeeping of Shevchenko, Ashhab & Nori, Phys. Rep. 492, 1
+    (2010).  It is independent of tau up to window-asymmetry terms of order
+    omega^2*eps0*tau^3, exactly so for eps0 = 0.
+    """
+    t_c1, t_c2 = crossing_times(p)
+    theta1 = -_half_gap_integral(p, t_c2 + tau, t_c1 + p.period - tau)
+    theta2 = _half_gap_integral(p, t_c1 + tau, t_c2 - tau)
+    w1, w2 = (_half_gap_integral(p, c - tau, c) + _half_gap_integral(p, c, c + tau) for c in (t_c1, t_c2))
+    cr = lz_crossing(p)
+    g_lz1 = lz_transfer_matrix(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), 1).as_matrix()
+    g_lz2 = lz_transfer_matrix(cr, 2).as_matrix()
+    return g_lz2 @ phase_matrix(theta2).as_matrix() @ g_lz1 @ phase_matrix(theta1).as_matrix()
 
 
 def test_windowed_construction_against_an_adaptive_oracle():
-    # The cycle composed here from lz_transfer_matrix and phase_matrix, with
-    # the region and window phases from scipy's adaptive quad split at the
-    # crossings; the region phases reach a few hundred rad.
+    # With windows of zero width the construction is the boundary-independent
+    # cycle; the region phases reach a few hundred rad.
     rng = np.random.default_rng(28)
     for _ in range(20):
         amp = 10.0 ** rng.uniform(0.1, 2.5)
         omega = 10.0 ** rng.uniform(-1.3, 1.5)
         p = DriveParams(delta=1.0, epsilon0=rng.uniform(0.05, 0.95) * amp, amplitude=amp, omega=omega)
-        t_c1, t_c2 = crossing_times(p)
-        tau = rng.uniform(0.01, 0.9) * 0.5 * min(t_c2 - t_c1, p.period - (t_c2 - t_c1))
-        theta1 = -_half_gap_integral(p, t_c2 + tau, t_c1 + p.period - tau)
-        theta2 = _half_gap_integral(p, t_c1 + tau, t_c2 - tau)
-        w1, w2 = (_half_gap_integral(p, c - tau, c) + _half_gap_integral(p, c, c + tau) for c in (t_c1, t_c2))
-        cr = lz_crossing(p)
-        g_lz1 = lz_transfer_matrix(replace(cr, theta_lz_1=cr.theta_lz_1 - w1 - w2), 1).as_matrix()
-        g_lz2 = lz_transfer_matrix(cr, 2).as_matrix()
-        expected = g_lz2 @ phase_matrix(theta2).as_matrix() @ g_lz1 @ phase_matrix(theta1).as_matrix()
-        assert np.max(np.abs(full_cycle_matrix_windowed(p, tau).as_matrix() - expected)) < 1e-10
+        assert np.max(np.abs(_windowed_cycle(p, 0.0) - full_cycle_matrix(p).as_matrix())) < 1e-10
 
 
-def test_windowed_construction_evaluates_its_two_half_windows_at_once(monkeypatch):
-    # One stacked call for the two half-periods of cycle_phases, one for the two half-windows.
-    shapes = []
-    rule = transfer_matrix.quad
-
-    def recording_quad(f, a, b):
-        def recorded(x):
-            shapes.append(x.shape)
-            return f(x)
-
-        return rule(recorded, a, b)
-
-    monkeypatch.setattr(transfer_matrix, "quad", recording_quad)
-    full_cycle_matrix_windowed(_FAST_ONE_PHOTON, 0.05)
-    assert shapes == [(2, 217), (2, 217)]
+def test_windowed_construction_invariance_at_zero_bias():
+    # At zero bias the windowed cycle is exactly window-independent, so for
+    # every window it is full_cycle_matrix.  omega stays below 7, so the
+    # widest window fits the between-crossing intervals (half-width < T/4).
+    rng = np.random.default_rng(28)
+    points = [(20.0, 5.0)] + [(10.0 ** rng.uniform(0.1, 2.5), 10.0 ** rng.uniform(-1.3, 0.85)) for _ in range(10)]
+    for amp, omega in points:
+        p = DriveParams(delta=1.0, epsilon0=0.0, amplitude=amp, omega=omega)
+        base = full_cycle_matrix(p).as_matrix()
+        for tau in (0.05, 0.1, 0.2):
+            assert np.max(np.abs(_windowed_cycle(p, tau) - base)) < 1e-10
 
 
-@pytest.mark.parametrize("row", [0, 1, 2, 3])
+def test_windowed_construction_small_drift_at_small_bias():
+    p = DriveParams(delta=1.0, epsilon0=0.1, amplitude=20.0, omega=5.0)
+    tau = 0.05
+    assert np.max(np.abs(_windowed_cycle(p, tau) - _windowed_cycle(p, 2.0 * tau))) < 1e-3
+
+
+@pytest.mark.parametrize("row", [0, 1])
 def test_each_windowed_integral_meets_its_own_bound(monkeypatch, row):
-    # Rows 0 and 1 are the half-periods of cycle_phases' call, rows 2 and 3
-    # the half-windows of the second call.
+    # Rows 0 and 1 are the half-periods of cycle_phases' call; the message
+    # reports the row's estimate scaled to the gap correction, 2/omega times it.
     rule = transfer_matrix.quad
-    calls = []
 
     def one_row_fails(f, a, b):
         pairs = rule(f, a, b)
-        calls.append(None)
-        if len(calls) == 1 + row // 2:
-            pairs[row % 2] = (pairs[row % 2][0], 1.0)
+        pairs[row] = (pairs[row][0], 1.0)
         return pairs
 
     monkeypatch.setattr(transfer_matrix, "quad", one_row_fails)
-    p, tau = _FAST_ONE_PHOTON, 0.05
+    p = _FAST_ONE_PHOTON
     t_c1, _ = crossing_times(p)
-    gap_excess = f"gap-excess integral on 2x[{{}}] only reached abserr {2.0 / p.omega:g}"
-    where = (
-        gap_excess.format(f"0, {t_c1:g}"),
-        gap_excess.format(f"{t_c1:g}, {0.5 * p.period:g}"),
-        f"band-energy integral on [{t_c1 - tau:g}, {t_c1:g}] only reached abserr 1",
-        f"band-energy integral on [{t_c1:g}, {t_c1 + tau:g}] only reached abserr 1",
-    )[row]
+    a, b = ((0.0, t_c1), (t_c1, 0.5 * p.period))[row]
+    where = f"gap-excess integral on 2x[{a:g}, {b:g}] only reached abserr {2.0 / p.omega:g}"
     with pytest.raises(QuadratureError, match=re.escape(where)):
-        full_cycle_matrix_windowed(p, tau)
+        cycle_phases(p)
 
 
 def test_decompose_reconstruct_round_trip():
