@@ -391,8 +391,10 @@ def classify_regime(p: DriveParams) -> RegimeLabel:
     ``tm`` marks the transfer matrix's validity region (A > delta and
     A > epsilon0), not where it can be evaluated: ``predict``, ``scan`` and
     ``simulate`` compute transfer-matrix values wherever crossings exist
-    (A > epsilon0, phi = 0), just as ``rwa_predict`` computes a value and
-    reports ``valid`` beside it.
+    (A > epsilon0, phi = 0), just as they compute RWA values at any
+    omega.  This is the one validity rule of each approximation: the
+    predictors evaluate their formulas and grade nothing, and ``predict``
+    reports ``rwa.valid`` from ``rwa`` here.
     """
     drive_ratio = p.amplitude / p.delta
     freq_ratio = p.omega / p.delta

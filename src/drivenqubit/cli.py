@@ -543,7 +543,7 @@ def cmd_predict(cfg: dict[str, Any]) -> Iterable[bytes]:
             "n": rwa.n,
             "omega_osc": rwa.omega_osc * scale,
             "width": None if rwa.width is None else rwa.width * scale,
-            "valid": rwa.valid,
+            "valid": regime.rwa,
         },
         "tm": {
             "zeta_fc": deco.zeta_fc,

@@ -7,8 +7,9 @@ Omega = Delta*|J_n(A/omega)|, with a resonance width of order Omega/|n|.
 The n = 0 channel reproduces coherent destruction of tunnelling: the
 oscillation freezes wherever J_0(A/omega) = 0.
 
-These formulas assume omega well above Delta; predictions carry a
-quality grade instead of silently degrading.
+These formulas assume omega well above Delta.  Where they apply is
+decided in one place, analysis.classify_regime (its ``rwa`` field,
+omega/Delta > 1); this module only evaluates them.
 """
 
 from __future__ import annotations
@@ -26,25 +27,16 @@ __all__ = [
     "rwa_predict",
 ]
 
-# Quality thresholds on omega/delta; the approximation needs omega well
-# above delta, and breaks down below it.
-_INVALID_BELOW = 1.0
-_OK_ABOVE = 3.0
-
-
 @dataclass(frozen=True)
 class RwaPrediction:
-    """Resonance report: photon index n, detuning n*omega + epsilon0,
-    on-resonance frequency, width scale Omega/|n| (a scale, not a sharp
-    FWHM; None when n = 0, which has no detuning slope), and validity."""
+    """Resonance report: photon index n, on-resonance frequency, and width
+    scale Omega/|n| (a scale, not a sharp FWHM; None when n = 0, which has
+    no detuning slope).  Whether the RWA applies is classify_regime's
+    ``rwa`` field."""
 
     n: int
-    detuning: float
     omega_osc: float
     width: float | None
-    valid: bool
-    quality: str
-    reason: str
 
 
 def rwa_resonant_index(p: DriveParams) -> int:
@@ -80,23 +72,4 @@ def rwa_predict(p: DriveParams) -> RwaPrediction:
     """Full resonance report for the nearest multi-photon resonance."""
     n = rwa_resonant_index(p)
     omega_osc = rwa_frequency(p, n)
-    width = None if n == 0 else omega_osc / abs(n)
-    ratio = p.omega / p.delta
-    if ratio < _INVALID_BELOW:
-        quality, valid = "invalid", False
-        reason = f"omega/delta = {ratio:.3g} < {_INVALID_BELOW:g}: rotating-frame expansion breaks down"
-    elif ratio < _OK_ABOVE:
-        quality, valid = "marginal", True
-        reason = f"omega/delta = {ratio:.3g} in [{_INVALID_BELOW:g}, {_OK_ABOVE:g}): treat quantitatively with care"
-    else:
-        quality, valid = "ok", True
-        reason = f"omega/delta = {ratio:.3g} >= {_OK_ABOVE:g}"
-    return RwaPrediction(
-        n=n,
-        detuning=n * p.omega + p.epsilon0,
-        omega_osc=omega_osc,
-        width=width,
-        valid=valid,
-        quality=quality,
-        reason=reason,
-    )
+    return RwaPrediction(n=n, omega_osc=omega_osc, width=None if n == 0 else omega_osc / abs(n))

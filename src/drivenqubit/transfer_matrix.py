@@ -92,11 +92,6 @@ __all__ = [
     "tm_slow_frequency",
 ]
 
-# Aw/delta^2 below this value counts as the slow-crossing regime for the
-# rough resonance condition; above 1 the fast-crossing formulas apply.
-_SLOW_REGIME_MAX = 1.0
-
-
 @dataclass(frozen=True)
 class LzCrossing:
     """Single-crossing data: mixing angle chi, the two boundary-independent
@@ -140,12 +135,10 @@ class FullCycleDecomposition:
 @dataclass(frozen=True)
 class SlowResonance:
     """Rough slow-crossing resonance report: the condition's left-hand
-    side, its nearest integer and residual, and the regime flag."""
+    side and its nearest integer."""
 
     lhs: float
     nearest_integer: int
-    residual: float
-    in_slow_regime: bool
 
 
 def _require_crossings(p: DriveParams) -> None:
@@ -475,19 +468,14 @@ def tm_slow_resonance_lhs(p: DriveParams) -> SlowResonance:
     resonance when lhs is close to an integer.  No quadrature runs: the
     gap corrections f1 + f2 are dropped here.  Keeping them gives the
     refined angle 2 (theta_tilde_2 - theta_tilde_1) - 2 pi
-    = -2 pi + 2 pi lhs + 2 (f1 + f2) from cycle_phases.  The regime flag
-    marks A*omega/delta^2 <= 1; the arithmetic itself only needs A > eps0.
+    = -2 pi + 2 pi lhs + 2 (f1 + f2) from cycle_phases.  The arithmetic
+    only needs A > eps0; where the slow-crossing picture applies is
+    classify_regime's ``tm_speed``.
     """
     _require_crossings(p)
     closed_1, closed_2 = _closed_phases(p)
     lhs = (closed_2 - closed_1) / math.pi
-    nearest = _nearest_integer(lhs)
-    return SlowResonance(
-        lhs=lhs,
-        nearest_integer=nearest,
-        residual=abs(lhs - nearest),
-        in_slow_regime=p.amplitude * p.omega <= _SLOW_REGIME_MAX * p.delta**2,
-    )
+    return SlowResonance(lhs=lhs, nearest_integer=_nearest_integer(lhs))
 
 
 def tm_slow_frequency(p: DriveParams) -> float:

@@ -290,7 +290,7 @@ def test_closed_form_extraction_when_the_period_is_plus_minus_identity(sign):
     assert "suppressed" in closed.flags and "suppressed" in plain.flags
 
 
-@pytest.mark.parametrize("size", [32, 33, 1000])
+@pytest.mark.parametrize("size", [32, 33, 64, 65, 1000])
 def test_hann_kernel_matches_the_windowed_sum(size):
     # Its denominators vanish at nu = 0 and nu = +-2 pi/(size - 1), and
     # again one turn away: there it takes the limit.
@@ -302,6 +302,23 @@ def test_hann_kernel_matches_the_windowed_sum(size):
         got = analysis._hann_kernel(nu, size, window=window)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-10 * size
+    # On bins, row k is the sum at nu - 2 pi k/size times e^{i (size-1) pi k/size};
+    # lines near +-pi reach the wrapped half of the bins, where an even size
+    # flips the phase.
+    lines = np.array([0.3, -0.3, 2.9, -2.9])
+    bins = np.arange(size // 2 + 1)
+    want = np.exp(1j * (lines - 2.0 * math.pi * bins[:, None] / size)[..., None] * s) @ np.hanning(size)
+    want *= np.exp(1j * (size - 1) * math.pi * bins / size)[:, None]
+    got = analysis._hann_kernel(lines, size, bins=bins)
+    assert np.max(np.abs(got - want)) <= 1e-10 * size
+
+
+def test_spectral_peak_interpolates_only_a_log_concave_triple_of_positive_bins():
+    bins = np.arange(5)
+    # Bins 0, 1, 2 are log-convex about the peak bin 1: no shift.
+    assert analysis._spectral_peak(bins, np.array([9.0, 2.0, 1.0, 0.5, 0.2]), bins > 0) == (1.0, False)
+    # A zero neighbour has no logarithm: no shift, and no error.
+    assert analysis._spectral_peak(bins, np.array([0.0, 0.0, 2.0, 0.0, 0.0]), bins > 0) == (2.0, False)
 
 
 def test_band_or_other_boxcar_takes_the_fft(monkeypatch):

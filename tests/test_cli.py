@@ -445,6 +445,15 @@ def test_predict_report_shape(capsys):
     assert payload["slow"]["nearest_integer"] == round(payload["slow"]["lhs"])
 
 
+@pytest.mark.parametrize("omega", ["0.5", "1", "2", "5"])
+def test_predict_rwa_valid_is_the_classifier_rwa(capsys, omega):
+    # One report, one answer: rwa.valid is classify_regime's omega/delta > 1.
+    code, out, _ = _run(capsys, ["predict", "--eps0", "1", "--amp", "4", "--omega", omega, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rwa"]["valid"] is payload["regime"]["rwa"] is (float(omega) > 1.0)
+
+
 # predict --format json at four (eps0, A, omega) points, meta left out, as
 # recorded with numpy 2.4 and scipy 1.17.
 _PREDICT_PINS = {
@@ -465,7 +474,7 @@ _PREDICT_PINS = {
             "label": "TM_FAST", "ratios": [30.0, 1.0, 30.0],
             "rabi": False, "rwa": False, "tm": True, "tm_speed": "FAST",
         },
-        "rwa": {"n": -5, "omega_osc": 0.14324029551207706, "width": 0.028648059102415413, "valid": True},
+        "rwa": {"n": -5, "omega_osc": 0.14324029551207706, "width": 0.028648059102415413, "valid": False},
         "tm": {
             "zeta_fc": 0.9038032721175245, "theta_fc": 6.245020600020275, "phi_fc": -5.354768455567786,
             "omega_osc": 0.1438447583401334, "width": 0.028768951668026684, "resonance_residual": 0.0,
@@ -1109,6 +1118,15 @@ def test_config_type_checking(capsys, tmp_path, key, value, message):
     code, _, err = _run(capsys, ["simulate", "--amp", "1", "--omega", "2", "--config", str(path)])
     assert code == 2
     assert err == f"config error: {message}\n"
+
+
+def test_config_null_stands_for_a_key_that_defaults_to_no_value(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"out": None}))
+    argv = ["predict", "--eps0", "3", "--amp", "15", "--omega", "3", "--format", "json"]
+    plain = _run(capsys, argv)
+    assert plain[0] == 0
+    assert _run(capsys, argv + ["--config", str(path)]) == plain
 
 
 def test_format_is_checked_once_for_flags_and_files(capsys, tmp_path):

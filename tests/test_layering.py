@@ -1,7 +1,7 @@
 """Layering: the package re-exports exactly the modules' __all__, the SU(2) state helpers, block
 size and run limits of dynamics stay private to it, only dynamics builds computed series, the CLI
 imports no scipy.integrate, no module or test imports a name it does not use, and every public name
-is reached."""
+and every field of a public dataclass is reached."""
 
 import ast
 import importlib
@@ -15,6 +15,8 @@ import pytest
 import drivenqubit
 
 _PACKAGE = Path(drivenqubit.__file__).parent
+# The tests beside this file, not beside the package: tools/mutants.py imports a copy of src/ alone.
+_TESTS = Path(__file__).resolve().parent
 _PRIVATE = {"_apply", "_form_values", "_walk", "_CHUNK", "_substep_count"}
 _MODULES = [
     importlib.import_module(f"drivenqubit.{name}")
@@ -63,7 +65,7 @@ def test_cli_import_loads_no_scipy_integrate():
     assert done.stdout.strip() == "[]"
 
 
-_SOURCES = sorted([*_PACKAGE.glob("*.py"), *(_PACKAGE.parents[1] / "tests").glob("*.py")])
+_SOURCES = sorted([*_PACKAGE.glob("*.py"), *_TESTS.glob("*.py")])
 
 
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
@@ -115,17 +117,74 @@ def _definition_lines(tree: ast.Module, name: str) -> set[int]:
     return set()
 
 
+def _package_trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in _PACKAGE.glob("*.py")}
+
+
+def _unreached(reader, candidates) -> set[str]:
+    """The labels of the (path, label, name, own lines) candidates that nothing reads.
+
+    reader maps a tree to the lines on which it reads each name; a read
+    counts in src/ outside the candidate's own lines, or in an acceptance
+    criterion.
+    """
+    acceptance = ast.parse((_TESTS / "test_acceptance.py").read_text(encoding="utf-8"))
+    reads = {path: reader(tree) for path, tree in [*_package_trees().items(), (None, acceptance)]}
+    return {
+        label for path, label, name, own in candidates
+        if not any(seen.get(name, set()) - (own if where == path else set()) for where, seen in reads.items())
+    }
+
+
 def test_every_public_name_is_reached():
-    # Reached: read in src/ outside the name's own definition, or by an
-    # acceptance criterion.  A public name nothing reaches is deleted or
-    # listed above with its reason.
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _PACKAGE.glob("*.py")}
-    acceptance = ast.parse((_PACKAGE.parents[1] / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-    reads = {path: _reads(tree) for path, tree in [*trees.items(), (None, acceptance)]}
-    unreached = set()
-    for path, tree in trees.items():
-        for name in _public_names(tree):
-            own = _definition_lines(tree, name)
-            if not any(seen.get(name, set()) - (own if where == path else set()) for where, seen in reads.items()):
-                unreached.add(name)
-    assert unreached == set(_UNREACHED_ON_PURPOSE)
+    # A public name nothing reaches is deleted or listed above with its reason.
+    candidates = [
+        (path, name, name, _definition_lines(tree, name))
+        for path, tree in _package_trees().items() for name in _public_names(tree)
+    ]
+    assert _unreached(_reads, candidates) == set(_UNREACHED_ON_PURPOSE)
+
+
+# Fields of public dataclasses that nothing in the package reads, on
+# purpose: the tests check each against an independent computation.
+_UNREACHED_FIELDS_ON_PURPOSE = {
+    "LzCrossing.sweep_rate": "checked against the slope of the drive at the crossing",
+    "LzCrossing.delta_adiab": "checked against delta^2/(4v) and the Stokes phase it enters",
+    "CyclePhases.f1": "checked against scipy's adaptive quad of the gap excess over region 1",
+    "CyclePhases.f2": "checked against scipy's adaptive quad of the gap excess over region 2",
+}
+
+
+def _public_dataclasses(tree: ast.Module) -> list[ast.ClassDef]:
+    """The module-level classes listed in ``__all__`` and decorated with ``dataclass``."""
+    public = set(_public_names(tree))
+
+    def is_dataclass(deco: ast.expr) -> bool:
+        return getattr(deco.func if isinstance(deco, ast.Call) else deco, "id", None) == "dataclass"
+
+    return [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in public and any(map(is_dataclass, node.decorator_list))
+    ]
+
+
+def _field_reads(tree: ast.Module) -> dict[str, set[int]]:
+    """The lines on which the code reads each name as an attribute or names it in a string constant."""
+    reads: dict[str, set[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.attr, set()).add(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.setdefault(node.value, set()).add(node.lineno)
+    return reads
+
+
+def test_every_public_dataclass_field_is_reached():
+    # A string constant counts as a read, as for cli's getattr(result, name).
+    # A field nothing reaches is deleted or listed above with its reason.
+    candidates = [
+        (path, f"{cls.name}.{node.target.id}", node.target.id, set(range(cls.lineno, cls.end_lineno + 1)))
+        for path, tree in _package_trees().items() for cls in _public_dataclasses(tree)
+        for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    assert _unreached(_field_reads, candidates) == set(_UNREACHED_FIELDS_ON_PURPOSE)

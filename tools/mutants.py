@@ -8,12 +8,14 @@ Usage (from the repository root)::
 Each mutant replaces one text that occurs exactly once in its file.  It is
 applied to a copy of ``src/`` in a temporary directory, never to ``src/``
 itself, and the selection runs in a fresh process with that copy first on
-``PYTHONPATH``.  A failing run kills the mutant; a passing one lets it
-survive.  The runner prints one line per mutant and the score.
+``PYTHONPATH`` and its own hypothesis database in the temporary directory:
+a falsifying example found on a mutant is never replayed by a later run.
+A failing run kills the mutant; a passing one lets it survive.  The
+runner prints one line per mutant and the score.
 
-Against ``-x tests`` a surviving mutant costs a whole run of the 623
-tests there (18.6 s and 24.3 s wall in two runs on a 2-core VM with
-Python 3.11), so this is not part of tier-1; ``tests/test_mutants.py``
+Against ``-x tests`` a surviving mutant costs a whole run of the 634
+tests there (16.1 s wall in one run on a 2-core VM with Python 3.11),
+so this is not part of tier-1; ``tests/test_mutants.py``
 only checks that every mutant still applies.
 """
 
@@ -50,6 +52,16 @@ MUTANTS = [
            "masked = np.where(usable, mags, 0.001)"),
     Mutant("scan-default-spp", "analysis.py", "    steps_per_period: int = 128,\n) -> ScanResult:",
            "    steps_per_period: int = 129,\n) -> ScanResult:"),
+    # Branches of the closed-form spectrum and the peak refinement (analysis).
+    Mutant("hann-bins-phase-never", "analysis.py", "        if size % 2 == 0:\n", "        if False:\n"),
+    Mutant("hann-bins-phase-always", "analysis.py", "        if size % 2 == 0:\n", "        if True:\n"),
+    Mutant("peak-log-guard", "analysis.py", "if below > 0.0 and peak > 0.0 and above > 0.0:", "if True:"),
+    Mutant("peak-curvature-guard", "analysis.py", "if curvature < 0.0:", "if True:"),
+    # The degenerate rules of the cycle decomposition (transfer_matrix).
+    Mutant("decompose-full-flip", "transfer_matrix.py", "elif m >= 1.0 - _DEGENERATE_TOL:", "elif False:"),
+    Mutant("decompose-theta-range", "transfer_matrix.py", "if theta <= -2.0 * math.pi:", "if False:"),
+    # A config-file null for a key that defaults to no value (cli).
+    Mutant("config-null", "cli.py", "if value is None and default is None:", "if False:"),
     # The midpoint step and the sample writer (dynamics).
     Mutant("step-bias-sign", "dynamics.py", "b = -0.5 * eps_mid", "b = +0.5 * eps_mid"),
     Mutant("form-values-clip", "dynamics.py", "return np.clip(out, 0.0, 1.0, out=out)", "return out"),
@@ -90,7 +102,10 @@ def run(mutant: Mutant, pytest_args: list[str]) -> bool:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         apply(mutant, src)
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        env = dict(
+            os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+            HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / ".hypothesis"),
+        )
         where = subprocess.run(
             [sys.executable, "-c", "import drivenqubit; print(drivenqubit.__file__)"],
             env=env, capture_output=True, text=True, check=True,
