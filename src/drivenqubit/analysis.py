@@ -31,9 +31,6 @@ from .rwa import rwa_predict
 from .transfer_matrix import crossing_times, tm_slow_frequency, tm_slow_resonance_lhs
 
 __all__ = [
-    "SUPPRESSED_AMPLITUDE",
-    "TM_FAST_MIN",
-    "TM_SLOW_MAX",
     "FrequencyEstimate",
     "RegimeLabel",
     "ScanResult",
@@ -45,13 +42,14 @@ __all__ = [
 ]
 
 # Envelope peak-to-peak below which a trace is reported as CDT-like.
-SUPPRESSED_AMPLITUDE = 0.02
+_SUPPRESSED_AMPLITUDE = 0.02
 
 # Sub-regime thresholds on A*omega/delta^2.  The underlying criteria are
 # asymptotic (>> 1 and << 1); the factor-of-ten cutoffs make them usable
-# as a classifier and are deliberately exposed for adjustment.
-TM_FAST_MIN = 10.0
-TM_SLOW_MAX = 0.1
+# as a classifier.  They are fixed: README states them, and the tests pin
+# the label on each side of each cut.
+_TM_FAST_MIN = 10.0
+_TM_SLOW_MAX = 0.1
 
 _MIN_SAMPLES = 32
 # Amplitude ratio equivalent to 3 dB; a secondary peak above it is ambiguous.
@@ -81,7 +79,7 @@ class FrequencyEstimate:
         Peak-to-peak excursion of the coarse-grained P_up, in [0, 1].
     flags : tuple of str
         Subset of {"suppressed", "ambiguous"}.  "suppressed" marks
-        CDT-like traces (amplitude below ``SUPPRESSED_AMPLITUDE``),
+        CDT-like traces (amplitude below 0.02),
         where ``omega_est`` is noise-dominated and should not be
         trusted; "ambiguous" marks a secondary peak within 3 dB.
     """
@@ -232,7 +230,7 @@ def extract_frequency(
 
     amplitude = min(1.0, max(0.0, amplitude))
     flags: list[str] = []
-    if amplitude < SUPPRESSED_AMPLITUDE:
+    if amplitude < _SUPPRESSED_AMPLITUDE:
         flags.append("suppressed")
     if ambiguous:
         flags.append("ambiguous")
@@ -245,14 +243,16 @@ def _spectral_peak(bins: np.ndarray, mags: np.ndarray, usable: np.ndarray) -> tu
     ``bins`` are increasing bin indices and ``mags`` their spectral
     magnitudes; a bin's neighbours count only where bins k - 1 and k + 1
     are present.  The peak k is shifted by quadratic interpolation of the
-    log magnitude over k - 1, k, k + 1.  A rival is a usable local maximum
-    more than 3 bins from k.
+    log magnitude over k - 1, k, k + 1, unless k - 1 is bin 0: the DC bin
+    of the mean-removed spectrum is rounding noise, different on the two
+    extraction paths.  A rival is a usable local maximum more than 3 bins
+    from k.
     """
     masked = np.where(usable, mags, 0.0)
     i = int(np.argmax(masked))
     k = int(bins[i])
     shift = 0.0
-    if 0 < i < bins.size - 1 and bins[i - 1] == k - 1 and bins[i + 1] == k + 1:
+    if k >= 2 and 0 < i < bins.size - 1 and bins[i - 1] == k - 1 and bins[i + 1] == k + 1:
         below, peak, above = mags[i - 1 : i + 2].tolist()
         if below > 0.0 and peak > 0.0 and above > 0.0:
             lm, lc, lp = math.log(below), math.log(peak), math.log(above)
@@ -383,10 +383,10 @@ def classify_regime(p: DriveParams) -> RegimeLabel:
     Conditions: Rabi for A/delta < 1, rotating-wave for omega/delta > 1,
     transfer-matrix for A/delta > 1 with A > epsilon0 (crossings must
     exist).  The TM sub-label follows A*omega/delta^2: FAST at or above
-    ``TM_FAST_MIN``, SLOW at or below ``TM_SLOW_MAX``, INTERMEDIATE
-    between.  The returned ``label`` is the most specific applicable
-    region (TM over Rabi over bare RWA); regions that also apply are
-    reported through the boolean fields.
+    10, SLOW at or below 0.1, INTERMEDIATE between.  The returned
+    ``label`` is the most specific applicable region (TM over Rabi over
+    bare RWA); regions that also apply are reported through the boolean
+    fields.
 
     ``tm`` marks the transfer matrix's validity region (A > delta and
     A > epsilon0), not where it can be evaluated: ``predict``, ``scan`` and
@@ -404,9 +404,9 @@ def classify_regime(p: DriveParams) -> RegimeLabel:
     tm = drive_ratio > 1.0 and p.amplitude > p.epsilon0
     tm_speed: str | None = None
     if tm:
-        if speed_ratio >= TM_FAST_MIN:
+        if speed_ratio >= _TM_FAST_MIN:
             tm_speed = "FAST"
-        elif speed_ratio <= TM_SLOW_MAX:
+        elif speed_ratio <= _TM_SLOW_MAX:
             tm_speed = "SLOW"
         else:
             tm_speed = "INTERMEDIATE"

@@ -196,13 +196,6 @@ class QubitState:
     def down(cls) -> "QubitState":
         return cls(0.0j, 1.0 + 0.0j)
 
-    @property
-    def probability_up(self) -> float:
-        return abs(self.up_amp) ** 2
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.up_amp, self.down_amp], dtype=complex)
-
 
 @dataclass(frozen=True)
 class Unitary2:

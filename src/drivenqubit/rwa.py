@@ -21,8 +21,6 @@ from .specfun import MAX_J0_ZERO_INDEX, bessel_j0_zero, bessel_jn
 
 __all__ = [
     "RwaPrediction",
-    "rwa_resonant_index",
-    "rwa_frequency",
     "cdt_amplitudes",
     "rwa_predict",
 ]
@@ -39,25 +37,6 @@ class RwaPrediction:
     width: float | None
 
 
-def rwa_resonant_index(p: DriveParams) -> int:
-    """Integer n minimizing |n*omega + epsilon0|.
-
-    For positive bias the resonant index is negative (n = -epsilon0/omega
-    at exact resonance); |n| is the photon number.  A half-integer
-    epsilon0/omega (within 1e-12) is a tie between two equally detuned
-    resonances and is broken toward the smaller |n|.
-    """
-    return -_nearest_integer(p.epsilon0 / p.omega)
-
-
-def rwa_frequency(p: DriveParams, n: int) -> float:
-    """On-resonance oscillation frequency Omega = delta*|J_n(A/omega)|.
-
-    Raises ValueError unless n is an int (not a bool) with |n| <= 200.
-    """
-    return p.delta * abs(bessel_jn(n, p.amplitude / p.omega))
-
-
 def cdt_amplitudes(omega: float, k_max: int) -> list[float]:
     """Drive amplitudes A_k = omega*j_{0,k} where tunnelling is frozen.
 
@@ -69,7 +48,16 @@ def cdt_amplitudes(omega: float, k_max: int) -> list[float]:
 
 
 def rwa_predict(p: DriveParams) -> RwaPrediction:
-    """Full resonance report for the nearest multi-photon resonance."""
-    n = rwa_resonant_index(p)
-    omega_osc = rwa_frequency(p, n)
+    """Resonance report for the nearest multi-photon resonance.
+
+    n is the integer minimizing |n*omega + epsilon0|, so for positive bias
+    it is negative (n = -epsilon0/omega at exact resonance) and |n| is the
+    photon number; a half-integer epsilon0/omega (within 1e-12) is a tie
+    between two equally detuned resonances, broken toward the smaller |n|.
+    The on-resonance frequency is Omega = delta*|J_n(A/omega)|.
+
+    Raises ValueError if |n| > 200, the largest order ``bessel_jn`` takes.
+    """
+    n = -_nearest_integer(p.epsilon0 / p.omega)
+    omega_osc = p.delta * abs(bessel_jn(n, p.amplitude / p.omega))
     return RwaPrediction(n=n, omega_osc=omega_osc, width=None if n == 0 else omega_osc / abs(n))

@@ -78,6 +78,13 @@ def test_comparable_tones_raise_ambiguous_flag():
     assert "ambiguous" not in est.flags
 
 
+@pytest.mark.parametrize("amp, flags", [(0.0099, ("suppressed",)), (0.0101, ())])
+def test_suppressed_below_two_percent_peak_to_peak(amp, flags):
+    est = extract_frequency(_sine_series(0.37, amp=amp))
+    assert abs(est.amplitude - 2.0 * amp) < 1e-6
+    assert est.flags == flags
+
+
 def test_flat_trace_is_suppressed():
     est = extract_frequency(TimeSeries(t0=0.0, dt=0.05, values=np.full(64, 0.3)))
     assert est.flags == ("suppressed",)
@@ -204,7 +211,7 @@ def _assert_paths_agree(ts, period):
     if plain.amplitude < 1e-9:
         # A boxcar flat to rounding has a spectrum of rounding noise: the rival flag means nothing there.
         assert "suppressed" in closed.flags and "suppressed" in plain.flags
-    elif abs(plain.amplitude - analysis.SUPPRESSED_AMPLITUDE) > 1e-9 and abs(rival - 1.0) > 1e-6:
+    elif abs(plain.amplitude - analysis._SUPPRESSED_AMPLITUDE) > 1e-9 and abs(rival - 1.0) > 1e-6:
         assert closed.flags == plain.flags
     return closed, plain
 
@@ -236,8 +243,10 @@ def test_closed_form_extraction_matches_the_fft(epsilon0, amplitude, omega, step
         (2.0, 0.0, 3.0, 60, 64),  # undriven
         (0.0, 5.0 * bessel_j0_zero(1), 5.0, 25, 512),  # the first CDT node
         (0.0, 5.0 * bessel_j0_zero(1), 5.0, 5000, 64),
+        # Free Rabi peaking at bin 1, whose refinement through the rounding noise of bin 0 split the paths.
+        (0.0, 0.0, 2.0, 3, 16),
     ],
-    ids=["scan-cell", "capped", "undriven", "cdt-node", "cdt-node-long"],
+    ids=["scan-cell", "capped", "undriven", "cdt-node", "cdt-node-long", "peak-at-bin-1"],
 )
 def test_closed_form_extraction_on_marked_cells(eps0, amp, omega, periods, steps):
     p = _p(eps0, amp, omega)
@@ -314,11 +323,13 @@ def test_hann_kernel_matches_the_windowed_sum(size):
 
 
 def test_spectral_peak_interpolates_only_a_log_concave_triple_of_positive_bins():
-    bins = np.arange(5)
-    # Bins 0, 1, 2 are log-convex about the peak bin 1: no shift.
-    assert analysis._spectral_peak(bins, np.array([9.0, 2.0, 1.0, 0.5, 0.2]), bins > 0) == (1.0, False)
+    bins = np.arange(6)
+    # A band from bin 2: bins 1, 2, 3 are log-convex about the peak bin 2, so no shift.
+    assert analysis._spectral_peak(bins, np.array([0.0, 9.0, 2.0, 1.0, 0.5, 0.2]), bins > 1) == (2.0, False)
     # A zero neighbour has no logarithm: no shift, and no error.
-    assert analysis._spectral_peak(bins, np.array([0.0, 0.0, 2.0, 0.0, 0.0]), bins > 0) == (2.0, False)
+    assert analysis._spectral_peak(bins, np.array([0.0, 0.0, 2.0, 0.0, 0.0, 0.0]), bins > 0) == (2.0, False)
+    # A peak at bin 1 is never refined: bin 0 is rounding noise once the mean is removed.
+    assert analysis._spectral_peak(bins, np.array([1.0, 2.0, 1.5, 0.5, 0.2, 0.1]), bins > 0) == (1.0, False)
 
 
 def test_band_or_other_boxcar_takes_the_fft(monkeypatch):
@@ -353,6 +364,11 @@ def test_frequency_estimate_field_validation():
         (3.0, 15.0, 3.0, "TM_FAST"),
         (1.0, 2.0, 0.5, "TM_INTERMEDIATE"),
         (1.0, 2.0, 0.04, "TM_SLOW"),
+        # The sub-label cuts on A*omega/delta^2: FAST from 10, SLOW up to 0.1.
+        (1.0, 5.0, 2.0, "TM_FAST"),
+        (1.0, 5.0, 1.98, "TM_INTERMEDIATE"),
+        (1.0, 2.0, 0.05, "TM_SLOW"),
+        (1.0, 2.0, 0.051, "TM_INTERMEDIATE"),
         # Strong drive but no crossings (A <= eps0): only the rotating frame is left.
         (5.0, 3.0, 2.0, "RWA"),
         # A/delta exactly 1 satisfies neither side, and omega is slow.

@@ -49,6 +49,14 @@ def test_undriven_resonant_is_exact_rabi():
     assert np.max(np.abs(ts.values - expected)) < 1e-12
 
 
+def test_samples_are_clipped_to_probabilities():
+    # Free Rabi returns to P_up = 1 each period; unclipped, the form's
+    # rounding puts a sample there at 1.0000000000000036.
+    p = DriveParams(delta=1.0, epsilon0=0.0, amplitude=0.0, omega=0.5)
+    values = propagate_exact(p, QubitState.up(), 20 * p.period, steps_per_period=64).values
+    assert values.min() >= 0.0 and values.max() <= 1.0
+
+
 def test_undriven_detuned_amplitude():
     # P_down peaks at delta^2/(delta^2 + eps0^2); trace matches closed form.
     p = DriveParams(delta=1.0, epsilon0=10.0, amplitude=0.0, omega=2.0)
@@ -122,7 +130,7 @@ def test_propagate_matches_operator_samples():
     for k in (1, 47, len(ts) - 1):
         t_k = ts.t0 + k * ts.dt
         u = evolution_operator(p, 0.0, t_k, steps_per_period=64)
-        vec = u.as_matrix() @ QubitState.up().as_vector()
+        vec = u.as_matrix()[:, 0]
         assert ts.values[k] == pytest.approx(abs(vec[0]) ** 2, abs=5e-9)
 
 
@@ -146,7 +154,7 @@ def test_linear_sweep_matches_lz_formula_wide_span():
     delta = 1.0
     for v in (2.0, 20.0):
         final = propagate_linear_sweep(delta, v, 400.0, QubitState.up(), steps=120_000)
-        p_flip = 1.0 - final.probability_up
+        p_flip = 1.0 - abs(final.up_amp) ** 2
         exact = 1.0 - math.exp(-math.pi * delta**2 / (2.0 * v))
         assert p_flip == pytest.approx(exact, rel=0.01)
 
@@ -157,14 +165,14 @@ def test_linear_sweep_span_50_absolute():
     delta = 1.0
     for v in (5.0, 100.0):
         final = propagate_linear_sweep(delta, v, 50.0, QubitState.up(), steps=40_000)
-        p_flip = 1.0 - final.probability_up
+        p_flip = 1.0 - abs(final.up_amp) ** 2
         exact = 1.0 - math.exp(-math.pi * delta**2 / (2.0 * v))
         assert abs(p_flip - exact) < 0.02
 
 
 def test_linear_sweep_zero_gap_never_flips():
     final = propagate_linear_sweep(0.0, 5.0, 100.0, QubitState.up(), steps=5000)
-    assert final.probability_up == pytest.approx(1.0, abs=1e-12)
+    assert abs(final.up_amp) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +384,7 @@ def test_linear_sweep_matches_sequential_oracle(delta, v, span, steps):
     for psi0 in _STATES.values():
         final = propagate_linear_sweep(delta, v, span, psi0, steps=steps)
         expected = _oracle_sweep(delta, v, span, psi0, steps)
-        assert np.max(np.abs(final.as_vector() - expected)) <= 1e-12
+        assert np.max(np.abs(np.array([final.up_amp, final.down_amp]) - expected)) <= 1e-12
 
 
 def test_long_linear_sweep_returns_a_normalised_state():
@@ -384,7 +392,7 @@ def test_long_linear_sweep_returns_a_normalised_state():
     # walker's 1e-10 bound, outside QubitState's 1e-12 one.
     final = propagate_linear_sweep(1.0, 4.0, 10.0, QubitState.up(), steps=150_000)
     expected = _oracle_sweep(1.0, 4.0, 10.0, QubitState.up(), 150_000)
-    assert np.max(np.abs(final.as_vector() - expected)) <= 1e-12
+    assert np.max(np.abs(np.array([final.up_amp, final.down_amp]) - expected)) <= 1e-12
 
 
 def test_one_period_product_is_su2():
@@ -420,7 +428,7 @@ def test_long_floquet_run_keeps_its_norm():
     assert np.max(np.abs(from_up + from_down - 1.0)) <= 1e-12
     u_t = evolution_operator(p, 0.0, p.period, steps_per_period=16).as_matrix()
     for k in (1, 1234, cycles):
-        final = np.linalg.matrix_power(u_t, k) @ QubitState.up().as_vector()
+        final = np.linalg.matrix_power(u_t, k)[:, 0]
         assert from_up[k] == pytest.approx(abs(final[0]) ** 2, abs=1e-8)
 
 
@@ -437,7 +445,7 @@ def test_closed_form_power_matches_matrix_power(pair):
     m = Unitary2(*pair).as_matrix()
     for psi0 in (QubitState(0.6, 0.8j), QubitState(0.8, -0.6)):
         ts = dynamics._stroboscope(psi0, (1.0 + 0.0j, 0.0j), pair, 1000, 0.0, 1.0)
-        expected = [abs((np.linalg.matrix_power(m, k) @ psi0.as_vector())[0]) ** 2 for k in range(1001)]
+        expected = [abs((np.linalg.matrix_power(m, k) @ [psi0.up_amp, psi0.down_amp])[0]) ** 2 for k in range(1001)]
         assert np.max(np.abs(ts.values - expected)) <= 1e-12
 
 
@@ -729,7 +737,7 @@ def test_qubit_state_requires_normalization():
     with pytest.raises(ConfigError):
         QubitState(1.0, 1.0)
     s = QubitState(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
-    assert s.probability_up == pytest.approx(0.5)
+    assert abs(s.up_amp) ** 2 == pytest.approx(0.5)
 
 
 def test_unitary_rejects_non_unitary():

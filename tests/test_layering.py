@@ -1,7 +1,8 @@
 """Layering: the package re-exports exactly the modules' __all__, the SU(2) state helpers, block
 size and run limits of dynamics stay private to it, only dynamics builds computed series, the CLI
-imports no scipy.integrate, no module or test imports a name it does not use, and every public name
-and every field of a public dataclass is reached."""
+imports no scipy.integrate, no module or test imports a name it does not use, and every public name,
+every public method of a public class and every field of a public dataclass is reached from outside
+its own module or class."""
 
 import ast
 import importlib
@@ -82,22 +83,38 @@ def test_every_imported_name_is_used(path):
     assert sorted(bound - used) == []
 
 
-# Public names that nothing in the package reads, on purpose: the geometric
-# picture's building blocks, which the tests use as independent oracles.
+# Public names that no other module, no CLI path and no acceptance criterion
+# reads, on purpose: the geometric picture's building blocks, which the tests
+# use as independent oracles, the intermediate results (the bias, the
+# crossing data, the cycle phases) that the tests check one by one, and the
+# console script.
 _UNREACHED_ON_PURPOSE = {
+    "drive_epsilon": "the bias eps(t), checked against its formula and the phase convention",
     "hamiltonian": "the drive Hamiltonian, the oracle of the midpoint step",
     "step_unitary": "one midpoint step as a matrix, checked against exp(-i h H)",
+    "lz_crossing": "the crossing data, checked against the LZ formula and a linear sweep",
     "lz_transfer_matrix": "one crossing as a matrix, an oracle of the composed cycle",
     "phase_matrix": "one between-crossing step as a matrix, an oracle of the composed cycle",
+    "cycle_phases": "the cycle's phases, checked against scipy's adaptive quad and mpmath",
+    "main": "the CLI itself, the console script that pyproject.toml declares",
 }
+
+
+def _attribute_reads(tree: ast.Module) -> dict[str, set[int]]:
+    """The lines on which the code reads each name as an attribute."""
+    reads: dict[str, set[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.attr, set()).add(node.lineno)
+    return reads
 
 
 def _reads(tree: ast.Module) -> dict[str, set[int]]:
     """The lines on which the code reads each name, as a name or as an attribute."""
-    reads: dict[str, set[int]] = {}
+    reads = _attribute_reads(tree)
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-            reads.setdefault(node.id if isinstance(node, ast.Name) else node.attr, set()).add(node.lineno)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.id, set()).add(node.lineno)
     return reads
 
 
@@ -109,12 +126,10 @@ def _public_names(tree: ast.Module) -> list[str]:
     return []
 
 
-def _definition_lines(tree: ast.Module, name: str) -> set[int]:
-    """The lines of the module-level def or class of name (an assignment binds, so it reads nothing)."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            return set(range(node.lineno, node.end_lineno + 1))
-    return set()
+def _public_classes(tree: ast.Module) -> list[ast.ClassDef]:
+    """The module-level classes listed in ``__all__``."""
+    public = set(_public_names(tree))
+    return [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name in public]
 
 
 def _package_trees() -> dict[Path, ast.Module]:
@@ -125,24 +140,58 @@ def _unreached(reader, candidates) -> set[str]:
     """The labels of the (path, label, name, own lines) candidates that nothing reads.
 
     reader maps a tree to the lines on which it reads each name; a read
-    counts in src/ outside the candidate's own lines, or in an acceptance
-    criterion.
+    counts in src/ outside the candidate's own lines of its module path
+    (None: the whole module), or in an acceptance criterion.
     """
     acceptance = ast.parse((_TESTS / "test_acceptance.py").read_text(encoding="utf-8"))
     reads = {path: reader(tree) for path, tree in [*_package_trees().items(), (None, acceptance)]}
+
+    def counted(lines: set[int], where, path, own) -> set[int]:
+        if where != path:
+            return lines
+        return set() if own is None else lines - own
+
     return {
         label for path, label, name, own in candidates
-        if not any(seen.get(name, set()) - (own if where == path else set()) for where, seen in reads.items())
+        if not any(counted(seen.get(name, set()), where, path, own) for where, seen in reads.items())
     }
 
 
+def _returned_names() -> set[str]:
+    """The names that the return annotations of the package's public functions mention."""
+    names = set()
+    for tree in _package_trees().values():
+        public = set(_public_names(tree))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public and node.returns is not None:
+                names |= {n.id for n in ast.walk(node.returns) if isinstance(n, ast.Name)}
+    return names
+
+
 def test_every_public_name_is_reached():
-    # A public name nothing reaches is deleted or listed above with its reason.
+    # Public means read by another module of the package (the CLI among
+    # them) or by an acceptance criterion; a public class also counts as
+    # reached when a public function returns it.  A public name nothing
+    # reaches is made private, deleted or listed above with its reason.
+    returned = _returned_names()
+    classes = {cls.name for tree in _package_trees().values() for cls in _public_classes(tree)}
     candidates = [
-        (path, name, name, _definition_lines(tree, name))
+        (path, name, name, None)
         for path, tree in _package_trees().items() for name in _public_names(tree)
+        if not (name in classes and name in returned)
     ]
     assert _unreached(_reads, candidates) == set(_UNREACHED_ON_PURPOSE)
+
+
+def test_every_public_method_is_reached():
+    # A public method or property of a public class is read outside its
+    # class, or by an acceptance criterion.
+    candidates = [
+        (path, f"{cls.name}.{node.name}", node.name, set(range(cls.lineno, cls.end_lineno + 1)))
+        for path, tree in _package_trees().items() for cls in _public_classes(tree)
+        for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert _unreached(_attribute_reads, candidates) == set()
 
 
 # Fields of public dataclasses that nothing in the package reads, on
@@ -156,25 +205,19 @@ _UNREACHED_FIELDS_ON_PURPOSE = {
 
 
 def _public_dataclasses(tree: ast.Module) -> list[ast.ClassDef]:
-    """The module-level classes listed in ``__all__`` and decorated with ``dataclass``."""
-    public = set(_public_names(tree))
+    """The public classes decorated with ``dataclass``."""
 
     def is_dataclass(deco: ast.expr) -> bool:
         return getattr(deco.func if isinstance(deco, ast.Call) else deco, "id", None) == "dataclass"
 
-    return [
-        node for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name in public and any(map(is_dataclass, node.decorator_list))
-    ]
+    return [node for node in _public_classes(tree) if any(map(is_dataclass, node.decorator_list))]
 
 
 def _field_reads(tree: ast.Module) -> dict[str, set[int]]:
     """The lines on which the code reads each name as an attribute or names it in a string constant."""
-    reads: dict[str, set[int]] = {}
+    reads = _attribute_reads(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.setdefault(node.attr, set()).add(node.lineno)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
             reads.setdefault(node.value, set()).add(node.lineno)
     return reads
 

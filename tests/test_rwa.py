@@ -8,7 +8,7 @@ import pytest
 from drivenqubit.analysis import extract_frequency
 from drivenqubit.dynamics import DriveParams, QubitState, propagate_exact
 from drivenqubit.errors import ConfigError
-from drivenqubit.rwa import cdt_amplitudes, rwa_frequency, rwa_predict, rwa_resonant_index
+from drivenqubit.rwa import cdt_amplitudes, rwa_predict
 from drivenqubit.specfun import bessel_j0_zero, bessel_jn
 
 
@@ -31,32 +31,33 @@ def _p(eps0, amp, omega):
     ],
 )
 def test_resonant_index(eps0, omega, expected):
-    assert rwa_resonant_index(_p(eps0, amp=1.0, omega=omega)) == expected
+    assert rwa_predict(_p(eps0, amp=1.0, omega=omega)).n == expected
 
 
 def test_resonant_index_minimizes_detuning():
     rng = np.random.RandomState(5)
     for _ in range(100):
         p = _p(float(rng.uniform(0, 10)), 1.0, float(rng.uniform(0.2, 20)))
-        n = rwa_resonant_index(p)
+        n = rwa_predict(p).n
         d = abs(n * p.omega + p.epsilon0)
         for m in (n - 1, n + 1):
             assert d <= abs(m * p.omega + p.epsilon0) + 1e-12
 
 
 def test_rwa_frequency_is_bessel_weighted():
-    p = _p(3.0, 10.0, 3.0)
-    assert rwa_frequency(p, -1) == pytest.approx(abs(bessel_jn(1, 10.0 / 3.0)), rel=1e-12)
-    assert rwa_frequency(p, 0) == pytest.approx(abs(bessel_jn(0, 10.0 / 3.0)), rel=1e-12)
+    assert rwa_predict(_p(3.0, 10.0, 3.0)).omega_osc == pytest.approx(abs(bessel_jn(1, 10.0 / 3.0)), rel=1e-12)
+    assert rwa_predict(_p(0.0, 10.0, 3.0)).omega_osc == pytest.approx(abs(bessel_jn(0, 10.0 / 3.0)), rel=1e-12)
+    # Orders up to |n| = 200 are bessel_jn's range; n = -201 is refused.
+    assert rwa_predict(_p(200.0, 10.0, 1.0)).n == -200
     with pytest.raises(ValueError):
-        rwa_frequency(p, 201)
+        rwa_predict(_p(201.0, 10.0, 1.0))
 
 
 @pytest.mark.parametrize("n", [1.5, True, 2.0])
 def test_rwa_frequency_takes_only_integer_orders(n):
-    # The Bessel order rule governs: no coercion to an int.
+    # rwa_predict's frequency takes its order through bessel_jn, whose rule governs: no coercion to an int.
     with pytest.raises(ValueError):
-        rwa_frequency(_p(3.0, 10.0, 3.0), n)
+        bessel_jn(n, 10.0 / 3.0)
 
 
 def test_rwa_frequency_envelope_bound():
@@ -64,9 +65,8 @@ def test_rwa_frequency_envelope_bound():
     # delta * 1.1 * sqrt(2 omega/(pi A)).
     for amp, omega in ((30.0, 1.0), (40.0, 2.0), (50.0, 5.0)):
         p = _p(2.0, amp, omega)
-        n = rwa_resonant_index(p)
         bound = 1.1 * math.sqrt(2.0 * omega / (math.pi * amp))
-        assert rwa_frequency(p, n) <= bound
+        assert rwa_predict(p).omega_osc <= bound
 
 
 def test_cdt_amplitudes_sit_on_j0_zeros():

@@ -13,14 +13,7 @@ import pytest
 
 from drivenqubit.dynamics import DriveParams
 from drivenqubit.errors import ConfigError
-from drivenqubit.specfun import (
-    MAX_BESSEL_ORDER,
-    MAX_J0_ZERO_INDEX,
-    bessel_j0_zero,
-    bessel_jn,
-    log_gamma_complex,
-    stokes_phase,
-)
+from drivenqubit.specfun import MAX_J0_ZERO_INDEX, bessel_j0_zero, bessel_jn, stokes_phase
 from drivenqubit.transfer_matrix import tm_resonance_width
 
 # (n, x, J_n(x)) spanning the series branch, the Miller branch, a zero,
@@ -50,12 +43,13 @@ _J0_ZEROS = [
     58.90698392608094, 62.048469190227166,
 ]
 
+# log Gamma(z) on the line z = 1 - i*delta, the one stokes_phase evaluates, out to delta = 1e3.
 _LOG_GAMMA_REFERENCE = [
+    ((1.0, -0.01), (-8.224399770387167e-05, 0.005771755984118057)),
     ((1.0, -0.5), (-0.19094549918677936, 0.24405829890542777)),
     ((1.0, -4.0), (-4.671099593408887, -2.309698056572535)),
-    ((0.5, 3.0), (-3.793450450436223, 0.30981927108643914)),
-    ((7.3, -2.2), (6.798549216259046, -4.256249923759038)),
-    ((12.0, 0.0), (17.502307845873887, 0.0)),
+    ((1.0, -30.0), (-44.50435257981115, -72.81854173257099)),
+    ((1.0, -1000.0), (-1566.4235106222009, -5908.5405938121985)),
 ]
 
 _STOKES_REFERENCE = [
@@ -96,7 +90,7 @@ def test_bessel_three_term_recurrence():
 def test_bessel_normalization_sum(x):
     # J_0 + 2 * sum_{k>=1} J_{2k} = 1 for any argument.
     total = bessel_jn(0, x)
-    for k in range(1, MAX_BESSEL_ORDER // 2):
+    for k in range(1, 100):
         term = bessel_jn(2 * k, x)
         total += 2.0 * term
         if 2 * k > x + 40 and abs(term) < 1e-18:
@@ -130,7 +124,7 @@ def test_bessel_rejects_bad_order(bad):
 
 def test_bessel_rejects_out_of_range():
     with pytest.raises(ValueError):
-        bessel_jn(MAX_BESSEL_ORDER + 1, 1.0)
+        bessel_jn(201, 1.0)
     with pytest.raises(ValueError):
         bessel_jn(0, float("inf"))
 
@@ -159,41 +153,18 @@ def test_j0_zero_rejects_bad_index(k):
 
 @pytest.mark.parametrize("z, ref", _LOG_GAMMA_REFERENCE)
 def test_log_gamma_reference_values(z, ref):
-    got = log_gamma_complex(complex(*z))
-    assert got.real == pytest.approx(ref[0], abs=1e-12, rel=1e-12)
-    assert got.imag == pytest.approx(ref[1], abs=1e-12)
+    # stokes_phase(d) - pi/4 - d (ln d - 1) is its arg Gamma(1 - i d), the imaginary part of log Gamma.
+    d = -z[1]
+    arg_gamma = stokes_phase(d) - 0.25 * math.pi - d * (math.log(d) - 1.0)
+    assert arg_gamma == pytest.approx(ref[1], abs=1e-12, rel=1e-12)
 
 
-def test_log_gamma_functional_equation():
-    # Gamma(z+1)/Gamma(z) = z, compared through exp to dodge branch cuts.
-    rng = np.random.RandomState(11)
-    for _ in range(100):
-        z = complex(rng.uniform(0.2, 20.0), rng.uniform(-15.0, 15.0))
-        ratio = np.exp(log_gamma_complex(z + 1.0) - log_gamma_complex(z))
-        assert abs(ratio - z) <= 1e-10 * abs(z)
-
-
-def test_log_gamma_reflection_magnitude():
-    # |Gamma(1 - i d)|^2 = pi d / sinh(pi d), an exact identity.
-    for d in (0.05, 0.3, 1.0, 2.5, 6.0):
-        lhs = 2.0 * log_gamma_complex(complex(1.0, -d)).real
-        rhs = math.log(math.pi * d / math.sinh(math.pi * d))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_log_gamma_conjugate_symmetry():
-    for z in (complex(0.7, 1.3), complex(3.0, -8.0), complex(15.0, 4.0)):
-        a = log_gamma_complex(z)
-        b = log_gamma_complex(z.conjugate())
-        assert a.real == pytest.approx(b.real, rel=1e-13)
-        assert a.imag == pytest.approx(-b.imag, abs=1e-12, rel=1e-12)
-
-
-def test_log_gamma_rejects_left_half_plane():
-    with pytest.raises(ValueError):
-        log_gamma_complex(complex(-1.0, 2.0))
-    with pytest.raises(ValueError):
-        log_gamma_complex(complex(float("nan"), 0.0))
+def test_stokes_phase_against_mpmath_random():
+    # The validated range: absolute error below 2e-12 for 1e-6 <= delta <= 1e3.
+    with mp.workdps(40):
+        for d in [1e-6, 1e3, *(10.0 ** np.random.RandomState(13).uniform(-6.0, 3.0, 100))]:
+            ref = mp.pi / 4 + mp.im(mp.loggamma(mp.mpc(1, -d))) + d * (mp.log(d) - 1)
+            assert abs(stokes_phase(float(d)) - float(ref)) <= 2e-12, d
 
 
 @pytest.mark.parametrize("d, ref", _STOKES_REFERENCE)
@@ -221,19 +192,16 @@ _NUMBER_ARGUMENTS = {
     "tm_resonance_width": (lambda v: tm_resonance_width(_WIDTH_POINT, v, 5), 1.0, ConfigError),
     "stokes_phase": (stokes_phase, 1.0, ValueError),
     "bessel_jn": (lambda v: bessel_jn(1, v), 1.0, ValueError),
-    "log_gamma_complex": (log_gamma_complex, 1.0, ValueError),
 }
 
 
 @pytest.mark.parametrize("bad", [True, "1", 10**400], ids=["bool", "str", "int-overflow"])
 @pytest.mark.parametrize("name", list(_NUMBER_ARGUMENTS))
 def test_number_arguments_refuse_bools_strings_and_huge_ints(name, bad):
-    # True is an int and would pass as 1; a string such as "1" or "1-1j"
-    # converts to a number; 10**400 has no float.  Each is refused with the
+    # True is an int and would pass as 1; a string such as "1" converts to
+    # a number; 10**400 has no float.  Each is refused with the
     # function's documented exception, and a numpy float still passes.
     call, good, error = _NUMBER_ARGUMENTS[name]
-    if name == "log_gamma_complex" and bad == "1":
-        bad = "1-1j"
     with pytest.raises(error):
         call(bad)
     assert call(np.float64(good)) == call(good)

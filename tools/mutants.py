@@ -13,8 +13,8 @@ a falsifying example found on a mutant is never replayed by a later run.
 A failing run kills the mutant; a passing one lets it survive.  The
 runner prints one line per mutant and the score.
 
-Against ``-x tests`` a surviving mutant costs a whole run of the 634
-tests there (16.1 s wall in one run on a 2-core VM with Python 3.11),
+Against ``-x tests`` a surviving mutant costs a whole run of the 646
+tests there (21.2 s wall in one run on a 2-core VM with Python 3.11),
 so this is not part of tier-1; ``tests/test_mutants.py``
 only checks that every mutant still applies.
 """
@@ -57,6 +57,11 @@ MUTANTS = [
     Mutant("hann-bins-phase-always", "analysis.py", "        if size % 2 == 0:\n", "        if True:\n"),
     Mutant("peak-log-guard", "analysis.py", "if below > 0.0 and peak > 0.0 and above > 0.0:", "if True:"),
     Mutant("peak-curvature-guard", "analysis.py", "if curvature < 0.0:", "if True:"),
+    Mutant("peak-bin-0-guard", "analysis.py", "if k >= 2 and 0 < i < bins.size - 1", "if 0 < i < bins.size - 1"),
+    # The flag and sub-regime thresholds (analysis).
+    Mutant("suppressed-amplitude", "analysis.py", "_SUPPRESSED_AMPLITUDE = 0.02", "_SUPPRESSED_AMPLITUDE = 0.025"),
+    Mutant("tm-fast-min", "analysis.py", "_TM_FAST_MIN = 10.0", "_TM_FAST_MIN = 11.0"),
+    Mutant("tm-slow-max", "analysis.py", "_TM_SLOW_MAX = 0.1", "_TM_SLOW_MAX = 0.11"),
     # The degenerate rules of the cycle decomposition (transfer_matrix).
     Mutant("decompose-full-flip", "transfer_matrix.py", "elif m >= 1.0 - _DEGENERATE_TOL:", "elif False:"),
     Mutant("decompose-theta-range", "transfer_matrix.py", "if theta <= -2.0 * math.pi:", "if False:"),
