@@ -89,10 +89,10 @@ class FrequencyEstimate:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.omega_est >= 0.0):
-            raise ConfigError(f"omega_est must be nonnegative, got {self.omega_est!r}")
-        if not (-1e-9 <= self.amplitude <= 1.0 + 1e-9):
-            raise ConfigError(f"amplitude must lie in [0, 1], got {self.amplitude!r}")
+        if not (_is_number(self.omega_est) and self.omega_est >= 0.0):
+            raise ConfigError(f"omega_est must be a finite number >= 0, got {self.omega_est!r}")
+        if not (_is_number(self.amplitude) and -1e-9 <= self.amplitude <= 1.0 + 1e-9):
+            raise ConfigError(f"amplitude must be a number in [0, 1], got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -156,23 +156,17 @@ class ScanResult:
             raise ConfigError("flags grid does not match the axis shape")
 
 
-def extract_frequency(
-    ts: TimeSeries,
-    band: tuple[float, float] | None = None,
-    drive_period: float | None = None,
-) -> FrequencyEstimate:
+def extract_frequency(ts: TimeSeries, drive_period: float | None = None) -> FrequencyEstimate:
     """Estimate the dominant slow angular frequency of a P_up trace.
 
     The trace is boxcar-averaged over one drive period (when
     ``drive_period`` is given), mean-subtracted, Hann-windowed, and
     Fourier-transformed; the strongest non-DC bin is refined by
-    quadratic interpolation of the log magnitude.  ``band``, if given,
-    restricts the peak search to angular frequencies in [lo, hi]: a pair of
-    finite numbers (not bools) with 0 <= lo < hi, else ConfigError.
+    quadratic interpolation of the log magnitude.
 
     A series from ``propagate_exact`` on a period-aligned grid carries the
     one-period form of its samples, P(k m + j) = A_j + Re(B_j e^{2ik lambda})
-    (see ``propagate_exact``).  When ``band`` is None and the boxcar spans
+    (see ``propagate_exact``).  When the boxcar spans
     exactly its m samples, the estimate comes from the form in O(m) work,
     without reading the trace: the boxcar is mean(A) + Re(Z_j e^{2ik lambda})
     with Z from a two-period prefix sum of B, the amplitude is its max - min
@@ -180,13 +174,12 @@ def extract_frequency(
     the closed-form kernel at the bins near its strong lines.  It agrees
     with the FFT of the same samples to rounding: the amplitude to 1e-10,
     ``omega_est`` to 1e-6 bins and the flags away from the 0.02 and 3 dB
-    thresholds.  Any other series, a ``band`` or another boxcar width
-    takes the FFT.
+    thresholds.  Any other series or another boxcar width takes the FFT.
 
     Raises
     ------
     InsufficientDataError
-        Fewer than 32 usable samples, or no spectral bins in ``band``.
+        Fewer than 32 usable samples.
     """
     n = len(ts)
     if n < _MIN_SAMPLES:
@@ -202,14 +195,9 @@ def extract_frequency(
     size = n - width + 1
     if size < _MIN_SAMPLES:
         raise InsufficientDataError(f"only {size} samples remain after coarse-graining")
-    if band is not None:
-        pair = isinstance(band, (tuple, list)) and len(band) == 2 and all(map(_is_number, band))
-        if not (pair and 0.0 <= band[0] < band[1]):
-            raise ConfigError(f"band must satisfy 0 <= lo < hi, got {band!r}")
-        lo, hi = band
 
     form = ts._form
-    if form is not None and band is None and width == form.mean.size:
+    if form is not None and width == form.mean.size:
         amplitude, bins, mags = _form_spectrum(form, size)
     else:
         values = ts.values
@@ -221,12 +209,7 @@ def extract_frequency(
         bins = np.arange(mags.size)
     # Bin k sits at angular frequency 2*pi*k/(size*dt); DC is never a peak candidate.
     bin_step = 2.0 * math.pi / (size * ts.dt)
-    usable = bins > 0
-    if band is not None:
-        usable &= (bin_step * bins >= lo) & (bin_step * bins <= hi)
-    if not usable.any():
-        raise InsufficientDataError(f"no spectral bins inside band {band!r}")
-    position, ambiguous = _spectral_peak(bins, mags, usable)
+    position, ambiguous = _spectral_peak(bins, mags)
 
     amplitude = min(1.0, max(0.0, amplitude))
     flags: list[str] = []
@@ -237,18 +220,19 @@ def extract_frequency(
     return FrequencyEstimate(omega_est=max(0.0, bin_step * position), amplitude=amplitude, flags=tuple(flags))
 
 
-def _spectral_peak(bins: np.ndarray, mags: np.ndarray, usable: np.ndarray) -> tuple[float, bool]:
-    """Refined position (in bins) of the strongest usable bin, and whether a rival comes within 3 dB.
+def _spectral_peak(bins: np.ndarray, mags: np.ndarray) -> tuple[float, bool]:
+    """Refined position (in bins) of the strongest bin past DC, and whether a rival comes within 3 dB.
 
     ``bins`` are increasing bin indices and ``mags`` their spectral
     magnitudes; a bin's neighbours count only where bins k - 1 and k + 1
-    are present.  The peak k is shifted by quadratic interpolation of the
-    log magnitude over k - 1, k, k + 1, unless k - 1 is bin 0: the DC bin
-    of the mean-removed spectrum is rounding noise, different on the two
-    extraction paths.  A rival is a usable local maximum more than 3 bins
-    from k.
+    are present.  Bin 0, the DC bin of the mean-removed spectrum, is
+    rounding noise, different on the two extraction paths: it counts as
+    magnitude 0, so it is never the peak or a rival, and a peak at bin 1
+    is not refined through it.  The peak k is otherwise shifted by
+    quadratic interpolation of the log magnitude over k - 1, k, k + 1.  A
+    rival is a local maximum more than 3 bins from k.
     """
-    masked = np.where(usable, mags, 0.0)
+    masked = np.where(bins > 0, mags, 0.0)
     i = int(np.argmax(masked))
     k = int(bins[i])
     shift = 0.0

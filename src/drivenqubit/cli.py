@@ -43,7 +43,6 @@ from .dynamics import (
 )
 from .errors import BracketError, ConfigError, InsufficientDataError, QuadratureError, RegimeError
 from .rwa import cdt_amplitudes, rwa_predict
-from .specfun import MAX_J0_ZERO_INDEX
 from .transfer_matrix import (
     crossing_times,
     decompose_full_cycle,
@@ -531,10 +530,10 @@ def cmd_predict(cfg: dict[str, Any]) -> Iterable[bytes]:
     scale = cfg["delta"]
     regime = classify_regime(p)
     rwa = rwa_predict(p)
-    n, residual = tm_fast_resonance_check(p)
+    _, residual = tm_fast_resonance_check(p)
     try:
-        tm_width = tm_resonance_width(p, deco.zeta_fc, n) * scale
-    except RegimeError:  # n < 1 or eps0 = 0: no detuning slope
+        tm_width = tm_resonance_width(p) * scale
+    except RegimeError:  # n < 1 (eps0 = 0 included): no detuning slope
         tm_width = None
     slow = tm_slow_resonance_lhs(p)
     return _json(cfg, {
@@ -611,7 +610,7 @@ def cmd_classify(cfg: dict[str, Any]) -> Iterable[bytes]:
 
 
 def cmd_cdt(cfg: dict[str, Any]) -> Iterable[bytes]:
-    amplitudes = [a * cfg["delta"] for a in cdt_amplitudes(cfg["omega"], MAX_J0_ZERO_INDEX)]
+    amplitudes = [a * cfg["delta"] for a in cdt_amplitudes(cfg["omega"])]
     k = list(range(1, len(amplitudes) + 1))
     if cfg["format"] == "json":
         return _json(cfg, {"k": k, "amplitudes": amplitudes})

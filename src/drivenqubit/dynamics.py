@@ -252,7 +252,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _finite("t0", self.t0)
+        t0 = _finite("t0", self.t0)
         dt = _positive("dt", self.dt)
         arr = _real_array("values", self.values)
         if arr.ndim != 1 or arr.size == 0:
@@ -262,7 +262,7 @@ class TimeSeries:
         if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
             raise ConfigError("probabilities leave [0, 1] by more than 1e-9")
         arr.flags.writeable = False
-        self.__dict__.update(dt=dt, values=arr, _form=None, _size=arr.size)
+        self.__dict__.update(t0=t0, dt=dt, values=arr, _form=None, _size=arr.size)
 
     @classmethod
     def _computed(cls, t0: float, dt: float, size: int, form: _Form | None = None, values=None) -> "TimeSeries":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import DriveParams, _count, _nearest_integer, _positive
+from .dynamics import DriveParams, _nearest_integer, _positive
 from .specfun import MAX_J0_ZERO_INDEX, bessel_j0_zero, bessel_jn
 
 __all__ = [
@@ -37,14 +37,15 @@ class RwaPrediction:
     width: float | None
 
 
-def cdt_amplitudes(omega: float, k_max: int) -> list[float]:
-    """Drive amplitudes A_k = omega*j_{0,k} where tunnelling is frozen.
+def cdt_amplitudes(omega: float) -> list[float]:
+    """Drive amplitudes A_k = omega*j_{0,k}, k = 1..MAX_J0_ZERO_INDEX, where tunnelling is frozen.
 
     At epsilon0 = 0 the slow frequency is delta*|J_0(A/omega)|, so the
-    first k_max zeros of J_0 mark the coherent-destruction points.
+    zeros of J_0 mark the coherent-destruction points; omega is a number
+    > 0, else ConfigError.
     """
     _positive("omega", omega)
-    return [omega * bessel_j0_zero(k) for k in range(1, _count("k_max", k_max, 1, MAX_J0_ZERO_INDEX) + 1)]
+    return [omega * bessel_j0_zero(k) for k in range(1, MAX_J0_ZERO_INDEX + 1)]
 
 
 def rwa_predict(p: DriveParams) -> RwaPrediction:

@@ -65,10 +65,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DriveParams, QubitState, TimeSeries, Unitary2, _compose, _count, _finite, _is_number, _nearest_integer,
-    _stroboscope,
+    DriveParams, QubitState, TimeSeries, Unitary2, _compose, _count, _finite, _nearest_integer, _stroboscope,
 )
-from .errors import ConfigError, QuadratureError, RegimeError
+from .errors import QuadratureError, RegimeError
 from .specfun import stokes_phase
 
 __all__ = [
@@ -441,22 +440,19 @@ def tm_fast_resonance_check(p: DriveParams) -> tuple[int, float]:
     return n, abs(x - n)
 
 
-def tm_resonance_width(p: DriveParams, zeta_fc: float, n: int) -> float:
-    """Resonance width delta_omega = omega^2 * zeta_fc / (2 pi eps0).
+def tm_resonance_width(p: DriveParams) -> float:
+    """Width delta_omega = omega^2 * zeta_fc / (2 pi eps0) of the n-photon resonance nearest the drive point.
 
-    Needs a sloped resonance: n >= 1 and eps0 > 0; the unbiased n = 0
-    resonance has no detuning scale ("not applicable").  zeta_fc must be an
-    int or float in [0, pi], not a bool, a string or an int too large for
-    a float (ConfigError).
+    n is the integer nearest eps0/omega (as ``tm_fast_resonance_check``
+    gives it) and zeta_fc the xy-rotation angle of ``full_cycle_matrix``.
+    Needs a sloped resonance, n >= 1: below it (eps0 = 0 included) the
+    n = 0 resonance has no detuning scale, a RegimeError raised before any
+    cycle is built.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ConfigError(f"photon index n must be an integer, got {n!r}")
+    n = _nearest_integer(p.epsilon0 / p.omega)
     if n < 1:
-        raise RegimeError(f"width not applicable: need photon index n >= 1, got {n!r}")
-    if p.epsilon0 <= 0.0:
-        raise RegimeError("width not applicable: eps0 = 0 resonance has no detuning slope")
-    if not (_is_number(zeta_fc) and 0.0 <= zeta_fc <= math.pi):
-        raise ConfigError(f"zeta_fc must lie in [0, pi], got {zeta_fc!r}")
+        raise RegimeError(f"width not applicable: need photon index n >= 1, got {n}")
+    _, zeta_fc = _xy_rotation(full_cycle_matrix(p))
     return p.omega**2 * zeta_fc / (2.0 * math.pi * p.epsilon0)
 
 

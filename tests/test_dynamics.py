@@ -674,7 +674,7 @@ def _no_sample(*args):
         lambda: TimeSeries(0.0, "0.1", np.array([0.5, 0.5])),
         lambda: step_unitary(0.0, 10**400, _P),
         lambda: extract_frequency(propagate_exact(_P, QubitState.up(), 3.0 * _P.period), drive_period="3"),
-        lambda: cdt_amplitudes(True, 3),
+        lambda: cdt_amplitudes(True),
         # Refused before the 8 TB trace is allocated.
         lambda: propagate_tm(_P, QubitState.up(), 10**12),
         # Runs of more than 10^8 - 1 substeps, refused before any walk.
@@ -797,6 +797,13 @@ def test_timeseries_rejects_bad_values():
         with pytest.raises(ConfigError, match="t0"):
             TimeSeries(t0, 0.1, [0.5] * 40)
     assert np.array_equal(TimeSeries(0, 1, [0, 1]).values, [0.0, 1.0])
+
+
+def test_timeseries_stores_t0_and_dt_as_floats():
+    # As a computed series holds them: an int t0 reads and prints as 0.0.
+    ts = TimeSeries(0, 1, [0, 1])
+    assert type(ts.t0) is float and type(ts.dt) is float
+    assert repr(ts) == "TimeSeries(t0=0.0, dt=1.0, 2 samples)"
 
 
 @pytest.mark.parametrize("steps_per_period", [32.0, 16.5, True, "32"])

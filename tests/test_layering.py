@@ -1,8 +1,8 @@
 """Layering: the package re-exports exactly the modules' __all__, the SU(2) state helpers, block
 size and run limits of dynamics stay private to it, only dynamics builds computed series, the CLI
-imports no scipy.integrate, no module or test imports a name it does not use, and every public name,
+imports no scipy.integrate, no module or test imports a name it does not use, every public name,
 every public method of a public class and every field of a public dataclass is reached from outside
-its own module or class."""
+its own module or class, and every defaulted parameter of a public function is passed from outside it."""
 
 import ast
 import importlib
@@ -231,3 +231,67 @@ def test_every_public_dataclass_field_is_reached():
         for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
     ]
     assert _unreached(_field_reads, candidates) == set(_UNREACHED_FIELDS_ON_PURPOSE)
+
+
+# Defaulted parameters of public functions that nothing in the package and
+# no acceptance criterion passes, on purpose.
+_UNPASSED_ON_PURPOSE = {
+    "stroboscopic_exact.steps_per_period": "the tests run it at 64 and 256 steps for speed; criterion 10 takes the default",
+    "main.argv": "the tests, the README check and the benchmark call the CLI in process",
+}
+
+
+def _public_functions() -> list[tuple[Path, ast.FunctionDef]]:
+    """The module-level functions listed in ``__all__``, with their module paths."""
+    return [
+        (path, node) for path, tree in _package_trees().items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in _public_names(tree)
+    ]
+
+
+def _defaulted(function: ast.FunctionDef) -> list[str]:
+    """The names of the parameters that have a default."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    names = [arg.arg for arg in positional[len(positional) - len(args.defaults):]]
+    return names + [arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+
+def _passes(functions):
+    """A reader: the lines on which the code passes each parameter of functions, labelled ``function.parameter``.
+
+    A call names its function as a name or an attribute; it passes a
+    parameter by keyword, or by position when it has that many positional
+    arguments.
+    """
+    positions = {function.name: [arg.arg for arg in (*function.args.posonlyargs, *function.args.args)]
+                 for _, function in functions}
+
+    def reader(tree: ast.Module) -> dict[str, set[int]]:
+        passes: dict[str, set[int]] = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name not in positions:
+                continue
+            passed = {keyword.arg for keyword in node.keywords} | set(positions[name][: len(node.args)])
+            for parameter in passed:
+                passes.setdefault(f"{name}.{parameter}", set()).add(node.lineno)
+        return passes
+
+    return reader
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default that no caller overrides is a constant: public parameters,
+    # like public names, are set from outside the function (its own
+    # recursion does not count) or by an acceptance criterion.  One nothing
+    # sets is deleted or listed above with its reason.
+    functions = _public_functions()
+    candidates = [
+        (path, f"{function.name}.{parameter}", f"{function.name}.{parameter}",
+         set(range(function.lineno, function.end_lineno + 1)))
+        for path, function in functions for parameter in _defaulted(function)
+    ]
+    assert _unreached(_passes(functions), candidates) == set(_UNPASSED_ON_PURPOSE)

@@ -11,10 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from drivenqubit.dynamics import DriveParams
-from drivenqubit.errors import ConfigError
 from drivenqubit.specfun import MAX_J0_ZERO_INDEX, bessel_j0_zero, bessel_jn, stokes_phase
-from drivenqubit.transfer_matrix import tm_resonance_width
 
 # (n, x, J_n(x)) spanning the series branch, the Miller branch, a zero,
 # and deep exponential tails.
@@ -186,10 +183,8 @@ def test_stokes_phase_rejects_nonpositive(d):
         stokes_phase(d)
 
 
-_WIDTH_POINT = DriveParams(delta=1.0, epsilon0=5.0, amplitude=30.0, omega=1.0)
 # (call of one number argument, a good value, the exception the function documents)
 _NUMBER_ARGUMENTS = {
-    "tm_resonance_width": (lambda v: tm_resonance_width(_WIDTH_POINT, v, 5), 1.0, ConfigError),
     "stokes_phase": (stokes_phase, 1.0, ValueError),
     "bessel_jn": (lambda v: bessel_jn(1, v), 1.0, ValueError),
 }

@@ -793,26 +793,17 @@ def test_fast_resonance_check(eps0, omega, n_expected, dev_expected):
 
 
 def test_tm_resonance_width_formula_and_guards():
+    # The drive point fixes the photon index and the cycle's rotation angle.
     p = _FAST_FIVE_PHOTON
+    assert tm_fast_resonance_check(p)[0] == 5
     zeta = decompose_full_cycle(full_cycle_matrix(p)).zeta_fc
-    width = tm_resonance_width(p, zeta, 5)
-    assert width == pytest.approx(p.omega**2 * zeta / (2.0 * math.pi * p.epsilon0), rel=1e-12)
-    with pytest.raises(RegimeError):
-        tm_resonance_width(p, zeta, 0)
-    with pytest.raises(RegimeError):
-        tm_resonance_width(DriveParams(delta=1.0, epsilon0=0.0, amplitude=30.0, omega=1.0), zeta, 1)
-    with pytest.raises(ConfigError):
-        tm_resonance_width(p, 4.0, 1)
-
-
-@pytest.mark.parametrize("n", [True, 1.0, "1"])
-def test_tm_resonance_width_rejects_non_integer_index(n):
-    # A photon index of the wrong type is a configuration error; only the
-    # integer n = 0 (and eps0 = 0) lie outside the width's regime.
-    p = _FAST_FIVE_PHOTON
-    zeta = decompose_full_cycle(full_cycle_matrix(p)).zeta_fc
-    with pytest.raises(ConfigError, match="photon index"):
-        tm_resonance_width(p, zeta, n)
+    assert tm_resonance_width(p) == p.omega**2 * zeta / (2.0 * math.pi * p.epsilon0)
+    # n = 0, the tie at eps0/omega = 1/2 and eps0 = 0 included, has no
+    # detuning slope.  The guard runs before the cycle is built, so a point
+    # without crossings (A <= eps0) gets it too.
+    for eps0, amp in ((0.3, 30.0), (0.5, 30.0), (0.0, 30.0), (0.3, 0.1)):
+        with pytest.raises(RegimeError, match="photon index"):
+            tm_resonance_width(DriveParams(delta=1.0, epsilon0=eps0, amplitude=amp, omega=1.0))
 
 
 def test_slow_resonance_lhs_closed_form():
