@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (
-    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _count, _is_number, _positive, _real_array, _steps_per_period,
+    _MAX_SAMPLES, DriveParams, QubitState, TimeSeries, _is_number, _positive, _real_array, _steps_per_period,
     _stroboscope, evolution_operator, propagate_exact,
 )
 from .errors import BracketError, ConfigError, DrivenQubitError, InsufficientDataError, RegimeError
@@ -564,19 +564,18 @@ def scan_resonance_map(
 
 def measure_resonance_width(
     p: DriveParams,
-    n: int,
     omega_grid: np.ndarray,
     steps_per_period: int = 128,
 ) -> float:
     """Half-width at half-maximum of the envelope amplitude versus omega.
 
     Sweeps the drive frequency over ``omega_grid`` with all other
-    parameters held at ``p``, measures the coarse-grained peak-to-peak
-    amplitude at each point, and returns half the separation of the
-    half-maximum crossings around the amplitude peak.  ``n`` names the
-    resonance under study (positive by convention) and is recorded for
-    validation only; the grid itself must bracket the ridge.  Each point
-    is one exact run sized as a ``scan_resonance_map`` cell.
+    parameters held at ``p`` (its ``omega`` is replaced at every point),
+    measures the coarse-grained peak-to-peak amplitude at each point, and
+    returns half the separation of the half-maximum crossings around the
+    amplitude peak.  The grid picks the resonance: it must bracket one
+    ridge.  Each point is one exact run sized as a ``scan_resonance_map``
+    cell.
 
     Raises
     ------
@@ -585,7 +584,6 @@ def measure_resonance_width(
         crossing lies outside the grid.
     """
     steps_per_period = _scan_steps(steps_per_period)
-    _count("resonance index n", n, 1)
     grid = _validate_axis("omega", omega_grid)
     if grid.size < 5:
         raise ConfigError("omega_grid must have at least 5 points")

@@ -77,12 +77,11 @@ _KEYS: dict[str, _Key] = {
     "steps-per-period": _Key(int, 256, "integrator substeps per drive period"),
     "axis1": _Key(str, None, "swept axis, param:start:stop:num (param in eps0|amp|omega)"),
     "axis2": _Key(str, None, "second swept axis, same syntax"),
-    "n": _Key(int, None, "resonance order (>= 1)"),
     "omega-min": _Key(float, None, "low edge of the frequency sweep"),
     "omega-max": _Key(float, None, "high edge of the frequency sweep"),
     "omega-points": _Key(int, None, "number of sweep points (>= 5)"),
     "out": _Key(str, None, "output path (default: stdout)"),
-    "format": _Key(str, "csv", "output format, csv or json (default csv)"),
+    "format": _Key(str, "csv", "output format, csv or json"),
 }
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -443,7 +442,8 @@ def _merge_config(args: argparse.Namespace) -> dict[str, Any]:
             cfg[key] = _KEYS[key].default
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    _positive("delta", cfg["delta"])
+    if "delta" in cfg:
+        _positive("delta", cfg["delta"])
     return cfg
 
 
@@ -564,12 +564,11 @@ def cmd_scan(cfg: dict[str, Any]) -> Iterable[bytes]:
         raise ConfigError("scan requires --axis1 and --axis2 (param:start:stop:num)")
     axis1 = _parse_axis(cfg["axis1"], "axis1")
     axis2 = _parse_axis(cfg["axis2"], "axis2")
-    fixed_candidates = set(_PARAM_BY_FLAG.values()) - {axis1[0], axis2[0]}
-    if len(fixed_candidates) != 1:
+    # The one drive key the axes leave fixed is the only one the scan reads.
+    fixed = [flag for flag, param in _PARAM_BY_FLAG.items() if param not in (axis1[0], axis2[0])]
+    if len(fixed) != 1:
         raise ConfigError(f"axis1 and axis2 must name different parameters, got {axis1[0]!r} twice")
-    fixed_name = fixed_candidates.pop()
-    fixed_flag = next(flag for flag, param in _PARAM_BY_FLAG.items() if param == fixed_name)
-    result = scan_resonance_map((fixed_name, cfg[fixed_flag]), axis1, axis2, cfg["steps-per-period"])
+    result = scan_resonance_map((_PARAM_BY_FLAG[fixed[0]], cfg[fixed[0]]), axis1, axis2, cfg["steps-per-period"])
     scale = cfg["delta"]
     # Each grid with the factor that gives it in units of delta.
     grids = {"omega_est": scale, "amplitude": 1.0, "omega_rwa": scale, "omega_tm": scale, "slow_lhs": 1.0}
@@ -618,20 +617,20 @@ def cmd_cdt(cfg: dict[str, Any]) -> Iterable[bytes]:
 
 
 def cmd_width(cfg: dict[str, Any]) -> Iterable[bytes]:
-    for key in ("n", "omega-min", "omega-max", "omega-points"):
+    for key in ("omega-min", "omega-max", "omega-points"):
         if cfg[key] is None:
             raise ConfigError(f"width requires --{key}")
-    p = _drive_params(cfg)
     grid = np.linspace(
         _positive("omega-min", cfg["omega-min"]),
         _positive("omega-max", cfg["omega-max"]),
         _count("omega-points", cfg["omega-points"], 5, _MAX_SCAN_CELLS),
     )
-    hwhm = measure_resonance_width(p, cfg["n"], grid, cfg["steps-per-period"])
+    p = _drive_params({**cfg, "omega": grid[0]})  # the sweep replaces omega at every point
+    hwhm = measure_resonance_width(p, grid, cfg["steps-per-period"])
     hwhm *= cfg["delta"]
     if cfg["format"] == "json":
-        return _json(cfg, {"n": cfg["n"], "hwhm": hwhm})
-    return _csv("n,hwhm", 1, lambda i, j: ([[cfg["n"]], [hwhm]], None))
+        return _json(cfg, {"hwhm": hwhm})
+    return _csv("hwhm", 1, lambda i, j: ([[hwhm]], None))
 
 
 class _Command(NamedTuple):
@@ -640,9 +639,10 @@ class _Command(NamedTuple):
     keys: tuple[str, ...]
 
 
-# predict and scan run at phi = 0 and classify does not depend on it, so they take no phase.
-_DRIVE = ("eps0", "amp", "omega", "delta")
-_PHASED_DRIVE = ("eps0", "amp", "omega", "phi", "delta")
+# predict and scan run at phi = 0 and classify does not depend on it, so they take no phase;
+# classify prints unit-free ratios, so it takes no delta, and width sweeps omega, so it takes no omega.
+_POINT = ("eps0", "amp", "omega")
+_DRIVE = _POINT + ("delta",)
 _OUTPUT = ("out", "format")
 
 # Every subcommand once.  Its keys are its flags and config-file keys, in
@@ -650,18 +650,18 @@ _OUTPUT = ("out", "format")
 _COMMANDS: dict[str, _Command] = {
     "simulate": _Command(
         cmd_simulate, "exact P_up trace (with TM strobe column when applicable)",
-        _PHASED_DRIVE + ("cycles", "steps-per-period") + _OUTPUT,
+        _POINT + ("phi", "delta", "cycles", "steps-per-period") + _OUTPUT,
     ),
     "predict": _Command(cmd_predict, "RWA + transfer-matrix resonance report (JSON)", _DRIVE + _OUTPUT),
     "scan": _Command(
         cmd_scan, "2-D resonance map over two drive parameters",
         _DRIVE + ("steps-per-period", "axis1", "axis2") + _OUTPUT,
     ),
-    "classify": _Command(cmd_classify, "validity-region label for a parameter point", _DRIVE + _OUTPUT),
+    "classify": _Command(cmd_classify, "validity-region label for a parameter point", _POINT + _OUTPUT),
     "cdt": _Command(cmd_cdt, "tunnelling-suppression drive amplitudes for a given omega", ("omega", "delta") + _OUTPUT),
     "width": _Command(
         cmd_width, "measured HWHM of a resonance versus drive frequency",
-        _PHASED_DRIVE + ("n", "omega-min", "omega-max", "omega-points", "steps-per-period") + _OUTPUT,
+        ("eps0", "amp", "phi", "delta", "omega-min", "omega-max", "omega-points", "steps-per-period") + _OUTPUT,
     ),
 }
 
@@ -677,7 +677,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
         for key in command.keys:
-            sub.add_argument(f"--{key}", type=_KEYS[key].type, help=_KEYS[key].help)
+            kind, default, text = _KEYS[key]
+            sub.add_argument(f"--{key}", type=kind, help=text if default is None else f"{text} (default {default})")
         sub.add_argument("--config", help="flat JSON config file; flags override its keys")
     return parser
 

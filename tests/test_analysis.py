@@ -431,7 +431,7 @@ def test_scan_and_width_fill_no_trace(monkeypatch):
     res = scan_resonance_map(("omega", 3.0), ("epsilon0", [8.0, 9.2]), ("amplitude", [12.0, 14.0]), steps_per_period=64)
     assert np.all(np.isfinite(res.omega_est)) and np.all(np.isfinite(res.amplitude))
     assert not any(flag.startswith("error:") for row in res.flags for cell in row for flag in cell)
-    width = measure_resonance_width(_p(5.0, 8.0, 5.0), 1, np.linspace(4.2, 5.8, 5))
+    width = measure_resonance_width(_p(5.0, 8.0, 5.0), np.linspace(4.2, 5.8, 5))
     assert 0.0 < width < 0.8
 
 
@@ -529,7 +529,7 @@ def test_width_tracks_lineshape_theory():
     # the half-maximum points Omega/|n| away from the peak.
     p = _p(5.0, 8.0, 5.0)
     theory = rwa_predict(p).width
-    hwhm = measure_resonance_width(p, 1, np.linspace(4.2, 5.8, 9), _WIDTH_CFG)
+    hwhm = measure_resonance_width(p, np.linspace(4.2, 5.8, 9), _WIDTH_CFG)
     assert 0.5 * theory < hwhm < 2.0 * theory
 
 
@@ -541,7 +541,7 @@ def test_scan_and_width_default_to_128_steps_per_period():
         return r.omega_est.tobytes(), r.amplitude.tobytes(), r.flags
 
     def width(*spp):
-        return measure_resonance_width(_p(5.0, 8.0, 5.0), 1, np.linspace(4.2, 5.8, 5), *spp)
+        return measure_resonance_width(_p(5.0, 8.0, 5.0), np.linspace(4.2, 5.8, 5), *spp)
 
     for run in (scan, width):
         assert run() == run(128)
@@ -551,33 +551,31 @@ def test_scan_and_width_default_to_128_steps_per_period():
 def test_width_requires_interior_maximum():
     p = _p(5.0, 8.0, 5.0)
     with pytest.raises(BracketError):
-        measure_resonance_width(p, 1, np.linspace(5.0, 6.6, 9), _WIDTH_CFG)
+        measure_resonance_width(p, np.linspace(5.0, 6.6, 9), _WIDTH_CFG)
 
 
 def test_width_requires_half_crossings_in_grid():
     p = _p(5.0, 8.0, 5.0)
     with pytest.raises(BracketError):
-        measure_resonance_width(p, 1, np.linspace(4.9, 5.1, 5), _WIDTH_CFG)
+        measure_resonance_width(p, np.linspace(4.9, 5.1, 5), _WIDTH_CFG)
 
 
 def test_width_argument_validation():
     p = _p(5.0, 8.0, 5.0)
     grid = np.linspace(4.0, 6.0, 9)
     with pytest.raises(ConfigError):
-        measure_resonance_width(p, 0, grid)
+        measure_resonance_width(p, np.array([4.0, 5.0, 6.0]))
     with pytest.raises(ConfigError):
-        measure_resonance_width(p, 1, np.array([4.0, 5.0, 6.0]))
+        measure_resonance_width(p, grid[::-1])
     with pytest.raises(ConfigError):
-        measure_resonance_width(p, 1, grid[::-1])
-    with pytest.raises(ConfigError):
-        measure_resonance_width(p, 1, grid - 10.0)
+        measure_resonance_width(p, grid - 10.0)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda p: stroboscopic_exact(p, QubitState.up(), True),
-        lambda p: measure_resonance_width(p, True, np.linspace(4.0, 6.0, 9)),
+        lambda p: measure_resonance_width(p, np.linspace(4.0, 6.0, 9), steps_per_period=True),
         lambda p: propagate_tm(p, QubitState.up(), True),
     ],
     ids=["stroboscopic_exact", "measure_resonance_width", "propagate_tm"],

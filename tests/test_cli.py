@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -65,6 +66,84 @@ def test_help_lists_exactly_the_table_keys(capsys, command):
     assert exc.value.code == 0
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
     assert flags == {f"--{key}" for key in _COMMANDS[command].keys} | {"--config", "--help"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_help_gives_each_key_its_default(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    # A key's help runs from its flag to the next "-", which no help text holds.
+    text = " ".join(capsys.readouterr().out.split())
+    for key in _COMMANDS[command].keys:
+        default = cli._KEYS[key].default
+        shown = re.search(rf"--{key} \S+ [^-]*?\(default (\S+)\)", text)
+        assert (shown and shown.group(1)) == (None if default is None else str(default)), key
+
+
+# ---------------------------------------------------------------------------
+# every key changes the output
+
+# A quick run of each command, as its flag values.  A scan reads the key of
+# the one drive parameter that its axes leave fixed, so each of those keys
+# is tested with the other two swept, and every other key with omega fixed.
+_BASE_RUNS = {
+    "simulate": {"eps0": "3", "amp": "15", "omega": "3", "cycles": "2", "steps-per-period": "16"},
+    "predict": {"eps0": "3", "amp": "15", "omega": "3", "format": "json"},
+    "scan": {"steps-per-period": "16"},
+    "classify": {"eps0": "3", "amp": "15", "omega": "3"},
+    "cdt": {"omega": "5"},
+    "width": {
+        "eps0": "5", "amp": "8", "omega-min": "4.2", "omega-max": "5.8", "omega-points": "9", "steps-per-period": "32",
+    },
+}
+_SCAN_FIXED = {
+    "eps0": {"eps0": "9", "axis1": "omega:2.9:3.1:2", "axis2": "amp:14:15:2"},
+    "amp": {"amp": "15", "axis1": "eps0:8.9:9.1:2", "axis2": "omega:2.9:3.1:2"},
+    "omega": {"omega": "3", "axis1": "eps0:8.9:9.1:2", "axis2": "amp:14:15:2"},
+}
+# Another valid value of each key, and where a command needs its own.
+_OTHER = {
+    "eps0": "4", "amp": "14", "omega": "2", "phi": "0.5", "delta": "2", "cycles": "3", "steps-per-period": "48",
+    "axis1": "eps0:8.8:9.1:2", "axis2": "amp:14:15:3", "omega-min": "4.3", "omega-max": "5.7", "omega-points": "11",
+    "format": "json",
+}
+_OTHER_IN = {
+    ("classify", "eps0"): "16",  # eps0 enters only through tm's A > eps0
+    ("width", "eps0"): "4.9",  # the grid still brackets the n = 1 resonance at omega = eps0
+}
+# Keys that leave the output as it is, on purpose.
+_SAME_OUTPUT_ON_PURPOSE = {
+    "out": "it sends the same bytes to a file instead of stdout",
+    "predict.format": "json is its one legal value; the key stays so that predict --format json keeps working",
+}
+_KEYED_RUNS = [
+    (command, key) for command, spec in _COMMANDS.items() for key in spec.keys
+    if key not in _SAME_OUTPUT_ON_PURPOSE and f"{command}.{key}" not in _SAME_OUTPUT_ON_PURPOSE
+]
+
+
+def _output(capsys, command, values):
+    """The output of command run with values as its flags, the JSON meta block left out."""
+    argv = [command, *itertools.chain.from_iterable((f"--{key}", value) for key, value in values.items())]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, ""), argv
+    if values.get("format") != "json":
+        return out
+    payload = json.loads(out)
+    del payload["meta"]
+    return payload
+
+
+@pytest.mark.parametrize("command, key", _KEYED_RUNS, ids=[f"{command}-{key}" for command, key in _KEYED_RUNS])
+def test_every_key_changes_the_output(capsys, command, key):
+    # A key whose value changes no result is dropped, not kept for its echo
+    # in the meta block; the keep-list above gives the exceptions.
+    base = dict(_BASE_RUNS[command])
+    if command == "scan":
+        base.update(_SCAN_FIXED.get(key, _SCAN_FIXED["omega"]))
+    other = {**base, key: _OTHER_IN.get((command, key), _OTHER[key])}
+    assert base.get(key) != other[key]
+    assert _output(capsys, command, base) != _output(capsys, command, other)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +625,7 @@ _GOLDEN = Path(__file__).resolve().parent / "golden"
 _GOLDEN_RUNS = {
     "scan_omega3.csv": ["scan", "--omega", "3", "--axis1", "eps0:8:10.4:10", "--axis2", "amp:11:17:10"],
     "width_readme.csv": [
-        "width", "--eps0", "5", "--amp", "8", "--omega", "5", "--n", "1",
-        "--omega-min", "4.2", "--omega-max", "5.8", "--omega-points", "9",
+        "width", "--eps0", "5", "--amp", "8", "--omega-min", "4.2", "--omega-max", "5.8", "--omega-points", "9",
     ],
     "simulate_short.csv": [
         "simulate", "--eps0", "3", "--amp", "15", "--omega", "3", "--cycles", "4", "--steps-per-period", "16",
@@ -567,9 +645,9 @@ def _numeric(field: str) -> bool:
 
 @pytest.mark.parametrize("name", list(_GOLDEN_RUNS))
 def test_cli_csv_matches_its_golden_file(capsys, name):
-    # The header, the row count, the integer column n, the flags and every
-    # field that is not a number (empty strobe fields, labels, booleans)
-    # exactly; every other number within 1e-12 relative, the rule of
+    # The header, the row count, the flags and every field that is not a
+    # number (empty strobe fields, labels, booleans) exactly; every other
+    # number within 1e-12 relative, the rule of
     # test_predict_prints_the_pinned_numbers.
     code, out, _ = _run(capsys, _GOLDEN_RUNS[name])
     assert code == 0
@@ -580,7 +658,7 @@ def test_cli_csv_matches_its_golden_file(capsys, name):
     for row, pin in zip(got[1:], pinned[1:]):
         assert len(row) == len(pin)
         for column, g, v in zip(pinned[0], row, pin):
-            if column in ("n", "flags") or not _numeric(v):
+            if column == "flags" or not _numeric(v):
                 assert g == v, (column, pin)
             else:
                 assert float(g) == pytest.approx(float(v), rel=1e-12, abs=0.0), (column, pin)
@@ -980,8 +1058,7 @@ def test_cdt_delta_rescales_amplitudes(capsys):
 
 
 _WIDTH_ARGS = [
-    "width", "--eps0", "5", "--amp", "8", "--omega", "5", "--n", "1",
-    "--omega-min", "4.2", "--omega-max", "5.8", "--omega-points", "9",
+    "width", "--eps0", "5", "--amp", "8", "--omega-min", "4.2", "--omega-max", "5.8", "--omega-points", "9",
     "--steps-per-period", "32",
 ]
 
@@ -990,7 +1067,7 @@ def test_width_reports_hwhm(capsys):
     code, out, _ = _run(capsys, _WIDTH_ARGS + ["--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["n"] == 1
+    assert list(payload) == ["meta", "hwhm"]
     assert 0.3 < payload["hwhm"] < 1.0
 
 
@@ -1003,7 +1080,7 @@ def test_width_meta_lists_every_run_key(capsys):
 
 
 def test_width_requires_sweep_arguments(capsys):
-    code, _, err = _run(capsys, ["width", "--eps0", "5", "--amp", "8", "--omega", "5"])
+    code, _, err = _run(capsys, ["width", "--eps0", "5", "--amp", "8"])
     assert code == 2
     assert "width requires" in err
 
@@ -1041,7 +1118,7 @@ def _two_column_csv(header, rows):
         (["cdt", "--omega", "5"], "cdt_amplitudes", lambda a: _two_column_csv("k,amplitude", enumerate(a, 1))),
         # omega * j_{0,k} overflows: every amplitude is inf.
         (["cdt", "--omega", "1e308"], "cdt_amplitudes", lambda a: _two_column_csv("k,amplitude", enumerate(a, 1))),
-        (_WIDTH_ARGS, "measure_resonance_width", lambda hwhm: _two_column_csv("n,hwhm", [(1, hwhm)])),
+        (_WIDTH_ARGS, "measure_resonance_width", lambda hwhm: b"hwhm\n%.17g\n" % hwhm),
     ],
     ids=["scan", "scan-without-crossings", "cdt", "cdt-overflow", "width"],
 )
@@ -1247,7 +1324,6 @@ _PREFIXES = {2: "config error: ", 3: "regime error: ", 4: "numerical error: "}
         # cycles * T would overflow a float: the count's bound refuses it first.
         (["simulate", "--amp", "1", "--cycles", "1" + "0" * 400], None, 2),
         (["scan", "--omega", "3", "--axis1", "eps0:0:1:-2", "--axis2", "amp:1:2:2"], None, 2),
-        (_WIDTH_ARGS[:-2] + ["--n", "0"], None, 2),
         (_WIDTH_ARGS[:-2] + ["--omega-min", "0"], None, 2),
         (_WIDTH_ARGS[:-2] + ["--omega-max", "nan"], None, 2),
         (_WIDTH_ARGS[:-2] + ["--omega-points", "-1"], None, 2),
@@ -1258,11 +1334,11 @@ _PREFIXES = {2: "config error: ", 3: "regime error: ", 4: "numerical error: "}
         (["simulate", "--amp", "1"], {"cycles": 2.5}, 2),
         (["simulate", "--amp", "1"], {"steps-per-period": True}, 2),
         (_WIDTH_ARGS[:-4], {"omega-points": 9.0}, 2),
-        (["classify", "--eps0", "1", "--amp", "2", "--omega", "0.5"], {"delta": 10**400}, 2),
+        (["cdt", "--omega", "5"], {"delta": 10**400}, 2),
     ],
     ids=[
         "omega-zero", "omega-negative", "eps0-nan", "amp-inf", "delta-zero", "delta-nan", "cdt-omega-inf",
-        "cycles-zero", "cycles-negative", "cycles-huge", "axis-count-negative", "width-n-zero", "omega-min-zero",
+        "cycles-zero", "cycles-negative", "cycles-huge", "axis-count-negative", "omega-min-zero",
         "omega-max-nan", "omega-points-negative", "omega-range-reversed", "amp-1e-300", "amp-1e300",
         "config-cycles-float", "config-steps-bool", "config-omega-points-float", "config-delta-int-overflow",
     ],

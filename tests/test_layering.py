@@ -2,7 +2,8 @@
 size and run limits of dynamics stay private to it, only dynamics builds computed series, the CLI
 imports no scipy.integrate, no module or test imports a name it does not use, every public name,
 every public method of a public class and every field of a public dataclass is reached from outside
-its own module or class, and every defaulted parameter of a public function is passed from outside it."""
+its own module or class, every defaulted parameter of a public function is passed from outside it, and
+every parameter of a public function or method is read, not only validated."""
 
 import ast
 import importlib
@@ -295,3 +296,37 @@ def test_every_defaulted_parameter_is_passed():
         for path, function in functions for parameter in _defaulted(function)
     ]
     assert _unreached(_passes(functions), candidates) == set(_UNPASSED_ON_PURPOSE)
+
+
+def _discarded_arguments(function: ast.FunctionDef) -> set[int]:
+    """The ids of the names read inside the arguments of function's bare call statements, whose value is discarded."""
+    calls = [node.value for node in ast.walk(function) if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    arguments = [arg for call in calls for arg in (*call.args, *(keyword.value for keyword in call.keywords))]
+    return {id(node) for arg in arguments for node in ast.walk(arg) if isinstance(node, ast.Name)}
+
+
+def _parameters(function: ast.FunctionDef) -> list[str]:
+    args = function.args
+    every = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+    return [arg.arg for arg in every if arg is not None]
+
+
+def test_every_public_parameter_is_read():
+    # A parameter that is only validated (handed to a check whose value is
+    # dropped) or not read at all changes no result: it is deleted, not
+    # kept for a caller to set.  This holds for every public function and
+    # every public method of a public class.
+    functions = [function for _, function in _public_functions()]
+    functions += [
+        node for tree in _package_trees().values() for cls in _public_classes(tree)
+        for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    unread = []
+    for function in functions:
+        discarded = _discarded_arguments(function)
+        read = {
+            node.id for node in ast.walk(function)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in discarded
+        }
+        unread += [f"{function.name}.{name}" for name in _parameters(function) if name not in read]
+    assert unread == []

@@ -13,8 +13,8 @@ a falsifying example found on a mutant is never replayed by a later run.
 A failing run kills the mutant; a passing one lets it survive.  The
 runner prints one line per mutant and the score.
 
-Against ``-x tests`` a surviving mutant costs a whole run of the 642
-tests there (18.9 s wall in one run on a 2-core VM with Python 3.11),
+Against ``-x tests`` a surviving mutant costs a whole run of the 688
+tests there (21.9 s wall in one run on a 2-core VM with Python 3.11),
 so this is not part of tier-1; ``tests/test_mutants.py``
 only checks that every mutant still applies.
 """
@@ -69,6 +69,11 @@ MUTANTS = [
     Mutant("tm-width-guard", "transfer_matrix.py", "if n < 1:", "if n < 0:"),
     # A config-file null for a key that defaults to no value (cli).
     Mutant("config-null", "cli.py", "if value is None and default is None:", "if False:"),
+    # A CLI key put back that changes no output (cli).
+    Mutant("classify-delta-key", "cli.py", 'for a parameter point", _POINT + _OUTPUT)',
+           'for a parameter point", _DRIVE + _OUTPUT)'),
+    Mutant("width-omega-key", "cli.py", '("eps0", "amp", "phi", "delta", "omega-min"',
+           '("eps0", "amp", "omega", "phi", "delta", "omega-min"'),
     # The midpoint step and the sample writer (dynamics).
     Mutant("step-bias-sign", "dynamics.py", "b = -0.5 * eps_mid", "b = +0.5 * eps_mid"),
     Mutant("form-values-clip", "dynamics.py", "return np.clip(out, 0.0, 1.0, out=out)", "return out"),
