@@ -56,14 +56,9 @@ _MIN_SAMPLES = 32
 _AMBIGUOUS_RATIO = 10.0 ** (-3.0 / 20.0)
 _AMBIGUOUS_MIN_SEPARATION = 3
 
-# The closed-form spectrum (``_form_spectrum``) sums the exponentials of the
-# boxcar whose weight is at least _LINE_FLOOR of the strongest, at the bins
-# within _LINE_REACH of those at least _STRONG_LINE of it.  A boxcar whose
-# strongest exponential weighs at most _FLAT_WEIGHT, the rounding level of a
-# probability, is flat: its lines are rounding noise, all of them "strong".
-_LINE_FLOOR = 1e-15
-_STRONG_LINE = 0.25
-_LINE_REACH = 4
+# A boxcar whose strongest exponential weighs at most _FLAT_WEIGHT, the
+# rounding level of a probability, is flat: its lines are rounding noise, and
+# the closed-form spectrum (``_form_spectrum``) is zero.
 _FLAT_WEIGHT = 1e-14
 
 
@@ -171,10 +166,12 @@ def extract_frequency(ts: TimeSeries, drive_period: float | None = None) -> Freq
     without reading the trace: the boxcar is mean(A) + Re(Z_j e^{2ik lambda})
     with Z from a two-period prefix sum of B, the amplitude is its max - min
     over the windows the trace has, and the Hann spectrum is summed from
-    the closed-form kernel at the bins near its strong lines.  It agrees
-    with the FFT of the same samples to rounding: the amplitude to 1e-10,
-    ``omega_est`` to 1e-6 bins and the flags away from the 0.02 and 3 dB
-    thresholds.  Any other series or another boxcar width takes the FFT.
+    the closed-form kernel at the bins near its strong lines, where a bound
+    shows the peak and every 3 dB rival lie.  It agrees with the FFT of the
+    same samples to rounding: the amplitude to 1e-10, ``omega_est`` to
+    1e-6 bins and the flags away from the 0.02 and 3 dB thresholds.  A
+    spectrum the bound cannot place, any other series and another boxcar
+    width take the FFT.
 
     Raises
     ------
@@ -197,16 +194,15 @@ def extract_frequency(ts: TimeSeries, drive_period: float | None = None) -> Freq
         raise InsufficientDataError(f"only {size} samples remain after coarse-graining")
 
     form = ts._form
-    if form is not None and width == form.mean.size:
-        amplitude, bins, mags = _form_spectrum(form, size)
-    else:
+    spectrum = _form_spectrum(form, size) if form is not None and width == form.mean.size else None
+    if spectrum is None:
         values = ts.values
         if width >= 2:
             csum = np.concatenate(([0.0], np.cumsum(values)))
             values = (csum[width:] - csum[:-width]) / width
-        amplitude = float(np.max(values) - np.min(values))
         mags = np.abs(np.fft.rfft((values - values.mean()) * np.hanning(size)))
-        bins = np.arange(mags.size)
+        spectrum = float(np.max(values) - np.min(values)), np.arange(mags.size), mags
+    amplitude, bins, mags = spectrum
     # Bin k sits at angular frequency 2*pi*k/(size*dt); DC is never a peak candidate.
     bin_step = 2.0 * math.pi / (size * ts.dt)
     position, ambiguous = _spectral_peak(bins, mags)
@@ -254,82 +250,113 @@ def _spectral_peak(bins: np.ndarray, mags: np.ndarray) -> tuple[float, bool]:
     return k + shift, bool(rivals.any())
 
 
-def _form_spectrum(form, size: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Amplitude, bins and Hann spectrum magnitudes of the one-period boxcar of a series with ``form``.
+def _form_spectrum(form, size: int) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """Amplitude, bins and Hann spectrum magnitudes of the one-period boxcar of a series with ``form``, or None.
 
     ``size`` is the boxcar length.  The window starting at sample
     s = k m + j holds mid + Re(Z_j e^{2ik lambda}), mid the mean of A; Z
     is a two-period prefix sum of B, whose second period is B e^{2i lambda}.
     With x = 2 lambda / m, Z_j e^{-ixj} is m-periodic, so its m-point FFT
     y_p gives the boxcar as mid + Re sum_p y_p e^{i nu_p s}, nu_p =
-    x + 2 pi p / m.  The spectrum sums the Hann kernel of every exponential
-    with |y_p| at least _LINE_FLOOR of the largest, less the kernel of
-    their share of the boxcar mean, at the bins within _LINE_REACH of the
-    lines at least _STRONG_LINE of it (a weaker line cannot by itself make
-    the peak or a 3 dB rival: a line's Hann peak loses at most 1.42 dB
-    between bins).  The spectrum of a flat boxcar is zero (bins 0 and 1
-    returned), so its ``omega_est`` is 0.
+    x + 2 pi p / m: line p is a half-line y_p/2 at nu_p and its conjugate
+    at -nu_p.  The spectrum is the Hann kernel summed over the half-lines,
+    less that of their share of the boxcar mean, a line at 0.
+
+    The bound.  A half-line of weight w/2 adds at most (w/2) H0 E(d) at a
+    bin d bins from it, H0 = (size - 1)/2 the kernel's peak and E
+    ``_hann_envelope``, which falls with d; the mean share adds at most
+    |share| H0.  Each comb, nu_p or -nu_p, has its lines size/m > 1 bins
+    apart, so at most two half-lines lie within half a bin of a bin (a
+    line and a mirror line, or one line and itself at DC or Nyquist), and
+    every other half-line lies at least size/(2m) bins off.  The top line,
+    of weight T, keeps at least s = 8/(3 pi) of its peak at its nearest
+    bin, so two lines weaker than _AMBIGUOUS_RATIO s T / 2 cannot make a
+    bin that is the peak or a 3 dB rival: the lines at least that strong
+    are the strong ones.  The spectrum is taken at each strong line's
+    nearest bin +-2 (the maximum lies within one bin of a strong line, and
+    the peak and rival tests read the neighbours).  A line is summed unless
+    E, at its distance to the nearest strong line's bin less 2 (no more
+    than its distance to any chosen bin), puts it below float rounding of
+    T.  A bin not within one of a strong line's nearest bin is at least 1.5
+    bins from every strong line, so it holds at most H0 times
+    max(W, T E(3/2)) + E(size/(2m)) sum_p w_p + |share|, W the strongest
+    weak line.  The spectrum is returned when that is below
+    _AMBIGUOUS_RATIO times its largest bin past DC: then no such bin is the
+    peak or a rival, in the FFT either.  Otherwise (the top line's bin
+    partly cancelled by a mirror line, a boxcar of few periods) it is None.
+    The spectrum of a flat boxcar is zero (bins 0 and 1 returned), so its
+    ``omega_est`` is 0.
     """
     m, lam, b = form.swing.size, form.lam, form.swing
     csum = np.cumsum(np.concatenate((b, b * np.exp(2j * lam))))
-    z = csum[m - 1 : 2 * m - 1].copy()
-    z[1:] -= csum[: m - 1]
-    z /= m
-    amplitude = _boxcar_swing(z, lam, size)
+    z = (csum[m - 1 : 2 * m - 1] - np.concatenate(([0.0], csum[: m - 1]))) / m
+    amplitude, share = _boxcar_swing(z, lam, size)
 
     y = np.fft.fft(z * np.exp(-2j * lam / m * np.arange(m))) / m
     weight = np.abs(y)
     top = weight.max()
     if top <= _FLAT_WEIGHT:
         return amplitude, np.arange(2), np.zeros(2)
-    keep = weight >= _LINE_FLOOR * top
-    nu = (2.0 * lam + 2.0 * math.pi * np.fft.fftfreq(m, 1.0 / m)[keep]) / m
-    # Bins within reach of every strong line, its bin folded into [0, size / 2].
-    strong = nu[weight[keep] >= _STRONG_LINE * top]
-    centre = np.rint(np.abs(np.remainder(strong / (2.0 * math.pi) + 0.5, 1.0) - 0.5) * size).astype(int)
-    reach = range(-_LINE_REACH, _LINE_REACH + 1)
-    bins = np.array(sorted({c + r for c in centre.tolist() for r in reach if 0 <= c + r <= size // 2}))
+    nu = (2.0 * lam + 2.0 * math.pi * np.fft.fftfreq(m, 1.0 / m)) / m
+    # Each line's position in bins, folded into [0, size / 2], and the bins within 2 of the strong ones.
+    fold = np.abs(np.remainder(nu / (2.0 * math.pi) + 0.5, 1.0) - 0.5) * size
+    # s = 8/(3 pi): the least share of its peak a Hann line keeps half a bin off (its scalloping, Harris 1978),
+    # the limit of np.hanning's as the size grows, which it exceeds at every size from 32.
+    strong = weight >= 0.5 * _AMBIGUOUS_RATIO * 8.0 / (3.0 * math.pi) * top
+    centre = np.rint(fold[strong])
+    bins = np.unique(np.clip(centre[:, None] + np.arange(-2, 3), 0, size // 2)).astype(int)
+    near = np.maximum(np.abs(fold[:, None] - centre).min(axis=1) - 2.0, 0.0)
+    keep = weight * _hann_envelope(near, size) >= np.finfo(float).eps * top
 
     coef = 0.5 * y[keep]
-    # The lines' share of the boxcar mean, sum_s e^{i nu s} / size over each
-    # line and its conjugate: twice the real part of the sum over one half.
-    offset = 2.0 * (coef @ _hann_kernel(nu, size, window=False)).real / size
-    nu, coef = np.concatenate((nu, -nu)), np.concatenate((coef, coef.conjugate()))
-    # Every line, and in the last column (a line at 0) that constant, subtracted.
-    kernel = _hann_kernel(np.append(nu, 0.0), size, bins=bins)
-    return amplitude, bins, np.abs(kernel @ np.append(coef, -offset))
+    nu, coef = np.concatenate((nu[keep], -nu[keep], [0.0])), np.concatenate((coef, coef.conjugate(), [-share]))
+    mags = np.abs(_hann_kernel(nu, size, bins) @ coef)
+    side, tail = _hann_envelope(np.array((1.5, 0.5 * size / m)), size)
+    bound = max(weight[~strong].max(initial=0.0), top * side) + weight.sum() * tail + abs(share)
+    if _AMBIGUOUS_RATIO * mags[bins > 0].max() <= 0.5 * (size - 1) * bound:
+        return None
+    return amplitude, bins, mags
 
 
-def _hann_kernel(nu: np.ndarray, size: int, window: bool = True, bins: np.ndarray | None = None) -> np.ndarray:
-    """sum_{s < size} w_s e^{i nu s} for the Hann window w = np.hanning(size), or w = 1 when not ``window``.
+def _hann_kernel(nu: np.ndarray, size: int, bins: np.ndarray) -> np.ndarray:
+    """Row k: sum_{s < size} w_s e^{i (nu - 2 pi k/size) s}, times e^{i (size-1) pi k/size}, w = np.hanning(size).
 
-    With x = nu/2 reduced to [-pi/2, pi/2) and S(x) = sin(size x)/sin(x)
-    (size at x = 0, its limit), the sum is e^{i (size-1) x} times S(x), or
-    times S(x)/2 + S(x + b)/4 + S(x - b)/4 with b = pi/(size - 1) for the
-    window.  The arguments of S stay within (-pi, pi), so x = 0 and
-    x = -+b are the only vanishing denominators.
-
-    With ``bins`` (integers in [0, size/2]), row k holds the sum at
-    nu - 2 pi k / size times e^{i (size-1) pi k / size}, a factor the same
-    for every nu of the row, so a sum over nu keeps its magnitude: the
-    phase stays e^{i (size-1) x} and S is taken at x - pi k / size, in
-    [-pi, pi/2).  Below -pi/2 that argument moves up by pi, where S changes
-    by (-1)^(size+1), so for even size the phase changes sign there.
+    Row k is for bin k of ``bins`` (integers in [0, size/2]); the factor
+    e^{i (size-1) pi k / size} is the same for every nu of the row, so a sum
+    over nu keeps its magnitude.  With x = nu/2 reduced to [-pi/2, pi/2) and
+    S(x) = sin(size x)/sin(x) (size at x = 0, its limit), the sum at bin 0
+    is e^{i (size-1) x} times S(x)/2 + S(x + b)/4 + S(x - b)/4 with
+    b = pi/(size - 1).  At bin k the phase stays e^{i (size-1) x} and S is
+    taken at x - pi k / size, in [-pi, pi/2).  Below -pi/2 that argument
+    moves up by pi, where S changes by (-1)^(size+1), so for even size the
+    phase changes sign there.  The arguments of S then stay within
+    (-pi, pi), so x = 0 and x = -+b are the only vanishing denominators.
     """
     x = 0.5 * (np.remainder(nu + math.pi, 2.0 * math.pi) - math.pi)
     phase = np.exp(1j * (size - 1) * x)
-    if bins is not None:
-        x = x - (math.pi / size) * bins[:, None]
-        wrapped = x < -0.5 * math.pi
-        x = np.where(wrapped, x + math.pi, x)
-        if size % 2 == 0:
-            phase = np.where(wrapped, -phase, phase)
-    if window:
-        b = math.pi / (size - 1)
-        shape = _dirichlet(x[..., None] + np.array((0.0, b, -b)), size) @ np.array((0.5, 0.25, 0.25))
-    else:
-        shape = _dirichlet(x, size)
-    return phase * shape
+    x = x - (math.pi / size) * bins[:, None]
+    wrapped = x < -0.5 * math.pi
+    x = np.where(wrapped, x + math.pi, x)
+    if size % 2 == 0:
+        phase = np.where(wrapped, -phase, phase)
+    b = math.pi / (size - 1)
+    return phase * (_dirichlet(x[..., None] + np.array((0.0, b, -b)), size) @ np.array((0.5, 0.25, 0.25)))
+
+
+def _hann_envelope(d: np.ndarray, size: int) -> np.ndarray:
+    """Bound on |``_hann_kernel``| over its peak (size - 1)/2 at every offset of at least d in [0, size/2] bins.
+
+    With x = pi d/size, L = size - 1 and b = pi/L, the kernel's three
+    Dirichlet terms over one denominator give its magnitude over the peak
+    as sin(b)^2 |cos(x) sin(L x)| / (L |sin(x)| |sin(x)^2 - sin(b)^2|).
+    Past x = b, |sin(L x)| <= 1 leaves a bound that falls as x grows to
+    pi/2; nearer, the peak bounds it.  For large size the bound is
+    1/(pi d (d^2 - 1)), the d^-3 sidelobe decay of the Hann window.
+    """
+    x = d * (math.pi / size)
+    sx, sb2 = np.sin(x), math.sin(math.pi / (size - 1)) ** 2
+    den = (size - 1) * sx * (sx * sx - sb2)
+    return np.minimum(1.0, np.divide(sb2 * np.cos(x), den, out=np.ones_like(x), where=den > 0.0))
 
 
 def _dirichlet(x: np.ndarray, size: int) -> np.ndarray:
@@ -338,8 +365,8 @@ def _dirichlet(x: np.ndarray, size: int) -> np.ndarray:
     return np.divide(np.sin(size * x), den, out=np.full_like(x, float(size)), where=den != 0.0)
 
 
-def _boxcar_swing(z: np.ndarray, lam: float, size: int) -> float:
-    """max - min of Re(z[s % m] e^{2i (s // m) lam}) over the windows s < size.
+def _boxcar_swing(z: np.ndarray, lam: float, size: int) -> tuple[float, float]:
+    """max - min of Re(z[s % m] e^{2i (s // m) lam}) over the windows s < size, and its mean over them.
 
     Every j reaches the periods k < last_k, and j <= last_j also k = last_k.
     Re(z_j e^{i theta}) peaks where theta is nearest -arg z_j (mod 2 pi) and
@@ -358,7 +385,8 @@ def _boxcar_swing(z: np.ndarray, lam: float, size: int) -> float:
     k = np.concatenate((order[at - 1], order[at % last_k], np.full(last_j + 1, last_k)))
     zz = np.concatenate((z, z, z, z, z[: last_j + 1]))
     vals = (zz * turn[k]).real
-    return float(vals.max() - vals.min())
+    total = z.sum() * turn[:-1].sum() + z[: last_j + 1].sum() * turn[-1]
+    return float(vals.max() - vals.min()), total.real / size
 
 
 def classify_regime(p: DriveParams) -> RegimeLabel:

@@ -444,6 +444,11 @@ def _merge_config(args: argparse.Namespace) -> dict[str, Any]:
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
     if "delta" in cfg:
         _positive("delta", cfg["delta"])
+    # A scan axis sets its drive key at every cell, so a value given for that key would go unread.
+    for axis in ("axis1", "axis2"):
+        swept = str(cfg.get(axis)).split(":")[0]
+        if swept in _PARAM_BY_FLAG and (getattr(args, swept) is not None or swept in file_values):
+            raise ConfigError(f"{axis} sweeps {swept}, so {swept} cannot also be given")
     return cfg
 
 
@@ -671,11 +676,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drivenqubit",
         description="Strongly driven two-level system: exact propagation and resonance predictors.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"drivenqubit {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        sub = subs.add_parser(name, help=command.help)
+        sub = subs.add_parser(name, help=command.help, allow_abbrev=False)
         for key in command.keys:
             kind, default, text = _KEYS[key]
             sub.add_argument(f"--{key}", type=kind, help=text if default is None else f"{text} (default {default})")

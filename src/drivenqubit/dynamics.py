@@ -77,11 +77,10 @@ _DOUBLING_MAX = 256
 _MAX_SAMPLES = 10**8
 
 
-def _count(name: str, value, low: int, high: int | None = None) -> int:
-    """value if it is an int (not a bool) in [low, high] (high None: no upper bound), else ConfigError."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < low or (high is not None and value > high):
-        bounds = f">= {low}" + ("" if high is None else f" and <= {high}")
-        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
+def _count(name: str, value, low: int, high: int) -> int:
+    """value if it is an int (not a bool) in [low, high], else ConfigError."""
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
+        raise ConfigError(f"{name} must be an integer >= {low} and <= {high}, got {value!r}")
     return value
 
 

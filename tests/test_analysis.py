@@ -286,11 +286,10 @@ def test_hann_kernel_matches_the_windowed_sum(size):
     alpha = 2.0 * math.pi / (size - 1)
     nu = np.array([0.0, alpha, -alpha, 2.0 * math.pi, -2.0 * math.pi + alpha, math.pi, -math.pi, 0.3, 1e-13])
     s = np.arange(size)
-    for window, weights in ((True, np.hanning(size)), (False, np.ones(size))):
-        want = np.exp(1j * nu[:, None] * s) @ weights
-        got = analysis._hann_kernel(nu, size, window=window)
-        assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - want)) <= 1e-10 * size
+    want = np.exp(1j * nu[:, None] * s) @ np.hanning(size)
+    got = analysis._hann_kernel(nu, size, np.array([0]))[0]
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-10 * size
     # On bins, row k is the sum at nu - 2 pi k/size times e^{i (size-1) pi k/size};
     # lines near +-pi reach the wrapped half of the bins, where an even size
     # flips the phase.
@@ -298,8 +297,117 @@ def test_hann_kernel_matches_the_windowed_sum(size):
     bins = np.arange(size // 2 + 1)
     want = np.exp(1j * (lines - 2.0 * math.pi * bins[:, None] / size)[..., None] * s) @ np.hanning(size)
     want *= np.exp(1j * (size - 1) * math.pi * bins / size)[:, None]
-    got = analysis._hann_kernel(lines, size, bins=bins)
+    got = analysis._hann_kernel(lines, size, bins)
     assert np.max(np.abs(got - want)) <= 1e-10 * size
+
+
+def test_hann_scalloping_and_envelope_bound_the_kernel():
+    # The two bounds behind the closed-form spectrum's choice of lines and
+    # bins, against the kernel itself over dense offsets d in bins, at even
+    # and odd sizes: a line keeps at least 8/(3 pi) of its peak within half
+    # a bin, and its |kernel| / peak never exceeds _hann_envelope, which
+    # falls with d.  Half a bin off, the least share tends to 8/(3 pi) from
+    # above; far off, the envelope to the d^-3 sidelobe decay 1/(pi d (d^2 - 1)).
+    scallop = 8.0 / (3.0 * math.pi)
+    half = np.linspace(0.0, 0.5, 201)
+    for size in [*range(32, 72), 255, 256, 1000, 1001, 4096, 4097, 65536, 65537]:
+        peak = 0.5 * (size - 1)
+        near = np.abs(analysis._hann_kernel(2.0 * math.pi * half / size, size, np.array([0]))[0]) / peak
+        assert near.min() >= scallop
+        d = np.concatenate((np.linspace(0.0, 12.0, 2401), np.linspace(12.0, 0.5 * size, 2001)))
+        ratio = np.abs(analysis._hann_kernel(2.0 * math.pi * d / size, size, np.array([0]))[0]) / peak
+        envelope = analysis._hann_envelope(d, size)
+        assert np.all(ratio <= envelope + 4.0 * np.finfo(float).eps)
+        assert np.all(np.diff(envelope) <= 0.0)
+    # At the largest size, 65 537.
+    assert near.min() == pytest.approx(scallop, rel=1e-4)
+    far = np.array([2.5, 10.0, 100.0])
+    assert np.allclose(analysis._hann_envelope(far, 65537) * math.pi * far * (far**2 - 1.0), 1.0, rtol=1e-3)
+
+
+def _form_with_lines(lines, m, lam):
+    """A one-period form whose boxcar has the lines {p: y_p}, scaled so that P stays in [0, 1].
+
+    The boxcar's Z_j = sum_p y_p e^{i nu_p j} (``_form_spectrum``), and
+    Z_{j+1} - Z_j = B_j (e^{2i lambda} - 1)/m with Z_m = Z_0 e^{2i lambda},
+    so the swing B follows from Z; A = 1/2 and |B| <= 1/2.
+    """
+    y = np.zeros(m, complex)
+    for p, weight in lines.items():
+        y[p] = weight
+    z = m * np.fft.ifft(y) * np.exp(2j * lam / m * np.arange(m))
+    turn = np.exp(2j * lam)
+    swing = m * (np.append(z[1:], z[0] * turn) - z) / (turn - 1.0)
+    return dynamics._Form(np.full(m, 0.5), 0.5 * swing / np.abs(swing).max(), lam)
+
+
+# Forms of 41 periods of 64 samples, whose lines sit (lambda/pi + p) * 40.016
+# bins up.  At lambda = pi/2 line p folds onto the mirror of line -p-1.
+_LINE_CASES = {
+    # Lines 3 and -4 at 0.4 of the top, between the strong-line share and
+    # twice it, fold in phase onto bin 140 into a 3 dB rival of the top's bin 20.
+    "rival-pair": ({0: 1.0, 3: 0.4, -4: 0.4}, math.pi / 2),
+    # The top line at 19.458 rounds to bin 19, but a weak mirror line (0.25,
+    # 1.1 bins up) moves the maximum to bin 20, refined through bin 21.
+    "weak-line-moves-the-peak": ({0: 1.0, -1: 0.25 * np.exp(0.75j * math.pi)}, 0.5 * math.pi * (1.0 - 1.1 / 40.015625)),
+    # The top line 1.6 bins from DC and 0.4 from Nyquist, each folding onto itself.
+    "near-dc": ({0: 1.0, 1: 0.1}, 1.6 * math.pi / 40.015625),
+    "near-nyquist": ({32: 1.0, 1: 0.1}, -0.4 * math.pi / 40.015625),
+    # Line -1 folds onto the top line in antiphase and leaves 0.1 of it, so
+    # the weak line 3 (0.29) at bin 140 is the peak: the bound cannot place
+    # it near the strong lines, and the FFT is taken.
+    "cancelled-top-line": ({0: 1.0, -1: -0.9, 3: 0.29}, math.pi / 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_LINE_CASES))
+def test_closed_form_extraction_of_chosen_lines(case):
+    lines, lam = _LINE_CASES[case]
+    m, dt = 64, 0.1
+    ts = TimeSeries._computed(0.0, dt, 41 * m, form=_form_with_lines(lines, m, lam))
+    size = len(ts) - m + 1
+    assert (analysis._form_spectrum(ts._form, size) is None) == (case == "cancelled-top-line")
+    closed, plain = _assert_paths_agree(ts, m * dt)
+    bin_step = 2.0 * math.pi / (size * dt)
+    assert abs(closed.omega_est - plain.omega_est) <= 1e-6 * bin_step
+    want = {"rival-pair": ("ambiguous",), "near-nyquist": ("suppressed",)}.get(case, ())
+    assert closed.flags == want
+    if case == "weak-line-moves-the-peak":
+        assert 19.5 < closed.omega_est / bin_step < 20.0
+
+
+def _every_line_spectrum(form, size, bins):
+    """The closed-form spectrum at bins with every line of the boxcar summed."""
+    m, lam = form.mean.size, form.lam
+    csum = np.cumsum(np.concatenate((form.swing, form.swing * np.exp(2j * lam))))
+    z = csum[m - 1 : 2 * m - 1].copy()
+    z[1:] -= csum[: m - 1]
+    z /= m
+    y = np.fft.fft(z * np.exp(-2j * lam / m * np.arange(m))) / m
+    nu = (2.0 * lam + 2.0 * math.pi * np.fft.fftfreq(m, 1.0 / m)) / m
+    share = analysis._boxcar_swing(z, lam, size)[1]
+    kernel = analysis._hann_kernel(np.concatenate((nu, -nu, [0.0])), size, bins)
+    return np.abs(kernel @ np.concatenate((0.5 * y, 0.5 * y.conjugate(), [-share])))
+
+
+def test_selected_lines_and_bins_match_every_line_at_every_near_bin():
+    # Seeded cells: the closed form answers, the spectrum of the lines and
+    # bins it selects matches every line summed to a few ulp of its peak,
+    # and so does the peak and rival reading of every bin within 2 of any line.
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        p = _p(rng.uniform(0.0, 12.0), rng.uniform(0.0, 25.0), rng.uniform(1.0, 6.0))
+        steps, periods = int(rng.choice([64, 128, 256])), int(rng.integers(50, 300))
+        ts = propagate_exact(p, QubitState.up(), periods * p.period, steps_per_period=steps)
+        size = len(ts) - steps + 1
+        _, bins, mags = analysis._form_spectrum(ts._form, size)
+        every = _every_line_spectrum(ts._form, size, bins)
+        assert np.max(np.abs(mags - every)) <= 4.0 * np.finfo(float).eps * mags.max()
+        lines = (np.arange(steps) + ts._form.lam / math.pi) * size / steps
+        fold = np.abs(np.remainder(lines / size + 0.5, 1.0) - 0.5) * size
+        near = np.unique(np.clip(np.rint(fold).astype(int)[:, None] + np.arange(-2, 3), 0, size // 2))
+        position, ambiguous = analysis._spectral_peak(near, _every_line_spectrum(ts._form, size, near))
+        assert analysis._spectral_peak(bins, mags) == (pytest.approx(position, abs=1e-9), ambiguous)
 
 
 def test_spectral_peak_interpolates_only_a_log_concave_triple_of_positive_bins():

@@ -59,6 +59,23 @@ def test_unknown_flag_is_a_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, unrecognized",
+    [
+        (["simulate", "--cyc", "1", "--amp", "1", "--steps-per", "16"], "--cyc 1 --steps-per 16"),
+        # A prefix of three width flags, once refused as ambiguous among them.
+        (["width", "--omega", "5", "--eps0", "5", "--amp", "8"], "--omega 5"),
+        (["--vers", "cdt"], "--vers"),
+    ],
+    ids=["simulate", "width", "version"],
+)
+def test_flags_take_no_abbreviation(capsys, argv, unrecognized):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unrecognized}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_help_lists_exactly_the_table_keys(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -769,6 +786,21 @@ def test_scan_takes_no_phase(capsys, tmp_path):
     path.write_text(json.dumps({"phi": 0.5}))
     code, out, err = _run(capsys, _SCAN_ARGS + ["--config", str(path)])
     assert (code, out, err) == (2, "", "config error: unknown config keys for 'scan': phi\n")
+
+
+def test_scan_refuses_a_value_for_a_swept_key(capsys, tmp_path):
+    # An axis sets its drive key at every cell, so a value given for that key,
+    # by a flag or in the config file, is refused rather than left unread.
+    axes = ["--axis1", "eps0:8.9:9.1:2", "--axis2", "amp:14:15:2", "--steps-per-period", "16"]
+    code, out, err = _run(capsys, ["scan", "--eps0", "5", "--amp", "2", "--omega", "3", *axes])
+    assert (code, out, err) == (2, "", "config error: axis1 sweeps eps0, so eps0 cannot also be given\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"amp": 2.0}))
+    code, out, err = _run(capsys, ["scan", "--omega", "3", *axes, "--config", str(path)])
+    assert (code, out, err) == (2, "", "config error: axis2 sweeps amp, so amp cannot also be given\n")
+    # The fixed key, from either place, is read as before.
+    path.write_text(json.dumps({"omega": 3.0}))
+    assert _run(capsys, ["scan", *axes, "--config", str(path)])[:2] == _run(capsys, ["scan", "--omega", "3", *axes])[:2]
 
 
 # Cells with A <= eps0 have no transfer-matrix prediction: NaN, not an

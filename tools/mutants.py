@@ -13,10 +13,9 @@ a falsifying example found on a mutant is never replayed by a later run.
 A failing run kills the mutant; a passing one lets it survive.  The
 runner prints one line per mutant and the score.
 
-Against ``-x tests`` a surviving mutant costs a whole run of the 688
-tests there (21.9 s wall in one run on a 2-core VM with Python 3.11),
-so this is not part of tier-1; ``tests/test_mutants.py``
-only checks that every mutant still applies.
+Against ``-x tests`` a surviving mutant costs a whole run of the tests
+there, so this is not part of tier-1; ``tests/test_mutants.py`` only
+checks that every mutant still applies.
 """
 
 from __future__ import annotations
@@ -45,16 +44,20 @@ MUTANTS = [
     Mutant("target-slow-periods", "analysis.py", "_TARGET_SLOW_PERIODS = 5.0", "_TARGET_SLOW_PERIODS = 4.0"),
     Mutant("min-drive-periods", "analysis.py", "_MIN_DRIVE_PERIODS = 50", "_MIN_DRIVE_PERIODS = 40"),
     Mutant("ambiguous-separation", "analysis.py", "_AMBIGUOUS_MIN_SEPARATION = 3", "_AMBIGUOUS_MIN_SEPARATION = 2"),
-    Mutant("line-floor", "analysis.py", "_LINE_FLOOR = 1e-15", "_LINE_FLOOR = 1e-6"),
-    Mutant("strong-line", "analysis.py", "_STRONG_LINE = 0.25", "_STRONG_LINE = 0.6"),
-    Mutant("line-reach", "analysis.py", "_LINE_REACH = 4", "_LINE_REACH = 2"),
+    # The closed-form spectrum's lines and bins: the rounding floor x1e5, the 3 dB factor x2, reach 2 -> 1.
+    Mutant("line-floor", "analysis.py", ">= np.finfo(float).eps * top", ">= 1e5 * np.finfo(float).eps * top"),
+    Mutant("strong-line", "analysis.py", "weight >= 0.5 * _AMBIGUOUS_RATIO", "weight >= 1.0 * _AMBIGUOUS_RATIO"),
+    Mutant("line-reach", "analysis.py", "centre[:, None] + np.arange(-2, 3)", "centre[:, None] + np.arange(-1, 2)"),
     Mutant("spectral-peak-fill", "analysis.py", "masked = np.where(bins > 0, mags, 0.0)",
            "masked = np.where(bins > 0, mags, 0.001)"),
     Mutant("scan-default-spp", "analysis.py", "    steps_per_period: int = 128,\n) -> ScanResult:",
            "    steps_per_period: int = 129,\n) -> ScanResult:"),
     # Branches of the closed-form spectrum and the peak refinement (analysis).
-    Mutant("hann-bins-phase-never", "analysis.py", "        if size % 2 == 0:\n", "        if False:\n"),
-    Mutant("hann-bins-phase-always", "analysis.py", "        if size % 2 == 0:\n", "        if True:\n"),
+    Mutant("hann-bins-phase-never", "analysis.py", "    if size % 2 == 0:\n", "    if False:\n"),
+    Mutant("hann-bins-phase-always", "analysis.py", "    if size % 2 == 0:\n", "    if True:\n"),
+    Mutant("form-bound-never", "analysis.py", "if _AMBIGUOUS_RATIO * mags[bins > 0].max() <=",
+           "if False and _AMBIGUOUS_RATIO * mags[bins > 0].max() <="),
+    Mutant("hann-envelope", "analysis.py", "np.divide(sb2 * np.cos(x), den", "np.divide(0.5 * sb2 * np.cos(x), den"),
     Mutant("peak-log-guard", "analysis.py", "if below > 0.0 and peak > 0.0 and above > 0.0:", "if True:"),
     Mutant("peak-curvature-guard", "analysis.py", "if curvature < 0.0:", "if True:"),
     Mutant("peak-bin-0-guard", "analysis.py", "if k >= 2 and 0 < i < bins.size - 1", "if 0 < i < bins.size - 1"),
@@ -69,6 +72,9 @@ MUTANTS = [
     Mutant("tm-width-guard", "transfer_matrix.py", "if n < 1:", "if n < 0:"),
     # A config-file null for a key that defaults to no value (cli).
     Mutant("config-null", "cli.py", "if value is None and default is None:", "if False:"),
+    # A value for a drive key that a scan axis sweeps, read as unset; and flags taking abbreviations (cli).
+    Mutant("scan-swept-key", "cli.py", "if swept in _PARAM_BY_FLAG and", "if False and"),
+    Mutant("cli-abbrev", "cli.py", "help=command.help, allow_abbrev=False)", "help=command.help)"),
     # A CLI key put back that changes no output (cli).
     Mutant("classify-delta-key", "cli.py", 'for a parameter point", _POINT + _OUTPUT)',
            'for a parameter point", _DRIVE + _OUTPUT)'),
